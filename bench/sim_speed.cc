@@ -219,7 +219,9 @@ BM_ParallelHarness(benchmark::State &state)
         static_cast<double>(sim_insts),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ParallelHarness)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParallelHarness)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * A miniature figure-style sweep: multiple sizes x variant series of
@@ -267,7 +269,9 @@ BM_FigureSweep(benchmark::State &state)
         static_cast<double>(sim_insts),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FigureSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FigureSweep)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * Threaded-code dispatch (tier (a), DESIGN.md §14) measured in
@@ -370,7 +374,9 @@ BM_SampledSweepExact(benchmark::State &state)
         static_cast<double>(sim_insts),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SampledSweepExact)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampledSweepExact)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /** The same batch under the default SMARTS schedule. sim_cycles here
  *  counts *extrapolated* cycles (what the figure pipeline consumes),
@@ -397,7 +403,9 @@ BM_SampledSweep(benchmark::State &state)
         static_cast<double>(sim_insts),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SampledSweep)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampledSweep)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * The same sampled batch served from its checkpointed replay sets
@@ -436,7 +444,9 @@ BM_SampledReplayWarm(benchmark::State &state)
     cache.clear();
     cache.setEnabled(false);
 }
-BENCHMARK(BM_SampledReplayWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SampledReplayWarm)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /** The fig12-shaped batch both snapshot-sweep benchmarks run. */
 std::vector<harness::RegionJob>
@@ -484,7 +494,9 @@ BM_SnapshotSweepCold(benchmark::State &state)
         static_cast<double>(sim_insts),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SnapshotSweepCold)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotSweepCold)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * The same batch warm-started from a pre-primed snapshot cache, the
@@ -521,7 +533,9 @@ BM_SnapshotSweepWarm(benchmark::State &state)
     cache.clear();
     cache.setEnabled(false);
 }
-BENCHMARK(BM_SnapshotSweepWarm)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotSweepWarm)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 /**
  * Console reporter that additionally collects one JSON record per
@@ -535,10 +549,16 @@ class BaselineReporter : public benchmark::ConsoleReporter
     {
         benchmark::ConsoleReporter::ReportRuns(runs);
         for (const Run &r : runs) {
-            if (r.error_occurred)
+            // Aggregates (_mean/_stddev/_cv under
+            // --benchmark_repetitions) are not runs.
+            if (r.error_occurred || r.run_type == Run::RT_Aggregate)
                 continue;
             Entry e;
-            e.name = r.benchmark_name();
+            // Record names without the "/real_time" suffix
+            // UseRealTime() adds, so they match the tracked baseline.
+            benchmark::BenchmarkName name = r.run_name;
+            name.time_type.clear();
+            e.name = name.str();
             e.iterations = r.iterations;
             e.wallMs = r.iterations > 0
                            ? r.real_accumulated_time /

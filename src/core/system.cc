@@ -127,9 +127,7 @@ System::System(const SystemConfig &config)
     coreDone_.assign(cores_.size(), 1); // no threads bound yet
 
     if (const char *env = std::getenv("REMAP_TRACE")) {
-        Cycle period = 10'000;
-        if (const char *p = std::getenv("REMAP_TRACE_PERIOD"))
-            period = std::strtoull(p, nullptr, 10);
+        const Cycle period = env::tracePeriod(10'000);
         // Under the parallel harness many Systems are constructed
         // concurrently; suffix the shared REMAP_TRACE path so each
         // instance writes its own file. An explicit enableTracing()

@@ -107,9 +107,8 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
         w.endObject();
     }
     // Process-wide singleton caches via the same hook registry the
-    // stats "sim" subtree uses: "snapshot_cache" always (touching
-    // the singleton registers its hook), "result_store" whenever the
-    // service library is linked and its store has been constructed.
+    // stats "sim" subtree uses: "snapshot_cache" (touching the
+    // singleton registers its hook).
     SnapshotCache::instance();
     prof::dumpMetaHooks(w);
     // Process-wide host-time attribution (only populated when

@@ -235,4 +235,30 @@ sampleParams()
     return p;
 }
 
+bool
+parseTracePeriod(const char *text, std::uint64_t *out,
+                 std::string *error)
+{
+    if (text && parseU64Field(text, out))
+        return true;
+    if (error) {
+        *error = "invalid REMAP_TRACE_PERIOD='" +
+                 std::string(text ? text : "") +
+                 "' (want a decimal cycle count)";
+    }
+    return false;
+}
+
+std::uint64_t
+tracePeriod(std::uint64_t dflt)
+{
+    const char *env = std::getenv("REMAP_TRACE_PERIOD");
+    if (!env)
+        return dflt;
+    std::string err;
+    if (!parseTracePeriod(env, &dflt, &err))
+        REMAP_FATAL("%s", err.c_str());
+    return dflt;
+}
+
 } // namespace remap::env

@@ -20,11 +20,14 @@
  *  - REMAP_NO_SAMPLE_REPLAY=1 disable checkpointed sample replay
  *  - REMAP_SAMPLE=...       default sampled-mode schedule (see
  *                           env::sampleParams())
+ *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
+ *                           env::tracePeriod())
  */
 
 #ifndef REMAP_SIM_ENV_HH
 #define REMAP_SIM_ENV_HH
 
+#include <cstdint>
 #include <string>
 
 #include "sim/sampling.hh"
@@ -77,6 +80,23 @@ bool parseSampleSpec(const char *text, sampling::SampleParams *out,
  * schedule must never silently fall back to exact simulation.
  */
 sampling::SampleParams sampleParams();
+
+/**
+ * Strict REMAP_TRACE_PERIOD-value parser: a nonempty decimal cycle
+ * count (digits only, so no signs, spaces or suffixes; "0" turns
+ * counter sampling off). On failure @p out is untouched and @p error
+ * receives a one-line description.
+ */
+bool parseTracePeriod(const char *text, std::uint64_t *out,
+                      std::string *error);
+
+/**
+ * The trace counter-sampling period from REMAP_TRACE_PERIOD, or
+ * @p dflt when the variable is unset. Malformed values are a fatal
+ * error (via parseTracePeriod()): "abc" must not silently disable
+ * sampling and "10k" must not mean 10.
+ */
+std::uint64_t tracePeriod(std::uint64_t dflt);
 
 } // namespace remap::env
 

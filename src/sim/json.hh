@@ -147,7 +147,7 @@ class Writer
      * Round-trip-exact double: 17 significant digits recover the
      * exact IEEE-754 value through strtod (the json_value.hh
      * parser). Used where a consumer re-ingests the number and must
-     * see the producer's bits (result store, service protocol);
+     * see the producer's bits (sampling estimates, remap-stats JSON);
      * value(double)'s %.12g stays the default for display-grade
      * output.
      */

@@ -75,8 +75,8 @@ struct RunSpec
      * execution). When enabled the harness drives the run through
      * System::runSampled() and reports extrapolated cycles with a
      * confidence interval; the schedule participates in configHash()
-     * so sampled results never alias exact ones in the result store
-     * or snapshot cache (DESIGN.md §14).
+     * so sampled results never alias exact ones in the snapshot
+     * cache (DESIGN.md §14).
      */
     sampling::SampleParams sample{};
 };

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "harness/parallel.hh"
-#include "service/job_codec.hh"
 
 namespace remap::testjobs
 {
@@ -145,17 +144,29 @@ fig13Jobs()
     return jobs;
 }
 
-/** The canonical tiny smoke sweep as plain region jobs — the same
- *  job set service::smokeSweepBatch() ships over the wire and the CI
- *  service smoke job submits (`remapd smoke-request`), so the
- *  in-process differentials and the service tests always cover the
- *  same regions. */
+/** The canonical tiny smoke sweep: one sequential baseline,
+ *  SPL-barrier points at two sizes and thread counts, a
+ *  barrier+compute point and a compute-mode region. Small enough to
+ *  finish in seconds, wide enough to touch the SPL modes the paper
+ *  sweeps. */
 inline std::vector<RegionJob>
 smokeSweepJobs()
 {
     std::vector<RegionJob> jobs;
-    for (const service::JobRequest &j : service::smokeSweepBatch().jobs)
-        jobs.push_back(RegionJob{j.info, j.spec});
+    auto add = [&jobs](const char *name, Variant v, unsigned size,
+                       unsigned threads) {
+        RunSpec spec;
+        spec.variant = v;
+        spec.problemSize = size;
+        spec.threads = threads;
+        jobs.push_back(RegionJob{&workloads::byName(name), spec});
+    };
+    add("ll2", Variant::Seq, 32, 1);
+    add("ll2", Variant::HwBarrier, 32, 8);
+    add("ll3", Variant::HwBarrier, 64, 8);
+    add("ll3", Variant::HwBarrierComp, 64, 8);
+    add("dijkstra", Variant::HwBarrier, 32, 8);
+    add("wc", Variant::Seq, 0, 1);
     return jobs;
 }
 

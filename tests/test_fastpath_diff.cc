@@ -152,9 +152,8 @@ fastPathDiffJobs(const std::vector<RegionJob> &jobs)
 
 TEST(FastPathDifferential, SmokeSweep)
 {
-    // The canonical service smoke set (shared with test_service.cc
-    // and the CI service smoke job): proven fast-path-clean here so
-    // the service differentials never chase a fast-path bug.
+    // The canonical tiny smoke set: a quick fast-path check that
+    // fails before the full figure sweeps below are reached.
     fastPathDiffJobs(testjobs::smokeSweepJobs());
 }
 

@@ -360,8 +360,8 @@ TEST(StatsQuery, AggregateOverRuns)
 TEST(StatsQuery, DiffJsonDumpRoundTrips)
 {
     // The `remap-stats diff --json` payload must re-parse with the
-    // simulator's own reader and carry the exact rel values (the
-    // service and CI consume it without scraping text).
+    // simulator's own reader and carry the exact rel values (CI
+    // consumes it without scraping text).
     const auto a = flattenText(R"({"fast": 100, "slow": 100})");
     const auto b = flattenText(R"({"fast": 104, "slow": 120})");
     DiffOptions opt;

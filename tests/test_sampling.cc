@@ -3,14 +3,16 @@
  *  the accuracy contract (extrapolated cycles within ±2% of the exact
  *  run on fig8-style regions, golden outputs still bit-exact), and
  *  the keying guarantee (sampled runs never alias exact runs in the
- *  snapshot cache / result store). */
+ *  snapshot cache). */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -156,6 +158,40 @@ TEST(Sampling, MalformedSampleSpecsAreRejected)
         EXPECT_TRUE(env::parseSampleSpec(spec, &p, &err)) << err;
         EXPECT_TRUE(p.active());
     }
+}
+
+TEST(Sampling, MalformedTracePeriodsAreRejected)
+{
+    // REMAP_TRACE_PERIOD goes through the same digits-only field
+    // parser as REMAP_SAMPLE: "abc" must not become period 0 (counter
+    // sampling silently off) and "10k" must not become 10.
+    const char *bad[] = {"", " ", "abc", "10k", "-5", "+5", "1e4",
+                         " 100", "100 ", "99999999999999999999"};
+    for (const char *spec : bad) {
+        SCOPED_TRACE(spec);
+        std::uint64_t period = 7;
+        std::string err;
+        EXPECT_FALSE(env::parseTracePeriod(spec, &period, &err));
+        EXPECT_EQ(period, 7u);
+        EXPECT_NE(err.find("REMAP_TRACE_PERIOD"), std::string::npos);
+    }
+
+    const std::pair<const char *, std::uint64_t> good[] = {
+        {"0", 0}, {"5000", 5000}, {"10000", 10000}};
+    for (const auto &[spec, want] : good) {
+        SCOPED_TRACE(spec);
+        std::uint64_t period = 7;
+        std::string err;
+        EXPECT_TRUE(env::parseTracePeriod(spec, &period, &err)) << err;
+        EXPECT_EQ(period, want);
+    }
+
+    // Unset falls back to the caller's default.
+    ASSERT_EQ(unsetenv("REMAP_TRACE_PERIOD"), 0);
+    EXPECT_EQ(env::tracePeriod(10'000), 10'000u);
+    ASSERT_EQ(setenv("REMAP_TRACE_PERIOD", "2500", 1), 0);
+    EXPECT_EQ(env::tracePeriod(10'000), 2500u);
+    ASSERT_EQ(unsetenv("REMAP_TRACE_PERIOD"), 0);
 }
 
 TEST(SamplingMath, RelativeHalfWidthNormalizesTheEstimate)

@@ -19,6 +19,7 @@
 #include "harness/manifest.hh"
 #include "harness/parallel.hh"
 #include "isa/builder.hh"
+#include "sim/json_value.hh"
 #include "sim/trace.hh"
 #include "spl/function.hh"
 #include "workloads/workload.hh"
@@ -672,16 +673,23 @@ TEST(Manifest, WritesValidJsonWithJobRecords)
         jobs.push_back(harness::RegionJob{&info, spec});
     }
     power::EnergyModel model;
+    harness::JobPool pool(2);
     std::vector<harness::JobTiming> timings;
     const std::vector<harness::RegionResult> results =
-        harness::runRegions(jobs, model, nullptr, &timings);
+        harness::runRegions(jobs, model, &pool, &timings);
     ASSERT_EQ(results.size(), 2u);
     ASSERT_EQ(timings.size(), 2u);
 
     harness::setExperimentLabel("trace_test");
     const std::string written = harness::writeRunManifest(
-        jobs, results, timings, 1, path);
+        jobs, results, timings, pool.workers(), path, &pool);
     EXPECT_EQ(written, path);
+
+    // The simulator's own reader (the one remap-stats uses) must
+    // accept the manifest too.
+    json::Value reread;
+    std::string error;
+    EXPECT_TRUE(json::parse(slurp(path), reread, &error)) << error;
 
     JsonValue root = parseFile(path);
     EXPECT_EQ(root.at("schema_version").num, 2.0);
@@ -689,7 +697,19 @@ TEST(Manifest, WritesValidJsonWithJobRecords)
     EXPECT_TRUE(root.at("deterministic_inputs").b);
     ASSERT_TRUE(root.has("host"));
     EXPECT_GT(root.at("host").at("hardware_concurrency").num, 0.0);
-    EXPECT_EQ(root.at("host").at("pool_workers").num, 1.0);
+    EXPECT_EQ(root.at("host").at("pool_workers").num, 2.0);
+
+    ASSERT_TRUE(root.has("pool"));
+    for (const char *k : {"jobs_executed", "steals", "max_queue_depth"})
+        EXPECT_EQ(root.at("pool").at(k).type, JsonValue::Type::Num) << k;
+    EXPECT_GE(root.at("pool").at("jobs_executed").num, 2.0);
+
+    ASSERT_TRUE(root.has("snapshot_cache"));
+    for (const char *k : {"hits", "misses"})
+        EXPECT_EQ(root.at("snapshot_cache").at(k).type,
+                  JsonValue::Type::Num)
+            << k;
+    EXPECT_FALSE(root.has("result_store"));
 
     const auto &jarr = root.at("jobs").arr;
     ASSERT_EQ(jarr.size(), 2u);
@@ -701,9 +721,15 @@ TEST(Manifest, WritesValidJsonWithJobRecords)
                       workloads::Variant::HwBarrier));
         EXPECT_EQ(j.at("spec").at("problem_size").num,
                   static_cast<double>(jobs[i].spec.problemSize));
+        for (const char *k : {"threads", "copies", "iterations"})
+            EXPECT_EQ(j.at("spec").at(k).type, JsonValue::Type::Num)
+                << k;
         EXPECT_EQ(j.at("result").at("cycles").num,
                   static_cast<double>(results[i].cycles));
+        EXPECT_EQ(j.at("result").at("config_hash").type,
+                  JsonValue::Type::Str);
         EXPECT_GE(j.at("wall_ms").num, 0.0);
+        EXPECT_TRUE(j.has("worker"));
     }
     std::remove(path.c_str());
 }
