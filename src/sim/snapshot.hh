@@ -48,7 +48,7 @@ namespace remap::snap
 {
 
 /** Bump on any serialized-layout change (see versioning policy). */
-inline constexpr std::uint32_t formatVersion = 2;
+inline constexpr std::uint32_t formatVersion = 3;
 
 /** Leading magic of every snapshot blob/file. */
 inline constexpr std::uint8_t magic[8] = {'R', 'M', 'A', 'P',

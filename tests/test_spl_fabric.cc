@@ -101,6 +101,33 @@ TEST_F(FabricTest, InFlightCountTracksSwitchOutRule)
     EXPECT_TRUE(fabric.threadTable().canSwitchOut(0));
 }
 
+TEST_F(FabricTest, InFlightCountsResultsNotWords)
+{
+    // Two 2-word results to core 0: the count drops only when a
+    // result's last word is popped, so the core stays pinned while the
+    // second result is still in the fabric (Section II-B.1).
+    const ConfigId pair = store.add(functions::passthrough(2));
+    for (std::int32_t i = 0; i < 2; ++i) {
+        fabric.load(0, 0, 10 * i);
+        fabric.load(0, 1, 10 * i + 1);
+        fabric.init(0, pair, -1, 0);
+    }
+    EXPECT_EQ(fabric.threadTable().inFlight(0), 2u);
+    while (!fabric.outputReady(0, cycle_))
+        run(1);
+    EXPECT_EQ(fabric.popOutput(0), 0);
+    EXPECT_EQ(fabric.threadTable().inFlight(0), 2u);
+    EXPECT_EQ(fabric.popOutput(0), 1);
+    EXPECT_EQ(fabric.threadTable().inFlight(0), 1u);
+    EXPECT_FALSE(fabric.threadTable().canSwitchOut(0));
+    run(400);
+    EXPECT_EQ(fabric.popOutput(0), 10);
+    EXPECT_FALSE(fabric.threadTable().canSwitchOut(0));
+    EXPECT_EQ(fabric.popOutput(0), 11);
+    EXPECT_EQ(fabric.threadTable().inFlight(0), 0u);
+    EXPECT_TRUE(fabric.threadTable().canSwitchOut(0));
+}
+
 TEST_F(FabricTest, RoundRobinCountsConflicts)
 {
     for (unsigned c = 0; c < 4; ++c) {
