@@ -11,6 +11,7 @@
 #ifndef REMAP_SIM_STATS_HH
 #define REMAP_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -42,6 +43,8 @@ class StatCounter
     /** Current count. */
     std::uint64_t value() const { return value_; }
 
+    /** Raise to @p v if that is larger (high-water marks). */
+    void raiseTo(std::uint64_t v) { value_ = std::max(value_, v); }
     /** Reset to zero (used between measurement regions). */
     void reset() { value_ = 0; }
 
