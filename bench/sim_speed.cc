@@ -24,8 +24,6 @@
 
 #include "core/system.hh"
 #include "harness/experiment.hh"
-#include "isa/interp.hh"
-#include "mem/memory_image.hh"
 #include "harness/manifest.hh"
 #include "harness/snapshot_cache.hh"
 #include "harness/parallel.hh"
@@ -272,49 +270,6 @@ BM_FigureSweep(benchmark::State &state)
 BENCHMARK(BM_FigureSweep)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-/**
- * Threaded-code dispatch (tier (a), DESIGN.md §14) measured in
- * isolation: the functional interpreter over a load/store/branch
- * loop, computed-goto label table vs. the reference switch. The
- * ratio of the two dispatch_insts_per_s rates is the tracked
- * dispatch-layer speedup.
- */
-void
-BM_DispatchThreaded(benchmark::State &state)
-{
-    auto prog = makeLoop(10000);
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        mem::MemoryImage mem;
-        auto r = isa::interpret(prog, mem);
-        benchmark::DoNotOptimize(r);
-        insts += r.instructions;
-    }
-    state.counters["dispatch_insts_per_s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DispatchThreaded)->Unit(benchmark::kMillisecond);
-
-/** The same interpretation under REMAP_NO_THREADED=1 (the switch
- *  tier every differential test compares against). */
-void
-BM_DispatchSwitch(benchmark::State &state)
-{
-    auto prog = makeLoop(10000);
-    setenv("REMAP_NO_THREADED", "1", 1);
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        mem::MemoryImage mem;
-        auto r = isa::interpret(prog, mem);
-        benchmark::DoNotOptimize(r);
-        insts += r.instructions;
-    }
-    unsetenv("REMAP_NO_THREADED");
-    state.counters["dispatch_insts_per_s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DispatchSwitch)->Unit(benchmark::kMillisecond);
 
 /** The long-region batch both sampled-sweep benchmarks run: big
  *  enough that the default SMARTS schedule fast-forwards through

@@ -7,15 +7,6 @@
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
-/** Computed-goto availability for the fused-run executor — same
- *  detection as isa/interp.cc; the portable switch build simply never
- *  defines fetchRunThreaded and threadedEnabled_ stays false. */
-#if defined(__GNUC__) || defined(__clang__)
-#define REMAP_CORE_HAVE_THREADED 1
-#else
-#define REMAP_CORE_HAVE_THREADED 0
-#endif
-
 namespace remap::cpu
 {
 
@@ -96,10 +87,8 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     // Kill switches latched once per core (see sim/env.hh), so a
     // single process can construct reference and fast-path systems
     // side by side: the block cache governs pre-decode, fused fetch
-    // runs and the operand-readiness memo; threaded dispatch selects
-    // the computed-goto fused-run executor.
+    // runs and the operand-readiness memo.
     blockCacheEnabled_ = !env::noBlockCache();
-    threadedEnabled_ = REMAP_CORE_HAVE_THREADED && !env::noThreaded();
     if (mem_) {
         warmILineMask_ =
             ~std::uint64_t{mem_->l1i(id_).lineBytes() - 1};
@@ -265,293 +254,209 @@ OooCore::operandsReady(DynInst &d, Cycle now)
     return true;
 }
 
-/**
- * Every opcode's architectural-effect body, defined exactly once and
- * instantiated into both execution engines (DESIGN.md §14):
- *
- *  - funcExecute() expands S and R entries into a switch — the
- *    reference path, used by the generic fetch path, the
- *    REMAP_NO_THREADED build and functional warming;
- *  - fetchRunThreaded() expands S entries into computed-goto labels
- *    and R entries into a panic slot — the threaded fused-run
- *    executor, which by the kEndsRun run construction can only ever
- *    see S ("simple") opcodes.
- *
- * Single definition ⇒ the two dispatch mechanisms are bit-identical
- * by construction; the kill-switch differential test crosses them
- * anyway. Entries MUST stay in Opcode declaration order — the label
- * table is indexed by DecodedInst::handler, which is the opcode byte.
- *
- * Body context (provided by each instantiation site): `t` the bound
- * ThreadContext, `ip` the Instruction, `d` the DynInst being built,
- * `a`/`b` the int sources, `fa`/`fbv` the FP sources, `next_pc` the
- * fall-through successor (R bodies may redirect it). S bodies cannot
- * stall; two R bodies (SPL_STORE/SPL_STOREM) `return false` to stall
- * fetch, which is why R is never instantiated in the goto engine.
- */
-#define REMAP_CORE_OPS(S, R)                                          \
-    S(ADD, t.writeInt(ip->rd, a + b))                                 \
-    S(SUB, t.writeInt(ip->rd, a - b))                                 \
-    S(AND, t.writeInt(ip->rd, a & b))                                 \
-    S(OR, t.writeInt(ip->rd, a | b))                                  \
-    S(XOR, t.writeInt(ip->rd, a ^ b))                                 \
-    S(SLL, t.writeInt(ip->rd, static_cast<std::int64_t>(              \
-               static_cast<std::uint64_t>(a) << (b & 63))))           \
-    S(SRL, t.writeInt(ip->rd, static_cast<std::int64_t>(              \
-               static_cast<std::uint64_t>(a) >> (b & 63))))           \
-    S(SRA, t.writeInt(ip->rd, a >> (b & 63)))                         \
-    S(SLT, t.writeInt(ip->rd, a < b ? 1 : 0))                         \
-    S(SLTU, t.writeInt(ip->rd, static_cast<std::uint64_t>(a) <        \
-                               static_cast<std::uint64_t>(b) ? 1 : 0))\
-    S(MIN, t.writeInt(ip->rd, std::min(a, b)))                        \
-    S(MAX, t.writeInt(ip->rd, std::max(a, b)))                        \
-    S(MUL, t.writeInt(ip->rd, a * b))                                 \
-    S(DIV, t.writeInt(ip->rd, b == 0 ? -1 : a / b))                   \
-    S(REM, t.writeInt(ip->rd, b == 0 ? a : a % b))                    \
-    S(ADDI, t.writeInt(ip->rd, a + ip->imm))                          \
-    S(ANDI, t.writeInt(ip->rd, a & ip->imm))                          \
-    S(ORI, t.writeInt(ip->rd, a | ip->imm))                           \
-    S(XORI, t.writeInt(ip->rd, a ^ ip->imm))                          \
-    S(SLLI, t.writeInt(ip->rd, static_cast<std::int64_t>(             \
-                static_cast<std::uint64_t>(a) << (ip->imm & 63))))    \
-    S(SRLI, t.writeInt(ip->rd, static_cast<std::int64_t>(             \
-                static_cast<std::uint64_t>(a) >> (ip->imm & 63))))    \
-    S(SRAI, t.writeInt(ip->rd, a >> (ip->imm & 63)))                  \
-    S(SLTI, t.writeInt(ip->rd, a < ip->imm ? 1 : 0))                  \
-    S(LI, t.writeInt(ip->rd, ip->imm))                                \
-    S(FADD, t.fpRegs[ip->rd] = fa + fbv)                              \
-    S(FSUB, t.fpRegs[ip->rd] = fa - fbv)                              \
-    S(FMUL, t.fpRegs[ip->rd] = fa * fbv)                              \
-    S(FDIV, t.fpRegs[ip->rd] = fa / fbv)                              \
-    S(FMIN, t.fpRegs[ip->rd] = std::min(fa, fbv))                     \
-    S(FMAX, t.fpRegs[ip->rd] = std::max(fa, fbv))                     \
-    S(FLT, t.writeInt(ip->rd, fa < fbv ? 1 : 0))                      \
-    S(FLE, t.writeInt(ip->rd, fa <= fbv ? 1 : 0))                     \
-    S(FCVT_I2F, t.fpRegs[ip->rd] = static_cast<double>(a))            \
-    S(FCVT_F2I, t.writeInt(ip->rd, static_cast<std::int64_t>(fa)))    \
-    S(FMV, t.fpRegs[ip->rd] = fa)                                     \
-    S(LD, d.memAddr = static_cast<Addr>(a + ip->imm);                 \
-          d.memLen = 8;                                               \
-          t.writeInt(ip->rd, image_->readI64(d.memAddr)))             \
-    S(LW, d.memAddr = static_cast<Addr>(a + ip->imm);                 \
-          d.memLen = 4;                                               \
-          t.writeInt(ip->rd, image_->readI32(d.memAddr)))             \
-    S(LBU, d.memAddr = static_cast<Addr>(a + ip->imm);                \
-           d.memLen = 1;                                              \
-           t.writeInt(ip->rd, image_->readU8(d.memAddr)))             \
-    S(SD, d.memAddr = static_cast<Addr>(a + ip->imm);                 \
-          d.memLen = 8;                                               \
-          d.storeValue = b;                                           \
-          image_->writeI64(d.memAddr, b))                             \
-    S(SW, d.memAddr = static_cast<Addr>(a + ip->imm);                 \
-          d.memLen = 4;                                               \
-          d.storeValue = b;                                           \
-          image_->writeI32(d.memAddr, static_cast<std::int32_t>(b)))  \
-    S(SB, d.memAddr = static_cast<Addr>(a + ip->imm);                 \
-          d.memLen = 1;                                               \
-          d.storeValue = b;                                           \
-          image_->writeU8(d.memAddr, static_cast<std::uint8_t>(b)))   \
-    S(FLD, d.memAddr = static_cast<Addr>(a + ip->imm);                \
-           d.memLen = 8;                                              \
-           t.fpRegs[ip->rd] = image_->readF64(d.memAddr))             \
-    S(FSD, d.memAddr = static_cast<Addr>(a + ip->imm);                \
-           d.memLen = 8;                                              \
-           image_->writeF64(d.memAddr, fbv))                          \
-    S(AMOADD, d.memAddr = static_cast<Addr>(a);                       \
-              d.memLen = 8;                                           \
-              const std::int64_t old = image_->readI64(d.memAddr);    \
-              image_->writeI64(d.memAddr, old + b);                   \
-              t.writeInt(ip->rd, old))                                \
-    S(AMOSWAP, d.memAddr = static_cast<Addr>(a);                      \
-               d.memLen = 8;                                          \
-               const std::int64_t old = image_->readI64(d.memAddr);   \
-               image_->writeI64(d.memAddr, b);                        \
-               t.writeInt(ip->rd, old))                               \
-    R(FENCE, (void)0)                                                 \
-    R(BEQ, if (a == b) next_pc = ip->target)                          \
-    R(BNE, if (a != b) next_pc = ip->target)                          \
-    R(BLT, if (a < b) next_pc = ip->target)                           \
-    R(BGE, if (a >= b) next_pc = ip->target)                          \
-    R(BLTU, if (static_cast<std::uint64_t>(a) <                       \
-                static_cast<std::uint64_t>(b))                        \
-                next_pc = ip->target)                                 \
-    R(BGEU, if (static_cast<std::uint64_t>(a) >=                      \
-                static_cast<std::uint64_t>(b))                        \
-                next_pc = ip->target)                                 \
-    R(J, next_pc = ip->target)                                        \
-    R(SPL_CFG, (void)0)                                               \
-    R(SPL_LOAD,                                                       \
-      REMAP_ASSERT(spl_, "spl_load on a core without a fabric");      \
-      d.splLoadValue = b;                                             \
-      spl_->funcLoad(splSlot_, static_cast<unsigned>(ip->imm),        \
-                     static_cast<std::int32_t>(b)))                   \
-    R(SPL_LOADM,                                                      \
-      REMAP_ASSERT(spl_, "spl_loadm on a core without a fabric");     \
-      d.memAddr = static_cast<Addr>(a + ip->imm);                     \
-      d.memLen = 4;                                                   \
-      d.splLoadValue = image_->readI32(d.memAddr);                    \
-      spl_->funcLoad(splSlot_, static_cast<unsigned>(ip->imm2),       \
-                     static_cast<std::int32_t>(d.splLoadValue)))      \
-    R(SPL_LOADMB,                                                     \
-      REMAP_ASSERT(spl_, "spl_loadmb on a core without a fabric");    \
-      d.memAddr = static_cast<Addr>(a + ip->imm);                     \
-      d.memLen = 1;                                                   \
-      d.splLoadValue = image_->readU8(d.memAddr);                     \
-      spl_->funcLoad(splSlot_, static_cast<unsigned>(ip->imm2),       \
-                     static_cast<std::int32_t>(d.splLoadValue)))      \
-    R(SPL_INIT,                                                       \
-      REMAP_ASSERT(spl_, "spl_init on a core without a fabric");      \
-      spl_->funcInit(splSlot_, static_cast<ConfigId>(ip->imm),        \
-                     ip->imm2))                                       \
-    R(SPL_BAR,                                                        \
-      REMAP_ASSERT(spl_, "spl_bar on a core without a fabric");       \
-      spl_->funcBar(splSlot_, static_cast<ConfigId>(ip->imm),         \
-                    static_cast<std::uint32_t>(ip->imm2)))            \
-    R(SPL_STORE,                                                      \
-      REMAP_ASSERT(spl_, "spl_store on a core without a fabric");     \
-      auto v = spl_->funcPop(splSlot_);                               \
-      if (!v)                                                         \
-          return false; /* stall fetch until a value is produced */   \
-      d.splValue = *v;                                                \
-      t.writeInt(ip->rd, static_cast<std::int64_t>(*v)))              \
-    R(SPL_STOREM,                                                     \
-      REMAP_ASSERT(spl_, "spl_storem on a core without a fabric");    \
-      auto v = spl_->funcPop(splSlot_);                               \
-      if (!v)                                                         \
-          return false; /* stall fetch until a value is produced */   \
-      d.splValue = *v;                                                \
-      d.memAddr = static_cast<Addr>(a + ip->imm);                     \
-      d.memLen = 4;                                                   \
-      d.storeValue = *v;                                              \
-      image_->writeI32(d.memAddr, *v))                                \
-    R(HALT, (void)0)                                                  \
-    S(NOP, (void)0)
-
-namespace
-{
-/** Compile-time check that REMAP_CORE_OPS covers the whole Opcode
- *  enum in order (the label table below indexes it by opcode byte). */
-#define REMAP_CORE_COUNT_OP(name, ...) +1
-static_assert(0 REMAP_CORE_OPS(REMAP_CORE_COUNT_OP,
-                               REMAP_CORE_COUNT_OP) ==
-                  static_cast<int>(isa::Opcode::NOP) + 1,
-              "REMAP_CORE_OPS must list every opcode");
-#undef REMAP_CORE_COUNT_OP
-} // namespace
-
 bool
 OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
 {
     using isa::Opcode;
     ThreadContext &t = *ctx_;
-    const isa::Instruction *ip = &inst;
     const std::int64_t a = t.readInt(inst.rs1);
     const std::int64_t b = t.readInt(inst.rs2);
     const double fa = t.fpRegs[inst.rs1];
     const double fbv = t.fpRegs[inst.rs2];
     std::uint32_t next_pc = t.pc + 1;
 
+    // No default: -Wswitch (an error under -Werror) flags any opcode
+    // added to the enum without a body here.
     switch (inst.op) {
-#define REMAP_CORE_CASE_OP(name, ...)                                 \
-      case Opcode::name: {                                            \
-        __VA_ARGS__;                                                  \
-        break;                                                        \
+      case Opcode::ADD: t.writeInt(inst.rd, a + b); break;
+      case Opcode::SUB: t.writeInt(inst.rd, a - b); break;
+      case Opcode::AND: t.writeInt(inst.rd, a & b); break;
+      case Opcode::OR: t.writeInt(inst.rd, a | b); break;
+      case Opcode::XOR: t.writeInt(inst.rd, a ^ b); break;
+      case Opcode::SLL:
+        t.writeInt(inst.rd, static_cast<std::int64_t>(
+                                static_cast<std::uint64_t>(a) << (b & 63)));
+        break;
+      case Opcode::SRL:
+        t.writeInt(inst.rd, static_cast<std::int64_t>(
+                                static_cast<std::uint64_t>(a) >> (b & 63)));
+        break;
+      case Opcode::SRA: t.writeInt(inst.rd, a >> (b & 63)); break;
+      case Opcode::SLT: t.writeInt(inst.rd, a < b ? 1 : 0); break;
+      case Opcode::SLTU:
+        t.writeInt(inst.rd, static_cast<std::uint64_t>(a) <
+                                    static_cast<std::uint64_t>(b) ? 1 : 0);
+        break;
+      case Opcode::MIN: t.writeInt(inst.rd, std::min(a, b)); break;
+      case Opcode::MAX: t.writeInt(inst.rd, std::max(a, b)); break;
+      case Opcode::MUL: t.writeInt(inst.rd, a * b); break;
+      case Opcode::DIV: t.writeInt(inst.rd, b == 0 ? -1 : a / b); break;
+      case Opcode::REM: t.writeInt(inst.rd, b == 0 ? a : a % b); break;
+      case Opcode::ADDI: t.writeInt(inst.rd, a + inst.imm); break;
+      case Opcode::ANDI: t.writeInt(inst.rd, a & inst.imm); break;
+      case Opcode::ORI: t.writeInt(inst.rd, a | inst.imm); break;
+      case Opcode::XORI: t.writeInt(inst.rd, a ^ inst.imm); break;
+      case Opcode::SLLI:
+        t.writeInt(inst.rd, static_cast<std::int64_t>(
+                                static_cast<std::uint64_t>(a)
+                                << (inst.imm & 63)));
+        break;
+      case Opcode::SRLI:
+        t.writeInt(inst.rd, static_cast<std::int64_t>(
+                                static_cast<std::uint64_t>(a) >>
+                                (inst.imm & 63)));
+        break;
+      case Opcode::SRAI: t.writeInt(inst.rd, a >> (inst.imm & 63)); break;
+      case Opcode::SLTI: t.writeInt(inst.rd, a < inst.imm ? 1 : 0); break;
+      case Opcode::LI: t.writeInt(inst.rd, inst.imm); break;
+      case Opcode::FADD: t.fpRegs[inst.rd] = fa + fbv; break;
+      case Opcode::FSUB: t.fpRegs[inst.rd] = fa - fbv; break;
+      case Opcode::FMUL: t.fpRegs[inst.rd] = fa * fbv; break;
+      case Opcode::FDIV: t.fpRegs[inst.rd] = fa / fbv; break;
+      case Opcode::FMIN: t.fpRegs[inst.rd] = std::min(fa, fbv); break;
+      case Opcode::FMAX: t.fpRegs[inst.rd] = std::max(fa, fbv); break;
+      case Opcode::FLT: t.writeInt(inst.rd, fa < fbv ? 1 : 0); break;
+      case Opcode::FLE: t.writeInt(inst.rd, fa <= fbv ? 1 : 0); break;
+      case Opcode::FCVT_I2F:
+        t.fpRegs[inst.rd] = static_cast<double>(a);
+        break;
+      case Opcode::FCVT_F2I:
+        t.writeInt(inst.rd, static_cast<std::int64_t>(fa));
+        break;
+      case Opcode::FMV: t.fpRegs[inst.rd] = fa; break;
+      case Opcode::LD:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 8;
+        t.writeInt(inst.rd, image_->readI64(d.memAddr));
+        break;
+      case Opcode::LW:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 4;
+        t.writeInt(inst.rd, image_->readI32(d.memAddr));
+        break;
+      case Opcode::LBU:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 1;
+        t.writeInt(inst.rd, image_->readU8(d.memAddr));
+        break;
+      case Opcode::SD:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 8;
+        d.storeValue = b;
+        image_->writeI64(d.memAddr, b);
+        break;
+      case Opcode::SW:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 4;
+        d.storeValue = b;
+        image_->writeI32(d.memAddr, static_cast<std::int32_t>(b));
+        break;
+      case Opcode::SB:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 1;
+        d.storeValue = b;
+        image_->writeU8(d.memAddr, static_cast<std::uint8_t>(b));
+        break;
+      case Opcode::FLD:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 8;
+        t.fpRegs[inst.rd] = image_->readF64(d.memAddr);
+        break;
+      case Opcode::FSD:
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 8;
+        image_->writeF64(d.memAddr, fbv);
+        break;
+      case Opcode::AMOADD: {
+        d.memAddr = static_cast<Addr>(a);
+        d.memLen = 8;
+        const std::int64_t old = image_->readI64(d.memAddr);
+        image_->writeI64(d.memAddr, old + b);
+        t.writeInt(inst.rd, old);
+        break;
       }
-        REMAP_CORE_OPS(REMAP_CORE_CASE_OP, REMAP_CORE_CASE_OP)
-#undef REMAP_CORE_CASE_OP
+      case Opcode::AMOSWAP: {
+        d.memAddr = static_cast<Addr>(a);
+        d.memLen = 8;
+        const std::int64_t old = image_->readI64(d.memAddr);
+        image_->writeI64(d.memAddr, b);
+        t.writeInt(inst.rd, old);
+        break;
+      }
+      case Opcode::FENCE: break;
+      case Opcode::BEQ: if (a == b) next_pc = inst.target; break;
+      case Opcode::BNE: if (a != b) next_pc = inst.target; break;
+      case Opcode::BLT: if (a < b) next_pc = inst.target; break;
+      case Opcode::BGE: if (a >= b) next_pc = inst.target; break;
+      case Opcode::BLTU:
+        if (static_cast<std::uint64_t>(a) < static_cast<std::uint64_t>(b))
+            next_pc = inst.target;
+        break;
+      case Opcode::BGEU:
+        if (static_cast<std::uint64_t>(a) >= static_cast<std::uint64_t>(b))
+            next_pc = inst.target;
+        break;
+      case Opcode::J: next_pc = inst.target; break;
+      case Opcode::SPL_CFG: break;
+      case Opcode::SPL_LOAD:
+        REMAP_ASSERT(spl_, "spl_load on a core without a fabric");
+        d.splLoadValue = b;
+        spl_->funcLoad(splSlot_, static_cast<unsigned>(inst.imm),
+                       static_cast<std::int32_t>(b));
+        break;
+      case Opcode::SPL_LOADM:
+        REMAP_ASSERT(spl_, "spl_loadm on a core without a fabric");
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 4;
+        d.splLoadValue = image_->readI32(d.memAddr);
+        spl_->funcLoad(splSlot_, static_cast<unsigned>(inst.imm2),
+                       static_cast<std::int32_t>(d.splLoadValue));
+        break;
+      case Opcode::SPL_LOADMB:
+        REMAP_ASSERT(spl_, "spl_loadmb on a core without a fabric");
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 1;
+        d.splLoadValue = image_->readU8(d.memAddr);
+        spl_->funcLoad(splSlot_, static_cast<unsigned>(inst.imm2),
+                       static_cast<std::int32_t>(d.splLoadValue));
+        break;
+      case Opcode::SPL_INIT:
+        REMAP_ASSERT(spl_, "spl_init on a core without a fabric");
+        spl_->funcInit(splSlot_, static_cast<ConfigId>(inst.imm),
+                       inst.imm2);
+        break;
+      case Opcode::SPL_BAR:
+        REMAP_ASSERT(spl_, "spl_bar on a core without a fabric");
+        spl_->funcBar(splSlot_, static_cast<ConfigId>(inst.imm),
+                      static_cast<std::uint32_t>(inst.imm2));
+        break;
+      case Opcode::SPL_STORE: {
+        REMAP_ASSERT(spl_, "spl_store on a core without a fabric");
+        auto v = spl_->funcPop(splSlot_);
+        if (!v)
+            return false; // stall fetch until a value is produced
+        d.splValue = *v;
+        t.writeInt(inst.rd, static_cast<std::int64_t>(*v));
+        break;
+      }
+      case Opcode::SPL_STOREM: {
+        REMAP_ASSERT(spl_, "spl_storem on a core without a fabric");
+        auto v = spl_->funcPop(splSlot_);
+        if (!v)
+            return false; // stall fetch until a value is produced
+        d.splValue = *v;
+        d.memAddr = static_cast<Addr>(a + inst.imm);
+        d.memLen = 4;
+        d.storeValue = *v;
+        image_->writeI32(d.memAddr, *v);
+        break;
+      }
+      case Opcode::HALT: break;
+      case Opcode::NOP: break;
     }
     t.pc = next_pc;
     return true;
 }
-
-#if REMAP_CORE_HAVE_THREADED
-unsigned
-OooCore::fetchRunThreaded(const isa::Instruction *code,
-                          const isa::DecodedInst *table,
-                          std::uint64_t base, std::uint32_t term,
-                          Cycle now, unsigned n, Cycle &icache_ready,
-                          bool &accessed_icache, bool &icache_pure_hit)
-{
-    // Label table in Opcode declaration order; non-simple opcodes
-    // (run terminators) map to the panic slot — the run construction
-    // in isa::DecodedProgram guarantees they never appear strictly
-    // before `term`.
-#define REMAP_CORE_TBL_S(name, ...) &&op_##name,
-#define REMAP_CORE_TBL_R(name, ...) &&bad_op,
-    static const void *const tbl[] = {
-        REMAP_CORE_OPS(REMAP_CORE_TBL_S, REMAP_CORE_TBL_R)};
-#undef REMAP_CORE_TBL_S
-#undef REMAP_CORE_TBL_R
-    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
-                  static_cast<std::size_t>(isa::Opcode::NOP) + 1);
-
-    ThreadContext &t = *ctx_;
-    // Dispatch-loop locals live above every goto (C++ forbids jumps
-    // over non-vacuous initializations); assigned per instruction in
-    // the prologue below, mirroring funcExecute's const locals.
-    const isa::Instruction *ip = nullptr;
-    std::int64_t a = 0;
-    std::int64_t b = 0;
-    double fa = 0.0;
-    double fbv = 0.0;
-    std::uint32_t next_pc = 0;
-    DynInst d;
-
-    while (t.pc < term && n < params_.fetchWidth &&
-           fb_.size() < params_.fetchBufferEntries) {
-        const std::uint32_t pc = t.pc;
-        ip = &code[pc];
-        const isa::DecodedInst &dec = table[pc];
-
-        d = DynInst{};
-        d.si = ip;
-        d.cls = dec.cls;
-        d.flags = dec.flags;
-        d.pcAddr = base + std::uint64_t(pc) * 8;
-        d.usesFpQueue = (dec.flags & isa::kUsesFpQueue) != 0;
-
-        if (!accessed_icache) {
-            const std::uint64_t misses_before = mem_->l1iMisses(id_);
-            icache_ready = mem_->access(id_, d.pcAddr,
-                                        mem::AccessKind::IFetch, now);
-            accessed_icache = true;
-            icache_pure_hit = mem_->l1iMisses(id_) == misses_before;
-            if (!icache_pure_hit)
-                tickProgress_ = true;
-        }
-
-        a = t.readInt(ip->rs1);
-        b = t.readInt(ip->rs2);
-        fa = t.fpRegs[ip->rs1];
-        fbv = t.fpRegs[ip->rs2];
-        next_pc = pc + 1;
-        goto *tbl[dec.handler];
-
-#define REMAP_CORE_LBL_S(name, ...)                                   \
-      op_##name: {                                                    \
-        __VA_ARGS__;                                                  \
-      }                                                               \
-        goto executed;
-#define REMAP_CORE_LBL_R(name, ...)
-        REMAP_CORE_OPS(REMAP_CORE_LBL_S, REMAP_CORE_LBL_R)
-#undef REMAP_CORE_LBL_S
-#undef REMAP_CORE_LBL_R
-
-      bad_op:
-        REMAP_PANIC("non-simple opcode inside a fused run");
-
-      executed:
-        t.pc = next_pc;
-        d.seq = nextSeq_++;
-        d.fbReady = std::max(icache_ready, now + 1);
-        ++fetchedInsts;
-        tickProgress_ = true;
-        fb_.push_back(d);
-        ++n;
-    }
-    return n;
-}
-#endif // REMAP_CORE_HAVE_THREADED
 
 void
 OooCore::unbindThread()
@@ -932,18 +837,6 @@ OooCore::fetch(Cycle now)
         if (table && !tracer_) {
             const unsigned fused_before = n;
             const std::uint32_t term = decoded_.runEnd[ctx_->pc] - 1;
-#if REMAP_CORE_HAVE_THREADED
-            if (threadedEnabled_) {
-                // Threaded-code tier: one computed-goto dispatch per
-                // instruction, no funcExecute re-entry (DESIGN.md
-                // §14); bodies come from the same X-macro as the
-                // switch path below, so REMAP_NO_THREADED=1 is
-                // bit-identical by construction.
-                n = fetchRunThreaded(code, table, base, term, now, n,
-                                     icache_ready, accessed_icache,
-                                     icache_pure_hit);
-            } else
-#endif
             while (ctx_->pc < term && n < params_.fetchWidth &&
                    fb_.size() < params_.fetchBufferEntries) {
                 const std::uint32_t pc = ctx_->pc;

@@ -332,24 +332,6 @@ class OooCore
      *  cache / predictor / timed-SPL side effects, no pipeline. */
     void warmTick(Cycle now);
 
-    /**
-     * Threaded-code fused-run executor (DESIGN.md §14): steps the
-     * same pre-classified simple run the generic fused path in
-     * fetch() handles, but dispatches opcode bodies through a
-     * computed-goto label table indexed by DecodedInst::handler
-     * instead of re-entering funcExecute's switch per instruction.
-     * Bodies are instantiated from the same X-macro as funcExecute,
-     * so the two paths are bit-identical by construction
-     * (REMAP_NO_THREADED=1 selects the switch path at runtime and
-     * the differential test crosses both). Returns the updated
-     * fetched-this-cycle count.
-     */
-    unsigned fetchRunThreaded(const isa::Instruction *code,
-                              const isa::DecodedInst *table,
-                              std::uint64_t base, std::uint32_t term,
-                              Cycle now, unsigned n, Cycle &icache_ready,
-                              bool &accessed_icache, bool &icache_pure_hit);
-
     /** Functionally execute @p inst; fills @p d; returns false when
      *  fetch must stall (spl_store with no functional value yet). */
     bool funcExecute(const isa::Instruction &inst, DynInst &d);
@@ -430,11 +412,6 @@ class OooCore
     const isa::Program *decodedFor_ = nullptr;
     isa::DecodedProgram decoded_;
     /** @} */
-
-    /** Threaded-code dispatch for fused runs: compile-time support
-     *  (computed goto) AND !REMAP_NO_THREADED, latched at
-     *  construction like the other kill switches. */
-    bool threadedEnabled_ = true;
 
     /** @{ @name Functional-warming state (sampled mode). */
     bool warming_ = false;

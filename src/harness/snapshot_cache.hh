@@ -11,7 +11,7 @@
  * stored boundary and resume from there, skipping at least half of
  * any sufficiently long run. System::runSegment() is cycle- and
  * statistics-identical to a continuous run, and restore is verified
- * bit-identical by tests/test_snapshot_diff.cc, so warm-started
+ * bit-identical by tests/test_region_diff.cc, so warm-started
  * results equal cold results exactly — this is purely a simulation
  * speedup.
  *

@@ -8,7 +8,6 @@ decodeOne(const Instruction &inst)
 {
     DecodedInst d;
     d.cls = inst.opClass();
-    d.handler = static_cast<std::uint8_t>(inst.op);
 
     std::uint16_t f = 0;
     if (inst.readsIntRs1())
@@ -82,7 +81,7 @@ DecodedProgram::build(const Program &prog)
         insts[i] = decodeOne(prog.code[i]);
     // Backwards pass: a run extends to the next terminator (or the
     // end of the program, for code that trails off without a HALT —
-    // fetch / interpret assert the pc bound before using the table).
+    // fetch asserts the pc bound before using the table).
     for (std::size_t i = n; i-- > 0;) {
         if ((insts[i].flags & kEndsRun) || i + 1 == n)
             runEnd[i] = static_cast<std::uint32_t>(i + 1);

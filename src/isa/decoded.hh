@@ -3,7 +3,7 @@
  * Pre-decoded instruction metadata and straight-line runs.
  *
  * The per-instruction hot loops (`Core::fetch`, the issue/dispatch
- * walks, `isa::interpret`) used to re-derive the same classification
+ * walks) used to re-derive the same classification
  * facts — OpClass, register-file routing, queue usage — through a
  * fan of virtual-free but branchy switch methods on `Instruction`,
  * once per *dynamic* instruction. The ReMAP evaluation reruns tiny
@@ -15,8 +15,8 @@
  * `DecodedProgram` computes them once per *static* instruction,
  * together with the straight-line *run* structure: maximal spans
  * that contain no branch, HALT, FENCE or SPL opcode, i.e. spans the
- * fetch stage and the interpreter can step through with no
- * control-flow or stall handling at all.
+ * fetch stage can step through with no control-flow or stall
+ * handling at all.
  *
  * `decodeOne()` is the single source of truth: the cached table and
  * the `REMAP_NO_BLOCK_CACHE=1` one-instruction-at-a-time slow path
@@ -66,12 +66,6 @@ struct DecodedInst
 {
     OpClass cls = OpClass::IntAlu;
     std::uint16_t flags = 0;
-    /** Direct dispatch-table index for threaded-code execution: the
-     *  opcode as an integer, valid as an index into any handler table
-     *  laid out in Opcode declaration order (the computed-goto label
-     *  tables in interp.cc / core.cc). Pre-extracted so the dispatch
-     *  loops load one byte instead of re-reading Instruction::op. */
-    std::uint8_t handler = 0;
 };
 
 /**

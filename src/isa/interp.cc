@@ -1,320 +1,164 @@
 /**
  * @file
- * The functional interpreter, with two-tier dispatch.
- *
- * Tier (a) of the two-tier execution work: the per-instruction
- * opcode bodies are defined exactly once in the REMAP_INTERP_OPS
- * X-macro and instantiated into *two* dispatch mechanisms — a
- * computed-goto threaded loop (`&&label` dispatch table indexed by
- * the pre-decoded DecodedInst::handler byte, one indirect jump per
- * instruction instead of a bounds-checked switch) and the portable
- * switch loop that doubles as the `REMAP_NO_THREADED=1` reference.
- * Because both loops expand the same bodies with the same
- * surrounding control flow, they are bit-identical by construction;
- * test_fastpath_diff.cc proves it end-to-end anyway.
- *
- * The computed-goto form needs the GNU labels-as-values extension
- * (GCC/Clang); elsewhere the switch loop is the only tier.
+ * The functional interpreter: one `switch` per instruction, no
+ * pre-decode and no run structure. Its simplicity is the point — it
+ * shares nothing with the core's DecodedProgram run construction, so
+ * Differential.CoreMatchesInterpreter checks that construction
+ * against an independent reference.
  */
 
 #include "isa/interp.hh"
 
 #include <algorithm>
 
-#include "isa/decoded.hh"
-#include "sim/env.hh"
 #include "sim/logging.hh"
-
-#if defined(__GNUC__) || defined(__clang__)
-#define REMAP_HAVE_COMPUTED_GOTO 1
-#else
-#define REMAP_HAVE_COMPUTED_GOTO 0
-#endif
 
 namespace remap::isa
 {
-namespace
-{
 
-/**
- * Every opcode body, in Opcode declaration order (the computed-goto
- * table is indexed by DecodedInst::handler == uint8(op), so the
- * order here *must* match the enum; a static_assert checks the
- * count). Bodies may reference: `ip` (the instruction), `a`/`b`
- * (integer sources, x0-filtered), `fa`/`fb` (FP sources), `next`
- * (successor pc, preset to pc+1), `r` (InterpResult), `mem`,
- * `rd_int`/`wr_int` and `prog` (for diagnostics).
- */
-#define REMAP_INTERP_OPS(X)                                            \
-    X(ADD, wr_int(ip->rd, a + b))                                      \
-    X(SUB, wr_int(ip->rd, a - b))                                      \
-    X(AND, wr_int(ip->rd, a & b))                                      \
-    X(OR, wr_int(ip->rd, a | b))                                       \
-    X(XOR, wr_int(ip->rd, a ^ b))                                      \
-    X(SLL, wr_int(ip->rd,                                              \
-                  std::int64_t(std::uint64_t(a) << (b & 63))))         \
-    X(SRL, wr_int(ip->rd,                                              \
-                  std::int64_t(std::uint64_t(a) >> (b & 63))))         \
-    X(SRA, wr_int(ip->rd, a >> (b & 63)))                              \
-    X(SLT, wr_int(ip->rd, a < b ? 1 : 0))                              \
-    X(SLTU, wr_int(ip->rd,                                             \
-                   std::uint64_t(a) < std::uint64_t(b) ? 1 : 0))       \
-    X(MIN, wr_int(ip->rd, std::min(a, b)))                             \
-    X(MAX, wr_int(ip->rd, std::max(a, b)))                             \
-    X(MUL, wr_int(ip->rd, a * b))                                      \
-    X(DIV, wr_int(ip->rd, b == 0 ? -1 : a / b))                        \
-    X(REM, wr_int(ip->rd, b == 0 ? a : a % b))                         \
-    X(ADDI, wr_int(ip->rd, a + ip->imm))                               \
-    X(ANDI, wr_int(ip->rd, a & ip->imm))                               \
-    X(ORI, wr_int(ip->rd, a | ip->imm))                                \
-    X(XORI, wr_int(ip->rd, a ^ ip->imm))                               \
-    X(SLLI, wr_int(ip->rd,                                             \
-                   std::int64_t(std::uint64_t(a)                       \
-                                << (ip->imm & 63))))                   \
-    X(SRLI, wr_int(ip->rd,                                             \
-                   std::int64_t(std::uint64_t(a)                       \
-                                >> (ip->imm & 63))))                   \
-    X(SRAI, wr_int(ip->rd, a >> (ip->imm & 63)))                       \
-    X(SLTI, wr_int(ip->rd, a < ip->imm ? 1 : 0))                       \
-    X(LI, wr_int(ip->rd, ip->imm))                                     \
-    X(FADD, r.fpRegs[ip->rd] = fa + fb)                                \
-    X(FSUB, r.fpRegs[ip->rd] = fa - fb)                                \
-    X(FMUL, r.fpRegs[ip->rd] = fa * fb)                                \
-    X(FDIV, r.fpRegs[ip->rd] = fa / fb)                                \
-    X(FMIN, r.fpRegs[ip->rd] = std::min(fa, fb))                       \
-    X(FMAX, r.fpRegs[ip->rd] = std::max(fa, fb))                       \
-    X(FLT, wr_int(ip->rd, fa < fb ? 1 : 0))                            \
-    X(FLE, wr_int(ip->rd, fa <= fb ? 1 : 0))                           \
-    X(FCVT_I2F, r.fpRegs[ip->rd] = static_cast<double>(a))             \
-    X(FCVT_F2I, wr_int(ip->rd, static_cast<std::int64_t>(fa)))         \
-    X(FMV, r.fpRegs[ip->rd] = fa)                                      \
-    X(LD, wr_int(ip->rd, mem.readI64(Addr(a + ip->imm))))              \
-    X(LW, wr_int(ip->rd, mem.readI32(Addr(a + ip->imm))))              \
-    X(LBU, wr_int(ip->rd, mem.readU8(Addr(a + ip->imm))))              \
-    X(SD, mem.writeI64(Addr(a + ip->imm), b))                          \
-    X(SW, mem.writeI32(Addr(a + ip->imm),                              \
-                       static_cast<std::int32_t>(b)))                  \
-    X(SB, mem.writeU8(Addr(a + ip->imm),                               \
-                      static_cast<std::uint8_t>(b)))                   \
-    X(FLD, r.fpRegs[ip->rd] = mem.readF64(Addr(a + ip->imm)))          \
-    X(FSD, mem.writeF64(Addr(a + ip->imm), fb))                        \
-    X(AMOADD, {                                                        \
-        const std::int64_t old = mem.readI64(Addr(a));                 \
-        mem.writeI64(Addr(a), old + b);                                \
-        wr_int(ip->rd, old);                                           \
-    })                                                                 \
-    X(AMOSWAP, {                                                       \
-        const std::int64_t old = mem.readI64(Addr(a));                 \
-        mem.writeI64(Addr(a), b);                                      \
-        wr_int(ip->rd, old);                                           \
-    })                                                                 \
-    X(FENCE, (void)0)                                                  \
-    X(BEQ, if (a == b) next = ip->target)                              \
-    X(BNE, if (a != b) next = ip->target)                              \
-    X(BLT, if (a < b) next = ip->target)                               \
-    X(BGE, if (a >= b) next = ip->target)                              \
-    X(BLTU, if (std::uint64_t(a) < std::uint64_t(b))                   \
-                next = ip->target)                                     \
-    X(BGEU, if (std::uint64_t(a) >= std::uint64_t(b))                  \
-                next = ip->target)                                     \
-    X(J, next = ip->target)                                            \
-    X(SPL_CFG, (void)0)                                                \
-    X(SPL_LOAD, REMAP_FATAL("interpreter cannot execute SPL opcode "   \
-                            "in '%s'", prog.name.c_str()))             \
-    X(SPL_LOADM, REMAP_FATAL("interpreter cannot execute SPL opcode "  \
-                             "in '%s'", prog.name.c_str()))            \
-    X(SPL_LOADMB, REMAP_FATAL("interpreter cannot execute SPL opcode " \
-                              "in '%s'", prog.name.c_str()))           \
-    X(SPL_INIT, REMAP_FATAL("interpreter cannot execute SPL opcode "   \
-                            "in '%s'", prog.name.c_str()))             \
-    X(SPL_BAR, REMAP_FATAL("interpreter cannot execute SPL opcode "    \
-                           "in '%s'", prog.name.c_str()))              \
-    X(SPL_STORE, REMAP_FATAL("interpreter cannot execute SPL opcode "  \
-                             "in '%s'", prog.name.c_str()))            \
-    X(SPL_STOREM, REMAP_FATAL("interpreter cannot execute SPL opcode " \
-                              "in '%s'", prog.name.c_str()))           \
-    X(HALT, r.halted = true)                                           \
-    X(NOP, (void)0)
-
-#define REMAP_COUNT_OP(name, ...) +1
-static_assert(0 REMAP_INTERP_OPS(REMAP_COUNT_OP) ==
-                  static_cast<int>(Opcode::NOP) + 1,
-              "REMAP_INTERP_OPS must list every opcode in enum order");
-#undef REMAP_COUNT_OP
-
-/** The reference loop: one switch per instruction, fused-run outer
- *  structure as before. Also the only tier on non-GNU compilers. */
 InterpResult
-interpretSwitch(const Program &prog, mem::MemoryImage &mem,
-                std::uint64_t max_steps, const DecodedProgram &dec)
+interpret(const Program &prog, mem::MemoryImage &mem,
+          std::uint64_t max_steps)
 {
     InterpResult r;
     std::uint32_t pc = 0;
 
-    auto rd_int = [&](RegIndex x) -> std::int64_t {
-        return x == 0 ? 0 : r.intRegs[x];
-    };
     auto wr_int = [&](RegIndex x, std::int64_t v) {
         if (x != 0)
             r.intRegs[x] = v;
-    };
-
-    // Execute one instruction; returns the successor pc. The single
-    // switch is shared by the fused-run body and the run terminator,
-    // so block stepping cannot change any instruction's semantics.
-    auto step = [&](const Instruction &inst,
-                    std::uint32_t cur) -> std::uint32_t {
-        const Instruction *ip = &inst;
-        const std::int64_t a = rd_int(ip->rs1);
-        const std::int64_t b = rd_int(ip->rs2);
-        const double fa = r.fpRegs[ip->rs1];
-        const double fb = r.fpRegs[ip->rs2];
-        std::uint32_t next = cur + 1;
-
-        switch (ip->op) {
-#define REMAP_SWITCH_OP(name, ...)                                     \
-  case Opcode::name: {                                                 \
-      __VA_ARGS__;                                                     \
-  } break;
-            REMAP_INTERP_OPS(REMAP_SWITCH_OP)
-#undef REMAP_SWITCH_OP
-        }
-        return next;
     };
 
     while (r.instructions < max_steps) {
         REMAP_ASSERT(pc < prog.code.size(),
                      "interpreter pc out of range in '%s'",
                      prog.name.c_str());
-        // Clamp the run to the remaining step budget; a clamped run
-        // never reaches its terminator, so every executed
-        // instruction stays simple.
-        std::uint32_t end = dec.runEnd[pc];
-        const std::uint64_t budget = max_steps - r.instructions;
-        if (end - pc > budget)
-            end = pc + static_cast<std::uint32_t>(budget);
+        const Instruction *ip = &prog.code[pc];
+        const std::int64_t a = ip->rs1 == 0 ? 0 : r.intRegs[ip->rs1];
+        const std::int64_t b = ip->rs2 == 0 ? 0 : r.intRegs[ip->rs2];
+        const double fa = r.fpRegs[ip->rs1];
+        const double fb = r.fpRegs[ip->rs2];
+        std::uint32_t next = pc + 1;
 
-        // Fused run body: everything in [pc, end - 1) is known to
-        // fall through, so pc just increments.
-        while (pc + 1 < end) {
-            step(prog.code[pc], pc);
+        // No default: -Wswitch (an error under -Werror) flags any
+        // opcode added to the enum without a body here.
+        switch (ip->op) {
+          case Opcode::ADD: wr_int(ip->rd, a + b); break;
+          case Opcode::SUB: wr_int(ip->rd, a - b); break;
+          case Opcode::AND: wr_int(ip->rd, a & b); break;
+          case Opcode::OR: wr_int(ip->rd, a | b); break;
+          case Opcode::XOR: wr_int(ip->rd, a ^ b); break;
+          case Opcode::SLL:
+            wr_int(ip->rd, std::int64_t(std::uint64_t(a) << (b & 63)));
+            break;
+          case Opcode::SRL:
+            wr_int(ip->rd, std::int64_t(std::uint64_t(a) >> (b & 63)));
+            break;
+          case Opcode::SRA: wr_int(ip->rd, a >> (b & 63)); break;
+          case Opcode::SLT: wr_int(ip->rd, a < b ? 1 : 0); break;
+          case Opcode::SLTU:
+            wr_int(ip->rd, std::uint64_t(a) < std::uint64_t(b) ? 1 : 0);
+            break;
+          case Opcode::MIN: wr_int(ip->rd, std::min(a, b)); break;
+          case Opcode::MAX: wr_int(ip->rd, std::max(a, b)); break;
+          case Opcode::MUL: wr_int(ip->rd, a * b); break;
+          case Opcode::DIV: wr_int(ip->rd, b == 0 ? -1 : a / b); break;
+          case Opcode::REM: wr_int(ip->rd, b == 0 ? a : a % b); break;
+          case Opcode::ADDI: wr_int(ip->rd, a + ip->imm); break;
+          case Opcode::ANDI: wr_int(ip->rd, a & ip->imm); break;
+          case Opcode::ORI: wr_int(ip->rd, a | ip->imm); break;
+          case Opcode::XORI: wr_int(ip->rd, a ^ ip->imm); break;
+          case Opcode::SLLI:
+            wr_int(ip->rd,
+                   std::int64_t(std::uint64_t(a) << (ip->imm & 63)));
+            break;
+          case Opcode::SRLI:
+            wr_int(ip->rd,
+                   std::int64_t(std::uint64_t(a) >> (ip->imm & 63)));
+            break;
+          case Opcode::SRAI: wr_int(ip->rd, a >> (ip->imm & 63)); break;
+          case Opcode::SLTI: wr_int(ip->rd, a < ip->imm ? 1 : 0); break;
+          case Opcode::LI: wr_int(ip->rd, ip->imm); break;
+          case Opcode::FADD: r.fpRegs[ip->rd] = fa + fb; break;
+          case Opcode::FSUB: r.fpRegs[ip->rd] = fa - fb; break;
+          case Opcode::FMUL: r.fpRegs[ip->rd] = fa * fb; break;
+          case Opcode::FDIV: r.fpRegs[ip->rd] = fa / fb; break;
+          case Opcode::FMIN: r.fpRegs[ip->rd] = std::min(fa, fb); break;
+          case Opcode::FMAX: r.fpRegs[ip->rd] = std::max(fa, fb); break;
+          case Opcode::FLT: wr_int(ip->rd, fa < fb ? 1 : 0); break;
+          case Opcode::FLE: wr_int(ip->rd, fa <= fb ? 1 : 0); break;
+          case Opcode::FCVT_I2F:
+            r.fpRegs[ip->rd] = static_cast<double>(a);
+            break;
+          case Opcode::FCVT_F2I:
+            wr_int(ip->rd, static_cast<std::int64_t>(fa));
+            break;
+          case Opcode::FMV: r.fpRegs[ip->rd] = fa; break;
+          case Opcode::LD:
+            wr_int(ip->rd, mem.readI64(Addr(a + ip->imm)));
+            break;
+          case Opcode::LW:
+            wr_int(ip->rd, mem.readI32(Addr(a + ip->imm)));
+            break;
+          case Opcode::LBU:
+            wr_int(ip->rd, mem.readU8(Addr(a + ip->imm)));
+            break;
+          case Opcode::SD: mem.writeI64(Addr(a + ip->imm), b); break;
+          case Opcode::SW:
+            mem.writeI32(Addr(a + ip->imm), static_cast<std::int32_t>(b));
+            break;
+          case Opcode::SB:
+            mem.writeU8(Addr(a + ip->imm), static_cast<std::uint8_t>(b));
+            break;
+          case Opcode::FLD:
+            r.fpRegs[ip->rd] = mem.readF64(Addr(a + ip->imm));
+            break;
+          case Opcode::FSD: mem.writeF64(Addr(a + ip->imm), fb); break;
+          case Opcode::AMOADD: {
+            const std::int64_t old = mem.readI64(Addr(a));
+            mem.writeI64(Addr(a), old + b);
+            wr_int(ip->rd, old);
+            break;
+          }
+          case Opcode::AMOSWAP: {
+            const std::int64_t old = mem.readI64(Addr(a));
+            mem.writeI64(Addr(a), b);
+            wr_int(ip->rd, old);
+            break;
+          }
+          case Opcode::FENCE: break;
+          case Opcode::BEQ: if (a == b) next = ip->target; break;
+          case Opcode::BNE: if (a != b) next = ip->target; break;
+          case Opcode::BLT: if (a < b) next = ip->target; break;
+          case Opcode::BGE: if (a >= b) next = ip->target; break;
+          case Opcode::BLTU:
+            if (std::uint64_t(a) < std::uint64_t(b))
+                next = ip->target;
+            break;
+          case Opcode::BGEU:
+            if (std::uint64_t(a) >= std::uint64_t(b))
+                next = ip->target;
+            break;
+          case Opcode::J: next = ip->target; break;
+          case Opcode::SPL_CFG: break;
+          case Opcode::SPL_LOAD:
+          case Opcode::SPL_LOADM:
+          case Opcode::SPL_LOADMB:
+          case Opcode::SPL_INIT:
+          case Opcode::SPL_BAR:
+          case Opcode::SPL_STORE:
+          case Opcode::SPL_STOREM:
+            REMAP_FATAL("interpreter cannot execute SPL opcode in '%s'",
+                        prog.name.c_str());
+          case Opcode::HALT:
             ++r.instructions;
-            ++pc;
-        }
-
-        // The terminator (or last budgeted instruction) takes the
-        // full control-flow path.
-        const std::uint32_t next = step(prog.code[pc], pc);
-        ++r.instructions;
-        if (r.halted)
+            r.halted = true;
             return r;
+          case Opcode::NOP: break;
+        }
+        ++r.instructions;
         pc = next;
     }
     return r;
-}
-
-#if REMAP_HAVE_COMPUTED_GOTO
-
-/** The threaded loop: one indirect jump per instruction through a
- *  label table indexed by the pre-decoded handler byte. Control flow
- *  mirrors interpretSwitch() exactly: within a fused run the
- *  computed `next` is discarded (simple ops fall through by
- *  construction), the run terminator's `next` redirects. */
-InterpResult
-interpretThreaded(const Program &prog, mem::MemoryImage &mem,
-                  std::uint64_t max_steps, const DecodedProgram &dec)
-{
-    InterpResult r;
-    std::uint32_t pc = 0;
-
-    auto rd_int = [&](RegIndex x) -> std::int64_t {
-        return x == 0 ? 0 : r.intRegs[x];
-    };
-    auto wr_int = [&](RegIndex x, std::int64_t v) {
-        if (x != 0)
-            r.intRegs[x] = v;
-    };
-
-#define REMAP_TABLE_OP(name, ...) &&lbl_##name,
-    static const void *const tbl[] = {
-        REMAP_INTERP_OPS(REMAP_TABLE_OP)};
-#undef REMAP_TABLE_OP
-    static_assert(sizeof(tbl) / sizeof(tbl[0]) ==
-                  static_cast<std::size_t>(Opcode::NOP) + 1);
-
-    // Dispatch-loop registers live at function scope: the computed
-    // gotos below may not jump across initializations.
-    const Instruction *ip = nullptr;
-    std::int64_t a = 0, b = 0;
-    double fa = 0.0, fb = 0.0;
-    std::uint32_t next = 0, end = 0;
-
-    for (;;) {
-        if (r.instructions >= max_steps)
-            return r;
-        REMAP_ASSERT(pc < prog.code.size(),
-                     "interpreter pc out of range in '%s'",
-                     prog.name.c_str());
-        // Clamp the run to the remaining step budget (identical to
-        // the switch loop: a clamped run's last budgeted instruction
-        // plays the terminator role).
-        end = dec.runEnd[pc];
-        {
-            const std::uint64_t budget = max_steps - r.instructions;
-            if (end - pc > budget)
-                end = pc + static_cast<std::uint32_t>(budget);
-        }
-
-      dispatch:
-        ip = &prog.code[pc];
-        a = rd_int(ip->rs1);
-        b = rd_int(ip->rs2);
-        fa = r.fpRegs[ip->rs1];
-        fb = r.fpRegs[ip->rs2];
-        next = pc + 1;
-        goto *tbl[dec.insts[pc].handler];
-
-#define REMAP_GOTO_OP(name, ...)                                       \
-  lbl_##name : {                                                       \
-      __VA_ARGS__;                                                     \
-  }                                                                    \
-    goto step_done;
-        REMAP_INTERP_OPS(REMAP_GOTO_OP)
-#undef REMAP_GOTO_OP
-
-      step_done:
-        ++r.instructions;
-        if (pc + 1 < end) {
-            // Fused-run body: the op was simple, `next` is pc+1 by
-            // construction and is discarded like the switch loop's.
-            ++pc;
-            goto dispatch;
-        }
-        if (r.halted)
-            return r;
-        pc = next;
-    }
-}
-
-#endif // REMAP_HAVE_COMPUTED_GOTO
-
-} // namespace
-
-InterpResult
-interpret(const Program &prog, mem::MemoryImage &mem,
-          std::uint64_t max_steps)
-{
-    // Decode once; both loops then step through straight-line runs
-    // with no per-instruction pc-bound, step-budget or control-flow
-    // checks (see DecodedProgram).
-    DecodedProgram dec;
-    dec.build(prog);
-
-#if REMAP_HAVE_COMPUTED_GOTO
-    if (!env::noThreaded())
-        return interpretThreaded(prog, mem, max_steps, dec);
-#endif
-    return interpretSwitch(prog, mem, max_steps, dec);
 }
 
 } // namespace remap::isa

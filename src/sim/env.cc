@@ -17,18 +17,36 @@ namespace
 /** Read a boolean kill switch, logging the first time it is seen
  *  set. The value is re-read every call (tests toggle switches with
  *  setenv() around component construction); only the announcement is
- *  once-per-process. */
+ *  once-per-process. Malformed values are fatal (parseKillSwitch()). */
 bool
 killSwitch(const char *name, const char *what,
            std::atomic<bool> &announced)
 {
-    const bool set = std::getenv(name) != nullptr;
-    if (set && !announced.exchange(true))
-        REMAP_INFORM("%s set: %s disabled", name, what);
-    return set;
+    bool off = false;
+    std::string err;
+    if (!parseKillSwitch(name, std::getenv(name), &off, &err))
+        REMAP_FATAL("%s", err.c_str());
+    if (off && !announced.exchange(true))
+        REMAP_INFORM("%s=1: %s disabled", name, what);
+    return off;
 }
 
 } // namespace
+
+bool
+parseKillSwitch(const char *name, const char *text, bool *off,
+                std::string *error)
+{
+    if (!text || std::strcmp(text, "1") == 0) {
+        *off = text != nullptr;
+        return true;
+    }
+    if (error) {
+        *error = "invalid " + std::string(name) + "='" + text +
+                 "' (want 1, or unset the variable)";
+    }
+    return false;
+}
 
 bool
 noLeap()
@@ -52,14 +70,6 @@ noMru()
     static std::atomic<bool> announced{false};
     return killSwitch("REMAP_NO_MRU", "cache MRU-way fast path",
                       announced);
-}
-
-bool
-noThreaded()
-{
-    static std::atomic<bool> announced{false};
-    return killSwitch("REMAP_NO_THREADED",
-                      "computed-goto threaded dispatch", announced);
 }
 
 bool

@@ -12,12 +12,14 @@
  * — but the *first* observation of a set switch is logged, so a run
  * with REMAP_NO_LEAP=1 is explainable from its log.
  *
- * Switches:
+ * Kill switches (unset = fast path on, "1" = off; any other value,
+ * including "0" and the empty string, is a fatal error):
  *  - REMAP_NO_LEAP=1        disable the event-horizon leap scheduler
  *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded basic-block cache
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
- *  - REMAP_NO_THREADED=1    disable computed-goto threaded dispatch
  *  - REMAP_NO_SAMPLE_REPLAY=1 disable checkpointed sample replay
+ *
+ * Mode overrides:
  *  - REMAP_SAMPLE=...       default sampled-mode schedule (see
  *                           env::sampleParams())
  *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
@@ -35,22 +37,28 @@
 namespace remap::env
 {
 
-/** True when REMAP_NO_LEAP is set: event-horizon leap disabled. */
+/**
+ * Strict kill-switch parser for the variable @p name holding @p text
+ * (null when unset). Unset sets @p off to false, "1" sets it to true;
+ * anything else — "0", "", "yes", " 1" — fails with a one-line
+ * @p error naming the variable, so a value meant to keep a fast path
+ * on can never silently turn it off.
+ */
+bool parseKillSwitch(const char *name, const char *text, bool *off,
+                     std::string *error);
+
+/** True when REMAP_NO_LEAP=1: event-horizon leap disabled. */
 bool noLeap();
 
-/** True when REMAP_NO_BLOCK_CACHE is set: decoded-block cache off. */
+/** True when REMAP_NO_BLOCK_CACHE=1: decoded-block cache off. */
 bool noBlockCache();
 
-/** True when REMAP_NO_MRU is set: cache MRU-way fast path off. */
+/** True when REMAP_NO_MRU=1: cache MRU-way fast path off. */
 bool noMru();
 
-/** True when REMAP_NO_THREADED is set: computed-goto dispatch off
- *  (generic switch dispatch everywhere). */
-bool noThreaded();
-
-/** True when REMAP_NO_SAMPLE_REPLAY is set: checkpointed sample
- *  replay disabled — sampled runs always re-simulate functional
- *  warming, exactly the pre-replay behaviour. */
+/** True when REMAP_NO_SAMPLE_REPLAY=1: checkpointed sample replay
+ *  disabled — sampled runs always re-simulate functional warming,
+ *  exactly the pre-replay behaviour. */
 bool noSampleReplay();
 
 /**

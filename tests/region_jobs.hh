@@ -1,8 +1,7 @@
 /** @file Shared enumeration of the fig8-fig14 region-job sets,
- *  exactly as the figure drivers build them. Both differential
- *  suites (snapshot warm-start equivalence in test_snapshot_diff.cc
- *  and event-horizon bit-identity in test_leap_diff.cc) iterate
- *  these jobs, so the two proofs always cover the same regions. */
+ *  exactly as the figure drivers build them. The region differential
+ *  (test_region_diff.cc) runs one case per unique job of their
+ *  union; test_manifest.cc batches the smoke sweep. */
 
 #ifndef REMAP_TESTS_REGION_JOBS_HH
 #define REMAP_TESTS_REGION_JOBS_HH

@@ -194,6 +194,30 @@ TEST(Sampling, MalformedTracePeriodsAreRejected)
     ASSERT_EQ(unsetenv("REMAP_TRACE_PERIOD"), 0);
 }
 
+TEST(Sampling, MalformedKillSwitchesAreRejected)
+{
+    // A kill switch is off only when unset and on only at "1": "0"
+    // or an empty value must not silently disable a fast path.
+    const char *names[] = {"REMAP_NO_LEAP", "REMAP_NO_BLOCK_CACHE",
+                           "REMAP_NO_MRU", "REMAP_NO_SAMPLE_REPLAY"};
+    const char *bad[] = {"0", "", "yes", " 1"};
+    for (const char *name : names) {
+        for (const char *text : bad) {
+            SCOPED_TRACE(std::string(name) + "='" + text + "'");
+            bool off = false;
+            std::string err;
+            EXPECT_FALSE(env::parseKillSwitch(name, text, &off, &err));
+            EXPECT_NE(err.find(name), std::string::npos);
+        }
+        bool off = false;
+        std::string err;
+        EXPECT_TRUE(env::parseKillSwitch(name, "1", &off, &err)) << err;
+        EXPECT_TRUE(off);
+        EXPECT_TRUE(env::parseKillSwitch(name, nullptr, &off, &err));
+        EXPECT_FALSE(off);
+    }
+}
+
 TEST(SamplingMath, RelativeHalfWidthNormalizesTheEstimate)
 {
     // From EstimateExtrapolatesWithConfidenceInterval: 3000 +/- 1960.
