@@ -427,7 +427,7 @@ makeSnapshotSweepJobs()
  * The BM_FigureSweep-style batch with the snapshot cache disabled:
  * every region simulates from cycle 0. Baseline for
  * BM_SnapshotSweepWarm below; the warm/cold wall_ms_per_iter ratio in
- * BENCH_sim_speed.json is the tracked speedup of warm-started sweeps.
+ * BENCH_sim_speed.json is the tracked speedup of served repeats.
  */
 void
 BM_SnapshotSweepCold(benchmark::State &state)
@@ -454,12 +454,14 @@ BENCHMARK(BM_SnapshotSweepCold)
     ->UseRealTime();
 
 /**
- * The same batch warm-started from a pre-primed snapshot cache, the
- * steady state of a figure driver re-running shared baselines.
- * Results are bit-identical to the cold sweep; only host time drops.
- * (sim_cycles here counts reported cycles, including the restored
- * warmup, so compare wall_ms_per_iter against the cold benchmark,
- * not the rate.)
+ * The same batch served from a pre-primed snapshot cache's
+ * final-result entries, the steady state of a figure driver
+ * re-running shared baselines: no region simulates. (The name is
+ * kept so the tracked BENCH_sim_speed.json row lines up.) Results
+ * are bit-identical to the cold sweep; only host time drops.
+ * (sim_cycles here counts reported cycles, none of them simulated,
+ * so compare wall_ms_per_iter against the cold benchmark, not the
+ * rate.)
  */
 void
 BM_SnapshotSweepWarm(benchmark::State &state)
@@ -469,7 +471,7 @@ BM_SnapshotSweepWarm(benchmark::State &state)
     auto &cache = harness::SnapshotCache::instance();
     cache.setEnabled(true);
     cache.clear();
-    // Prime: one untimed cold pass captures the snapshots.
+    // Prime: one untimed cold pass stores the results.
     harness::runRegions(jobs, model);
     std::uint64_t sim_cycles = 0, sim_insts = 0;
     for (auto _ : state) {

@@ -21,77 +21,56 @@ namespace
 {
 
 /**
- * Drive @p run to completion through the snapshot cache: restore the
- * warmest cached state for this (workload, spec, config-hash) key if
- * one exists, then simulate in segments, capturing a snapshot at
- * geometrically-doubling cycle boundaries (W, 2W, 4W, ...) so later
- * runs of the same key start even warmer. Segmented execution is
- * cycle- and statistics-identical to PreparedRun::run() (see
- * System::runSegment), so this only changes simulation wall-clock,
- * never results. Fills cycles/configHash/warmStarted/snapshotBoundary
- * of @p res.
+ * Serve an exact run from its final-result entry: on a hit, fill the
+ * result fields of @p res and return true. The blob must parse fully
+ * (header, "region_result" section, all four fields, nothing after);
+ * anything else is reject()ed with a warning and the caller
+ * simulates.
  */
-void
-runThroughSnapshotCache(const workloads::WorkloadInfo &info,
-                        const RunSpec &spec,
-                        workloads::PreparedRun &run, RegionResult &res)
+bool
+serveStoredResult(SnapshotCache &cache, const std::string &key,
+                  std::uint64_t hash, RegionResult &res)
 {
-    // Must match the PreparedRun::run() default so the timeout
-    // behaviour (and its fatal message) is unchanged.
-    constexpr Cycle max_cycles = 400'000'000ULL;
-
-    SnapshotCache &cache = SnapshotCache::instance();
-    const std::uint64_t hash = run.system->configHash();
-    const std::string key =
-        SnapshotCache::makeKey(info.name, spec, hash);
-    res.configHash = hash;
-
-    Cycle elapsed = 0;
-    Cycle boundary = cache.firstBoundary();
-
-    Cycle stored = 0;
-    if (SnapshotCache::Blob blob = cache.lookup(key, hash, &stored)) {
-        snap::Deserializer d(*blob);
-        snap::Header hdr;
-        if (snap::readHeader(d, &hdr) && hdr.configHash == hash) {
-            run.system->restore(d);
-        } else {
-            d.fail("header mismatch");
-        }
-        if (d.ok()) {
-            elapsed = hdr.boundaryCycle;
-            boundary = hdr.boundaryCycle * 2;
-            res.warmStarted = true;
-            res.snapshotBoundary = hdr.boundaryCycle;
-        } else {
-            // A bad blob may have been partially applied; the system
-            // is unusable, so rebuild it from scratch and run cold.
-            REMAP_WARN("snapshot restore failed for '%s' (%s); "
-                       "running cold",
-                       key.c_str(), d.error());
-            cache.reject(key);
-            run = info.make(spec);
-        }
+    SnapshotCache::Blob blob = cache.lookup(key, hash, nullptr);
+    if (!blob)
+        return false;
+    snap::Deserializer d(*blob);
+    snap::Header hdr;
+    if (!snap::readHeader(d, &hdr) || hdr.configHash != hash)
+        d.fail("header mismatch");
+    d.section("region_result");
+    const Cycle cycles = d.u64();
+    const std::uint64_t insts = d.u64();
+    const double energy = d.f64();
+    const double work = d.f64();
+    if (!d.ok() || !d.atEnd()) {
+        REMAP_WARN("ignoring bad result entry '%s' (%s); simulating",
+                   key.c_str(), d.ok() ? "trailing bytes" : d.error());
+        cache.reject(key);
+        return false;
     }
+    res.cycles = cycles;
+    res.insts = insts;
+    res.energyJ = energy;
+    res.work = work;
+    res.warmStarted = true;
+    res.snapshotBoundary = cycles;
+    return true;
+}
 
-    for (;;) {
-        const Cycle target = std::min(boundary, max_cycles);
-        sys::RunResult seg =
-            run.system->runSegment(target - elapsed);
-        elapsed += seg.cycles;
-        if (!seg.timedOut)
-            break;
-        if (elapsed >= max_cycles)
-            REMAP_FATAL("workload '%s' did not quiesce in %llu cycles",
-                        run.name.c_str(),
-                        static_cast<unsigned long long>(max_cycles));
-        snap::Serializer s;
-        snap::writeHeader(s, hash, elapsed);
-        run.system->save(s);
-        cache.store(key, hash, elapsed, s.take());
-        boundary *= 2;
-    }
-    res.cycles = elapsed;
+/** Store the verified result @p res of an exact run under @p key. */
+void
+storeResult(SnapshotCache &cache, const std::string &key,
+            std::uint64_t hash, const RegionResult &res)
+{
+    snap::Serializer s;
+    snap::writeHeader(s, hash, res.cycles);
+    s.section("region_result");
+    s.u64(res.cycles);
+    s.u64(res.insts);
+    s.f64(res.energyJ);
+    s.f64(res.work);
+    cache.store(key, hash, res.cycles, s.take());
 }
 
 /** Shared tail of every sampled path: extrapolate the recorded
@@ -506,16 +485,25 @@ runRegion(const workloads::WorkloadInfo &info, const RunSpec &spec,
         effective.sample = {};
     run.system->setSampleParams(effective.sample);
     SnapshotCache &cache = SnapshotCache::instance();
-    // Warm-starting a traced run would drop every pre-boundary trace
-    // event, so tracing bypasses the cache entirely.
+    // Exact runs go through the final-result entry: a repeat is
+    // served without simulating. A served result has no trace, so
+    // tracing bypasses the cache entirely.
+    std::string result_key;
     if (effective.sample.adaptive()) {
         runAdaptiveSampledRegion(info, effective, run, res);
     } else if (effective.sample.enabled()) {
         runSampledRegion(info, effective, run, res);
-    } else if (cache.enabled() && cache.firstBoundary() > 0 &&
-               !run.system->tracer()) {
-        runThroughSnapshotCache(info, spec, run, res);
     } else {
+        if (cache.enabled() && cache.firstBoundary() > 0 &&
+            !run.system->tracer()) {
+            res.configHash = run.system->configHash();
+            result_key =
+                SnapshotCache::makeKey(info.name, spec, res.configHash) +
+                "/result";
+            if (serveStoredResult(cache, result_key, res.configHash,
+                                  res))
+                return res;
+        }
         res.cycles = run.run().cycles;
     }
     if (run.verify && !run.verify())
@@ -530,6 +518,9 @@ runRegion(const workloads::WorkloadInfo &info, const RunSpec &spec,
             .totalJ() /
         copies;
     res.work = run.workUnits / copies;
+    // Stored only now, so every served result passed verification.
+    if (!result_key.empty())
+        storeResult(cache, result_key, res.configHash, res);
     // Harvest host-time attribution: the per-System profile feeds the
     // process-wide aggregate (reported by bench drivers and the
     // manifest rollup) and the per-job manifest attribution.

@@ -32,15 +32,19 @@ struct RegionResult
     /** System::configHash() of the simulated run (0 when the
      *  snapshot cache was bypassed, e.g. while tracing). */
     std::uint64_t configHash = 0;
-    /** True when the run resumed from a cached snapshot instead of
-     *  simulating from cycle 0. Results are bit-identical either
-     *  way; this records provenance for manifests/logs. */
+    /** True when the run did not simulate from cycle 0: a sampled
+     *  run resumed from a cached snapshot, or an exact run was
+     *  served from its final-result entry (restored at its final
+     *  cycle, so snapshotBoundary == cycles). Results are
+     *  bit-identical either way; this records provenance for
+     *  manifests/logs. */
     bool warmStarted = false;
     /** Boundary cycle the run restored from (0 = cold). */
     Cycle snapshotBoundary = 0;
     /** Host milliseconds per profiler phase for this run, in Phase
-     *  order (empty when REMAP_PROFILE is off). Pure provenance:
-     *  flows into run manifests for per-job host-time attribution. */
+     *  order (empty when REMAP_PROFILE is off, and for a served
+     *  result, which simulates nothing). Pure provenance: flows into
+     *  run manifests for per-job host-time attribution. */
     std::vector<std::pair<std::string, double>> hostPhaseMs;
 
     /** @{ @name Sampled-mode results (DESIGN.md §14). When `sampled`
@@ -93,6 +97,15 @@ struct RegionResult
  * Run one region experiment: build, simulate, verify the golden
  * output (REMAP_FATAL on mismatch), and measure energy. Energy is
  * divided by RunSpec::copies so results are per program.
+ *
+ * An exact, untraced run with the SnapshotCache on is looked up by
+ * its final-result entry (key: workload, full RunSpec and
+ * configHash(); see snapshot_cache.hh) after the system is built. A
+ * hit returns the stored cycles, instructions, energy and work
+ * without simulating; a miss simulates continuously and stores the
+ * entry only after verification and energy measurement. Exact runs
+ * never segment or snapshot; sampled and adaptive runs keep their
+ * warm-start and replay entries (DESIGN.md §14-15).
  */
 RegionResult runRegion(const workloads::WorkloadInfo &info,
                        const workloads::RunSpec &spec,

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "harness/manifest.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
 
@@ -161,13 +162,8 @@ struct JobPool::Impl
 unsigned
 JobPool::defaultWorkers()
 {
-    if (const char *env = std::getenv("REMAP_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1)
-            return static_cast<unsigned>(std::min(v, 256ul));
-        REMAP_WARN("ignoring invalid REMAP_JOBS='%s'", env);
-    }
+    if (const std::uint64_t v = env::jobs())
+        return static_cast<unsigned>(std::min<std::uint64_t>(v, 256));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -11,7 +11,8 @@
  * never by completion order — bit-identical to the serial path.
  *
  * Worker count comes from the REMAP_JOBS environment variable when
- * set (REMAP_JOBS=1 forces fully serial, in-caller execution), else
+ * set (REMAP_JOBS=1 forces fully serial, in-caller execution; 0 means
+ * the hardware default; anything but digits is a fatal error), else
  * std::thread::hardware_concurrency().
  */
 
@@ -56,7 +57,8 @@ class JobPool
 
     /**
      * Worker count implied by the environment: REMAP_JOBS when set
-     * (clamped to [1, 256]), else hardware_concurrency(), min 1.
+     * and nonzero (capped at 256; parsed strictly by env::jobs()),
+     * else hardware_concurrency(), min 1.
      */
     static unsigned defaultWorkers();
 

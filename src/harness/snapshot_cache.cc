@@ -7,6 +7,7 @@
 #include <fstream>
 #include <thread>
 
+#include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
@@ -17,35 +18,10 @@ namespace remap::harness
 
 namespace fs = std::filesystem;
 
-namespace
-{
-
-/** Parse a non-negative integer environment variable; @p fallback on
- *  absence or garbage. */
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v) {
-        return fallback;
-    }
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-        REMAP_WARN("ignoring unparseable %s='%s'", name, v);
-        return fallback;
-    }
-    return parsed;
-}
-
-} // namespace
-
 SnapshotCache::SnapshotCache()
 {
-    capBytes_ = static_cast<std::size_t>(
-                    envU64("REMAP_CKPT_MEM", 256)) *
-                1024 * 1024;
-    firstBoundary_ = envU64("REMAP_CKPT_WARMUP", 16384);
+    capBytes_ = env::ckptMemBytes(std::size_t(256) * 1024 * 1024);
+    firstBoundary_ = env::ckptWarmup(16384);
     if (const char *dir = std::getenv("REMAP_CKPT"); dir && *dir)
         setDiskDir(dir);
     // Surface the process-wide cache in every System's stats "sim"
@@ -272,7 +248,7 @@ SnapshotCache::lookup(const std::string &key,
     e.boundary = hdr.boundaryCycle;
     e.blob = blob;
     e.lastUse = ++useClock_;
-    e.window = false; // disk loads rejoin the warm-start class
+    e.window = false; // disk loads rejoin the evicted-last class
     bytes_ += blob->size();
     stats_.bytes = bytes_;
     stats_.entries = entries_.size();
@@ -405,8 +381,8 @@ SnapshotCache::evictLocked()
 {
     while (bytes_ > capBytes_ && entries_.size() > 1) {
         // Window-class (replay) entries go first: a shed replay set
-        // costs one re-warmed run, a shed warm-start snapshot costs
-        // every later run of its key. Within a class, plain LRU.
+        // costs one re-warmed run, a shed result or warm-start entry
+        // costs every later run of its key. Within a class, plain LRU.
         auto victim = entries_.end();
         auto any = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -491,7 +467,7 @@ SnapshotCache::summary() const
     char buf[224];
     std::snprintf(
         buf, sizeof(buf),
-        "%llu warm hits, %llu misses, %llu snapshots stored "
+        "%llu hits, %llu misses, %llu entries stored "
         "(%zu resident, %.1f MB)%s",
         static_cast<unsigned long long>(st.hits),
         static_cast<unsigned long long>(st.misses),

@@ -1,32 +1,43 @@
 /**
  * @file
- * SnapshotCache — warm-start snapshot store for region sweeps.
+ * SnapshotCache — the content-addressed store behind region runs.
  *
  * Sweep drivers (figs. 8-14) run the same (workload, spec) simulation
  * many times: every barrierSweep() series re-simulates the per-size
- * Seq baseline, and variant sets share baselines across figures. The
- * cache exploits that: the first (cold) run of a key snapshots the
- * full System state at geometrically-doubling cycle boundaries
- * (W, 2W, 4W, ...); later runs of the same key restore the largest
- * stored boundary and resume from there, skipping at least half of
- * any sufficiently long run. System::runSegment() is cycle- and
- * statistics-identical to a continuous run, and restore is verified
- * bit-identical by tests/test_region_diff.cc, so warm-started
- * results equal cold results exactly — this is purely a simulation
- * speedup.
+ * Seq baseline, and the figures share one region set. The cache holds
+ * four entry classes, all blobs behind a snap::writeHeader()
+ * container header:
+ *
+ *  - final results ("<key>/result"): the verified RegionResult of an
+ *    exact run (cycles, instructions, energy, work). runRegion()
+ *    serves a repeated exact run from this entry without simulating,
+ *    and exact runs neither segment nor snapshot;
+ *  - warm-start snapshots ("<key>"): the full System state of a
+ *    sampled run at geometrically-doubling cycle boundaries (W, 2W,
+ *    4W, ...), restored by later runs of the same key;
+ *  - replay windows ("<key>/w<i>", "<key>/done"): per-window state of
+ *    checkpointed sample replay (DESIGN.md §15);
+ *  - adaptive-schedule memos ("<key>/sched").
  *
  * Keys are workload name + the full RunSpec + System::configHash()
- * (which covers every warmup-relevant parameter: core/mem/SPL
- * configuration, registered SPL functions and thread programs), so a
- * stale snapshot can never be applied to a changed simulation.
+ * (which covers every simulated parameter: core/mem/SPL
+ * configuration, registered SPL functions and thread programs), and
+ * every header carries snap::buildId(), a hash of the simulator
+ * sources. So an entry is never applied to a changed configuration
+ * or served to a build whose model differs from the one that wrote
+ * it.
  *
  * Environment knobs:
- *  - REMAP_CKPT=<dir>     persist snapshots to disk (atomic rename;
- *                         corrupt/stale files are ignored with a
- *                         warning, never trusted);
- *  - REMAP_CKPT_WARMUP=N  first snapshot boundary in cycles
- *                         (default 16384; 0 disables warm-start);
+ *  - REMAP_CKPT=<dir>     persist entries to disk (atomic rename;
+ *                         corrupt/stale files and files from another
+ *                         build are ignored with a warning, never
+ *                         trusted), so separate processes share them;
+ *  - REMAP_CKPT_WARMUP=N  first sampled-run snapshot boundary in
+ *                         cycles (default 16384); 0 turns the whole
+ *                         cache off, result entries included;
  *  - REMAP_CKPT_MEM=MB    in-memory cache cap (default 256 MB).
+ * The two sizes are parsed strictly (env::ckptWarmup(),
+ * env::ckptMemBytes()): a malformed value is a fatal error.
  *
  * Thread-safe: lookups/stores take an internal mutex, concurrent
  * stores to one key keep the largest boundary (single-writer-per-key
@@ -54,7 +65,8 @@ class Writer;
 namespace remap::harness
 {
 
-/** Process-wide store of warmed simulator state, keyed per run. */
+/** Process-wide store of run results and simulator state, keyed per
+ *  run. */
 class SnapshotCache
 {
   public:
@@ -66,7 +78,7 @@ class SnapshotCache
     {
         std::uint64_t hits = 0;      ///< lookups served (memory/disk)
         std::uint64_t misses = 0;    ///< lookups with nothing stored
-        std::uint64_t stores = 0;    ///< snapshots captured
+        std::uint64_t stores = 0;    ///< entries stored
         std::uint64_t diskLoads = 0; ///< hits satisfied from REMAP_CKPT
         std::uint64_t rejected = 0;  ///< corrupt/stale blobs discarded
         std::uint64_t evictions = 0; ///< entries dropped by the cap
@@ -75,9 +87,9 @@ class SnapshotCache
         /** @{ @name Window-snapshot accounting (DESIGN.md §15).
          * Replay-window entries share the REMAP_CKPT_MEM byte budget
          * but are accounted separately and evicted *first*: they are
-         * a pure replay optimization, while warm-start entries serve
-         * every sweep, so a long sampled sweep degrades by shedding
-         * replay sets, never by starving warm starts. */
+         * a pure replay optimization, while result and warm-start
+         * entries serve every sweep, so a long sampled sweep degrades
+         * by shedding replay sets, never by starving those. */
         std::uint64_t windowStores = 0;    ///< window snapshots captured
         std::uint64_t windowEvictions = 0; ///< window entries shed
         std::size_t windowBytes = 0;       ///< resident window bytes
@@ -93,8 +105,9 @@ class SnapshotCache
     void setEnabled(bool on);
     bool enabled() const;
 
-    /** First snapshot boundary in cycles; later boundaries double.
-     *  0 disables warm-start entirely. */
+    /** First sampled-run snapshot boundary in cycles; later
+     *  boundaries double. 0 turns the cache off: lookup() misses and
+     *  store() drops for every entry class. */
     void setFirstBoundary(Cycle cycles);
     Cycle firstBoundary() const;
 
@@ -118,17 +131,18 @@ class SnapshotCache
                                std::uint64_t config_hash);
 
     /**
-     * Fetch the largest-boundary snapshot stored for @p key, checking
+     * Fetch the largest-boundary blob stored for @p key, checking
      * memory first, then REMAP_CKPT. Disk blobs are validated
-     * (magic, format version, @p config_hash) before being returned;
-     * failures count as misses. @p boundary_out receives the
-     * snapshot's boundary cycle on a hit.
+     * (magic, format version, build identity, @p config_hash) before
+     * being returned; failures count as misses. @p boundary_out
+     * receives the blob's boundary cycle on a hit. The caller parses
+     * the payload and reject()s a blob it cannot use.
      */
     Blob lookup(const std::string &key, std::uint64_t config_hash,
                 Cycle *boundary_out);
 
     /**
-     * Record a snapshot of @p key taken at @p boundary. A smaller or
+     * Record a blob of @p key taken at @p boundary. A smaller or
      * equal boundary already stored for the key wins nothing and is
      * kept (concurrent writers race benignly: the largest boundary
      * survives). The blob must start with a snap::writeHeader()
@@ -141,7 +155,7 @@ class SnapshotCache
      * store() for a replay-window snapshot (checkpointed sample
      * replay, DESIGN.md §15). Same semantics, but the entry is
      * accounted in the window-snapshot stats and evicted before any
-     * warm-start entry when REMAP_CKPT_MEM pressure hits — replay
+     * other entry when REMAP_CKPT_MEM pressure hits — replay
      * sets are many entries per run and strictly an optimization.
      */
     void storeWindow(const std::string &key,

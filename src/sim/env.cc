@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -246,29 +247,91 @@ sampleParams()
 }
 
 bool
-parseTracePeriod(const char *text, std::uint64_t *out,
-                 std::string *error)
+parseCount(const char *name, const char *text, std::uint64_t *out,
+           std::string *error)
 {
     if (text && parseU64Field(text, out))
         return true;
     if (error) {
-        *error = "invalid REMAP_TRACE_PERIOD='" +
+        *error = "invalid " + std::string(name) + "='" +
                  std::string(text ? text : "") +
-                 "' (want a decimal cycle count)";
+                 "' (want a decimal count)";
     }
     return false;
 }
 
-std::uint64_t
-tracePeriod(std::uint64_t dflt)
+bool
+parseTracePeriod(const char *text, std::uint64_t *out,
+                 std::string *error)
 {
-    const char *env = std::getenv("REMAP_TRACE_PERIOD");
+    return parseCount("REMAP_TRACE_PERIOD", text, out, error);
+}
+
+bool
+parseMemoryMb(const char *text, std::size_t *bytes, std::string *error)
+{
+    constexpr std::uint64_t mb = 1024 * 1024;
+    std::uint64_t count = 0;
+    if (!parseCount("REMAP_CKPT_MEM", text, &count, error))
+        return false;
+    if (count > SIZE_MAX / mb) {
+        if (error) {
+            *error = "invalid REMAP_CKPT_MEM='" + std::string(text) +
+                     "' (megabyte count overflows the byte cap)";
+        }
+        return false;
+    }
+    *bytes = static_cast<std::size_t>(count * mb);
+    return true;
+}
+
+namespace
+{
+
+/** Read the count variable @p name, @p dflt when unset; malformed
+ *  values are fatal. */
+std::uint64_t
+countVar(const char *name, std::uint64_t dflt)
+{
+    const char *env = std::getenv(name);
     if (!env)
         return dflt;
     std::string err;
-    if (!parseTracePeriod(env, &dflt, &err))
+    if (!parseCount(name, env, &dflt, &err))
         REMAP_FATAL("%s", err.c_str());
     return dflt;
+}
+
+} // namespace
+
+std::uint64_t
+tracePeriod(std::uint64_t dflt)
+{
+    return countVar("REMAP_TRACE_PERIOD", dflt);
+}
+
+std::uint64_t
+ckptWarmup(std::uint64_t dflt)
+{
+    return countVar("REMAP_CKPT_WARMUP", dflt);
+}
+
+std::size_t
+ckptMemBytes(std::size_t dflt_bytes)
+{
+    const char *env = std::getenv("REMAP_CKPT_MEM");
+    if (!env)
+        return dflt_bytes;
+    std::string err;
+    if (!parseMemoryMb(env, &dflt_bytes, &err))
+        REMAP_FATAL("%s", err.c_str());
+    return dflt_bytes;
+}
+
+std::uint64_t
+jobs()
+{
+    return countVar("REMAP_JOBS", 0);
 }
 
 } // namespace remap::env

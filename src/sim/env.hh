@@ -24,11 +24,19 @@
  *                           env::sampleParams())
  *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
  *                           env::tracePeriod())
+ *
+ * Sizes (decimal digits only; anything else is a fatal error):
+ *  - REMAP_CKPT_WARMUP=N    first sampled-run snapshot boundary
+ *                           (env::ckptWarmup())
+ *  - REMAP_CKPT_MEM=MB      snapshot-cache memory cap
+ *                           (env::ckptMemBytes())
+ *  - REMAP_JOBS=N           job-pool workers (env::jobs())
  */
 
 #ifndef REMAP_SIM_ENV_HH
 #define REMAP_SIM_ENV_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -90,13 +98,29 @@ bool parseSampleSpec(const char *text, sampling::SampleParams *out,
 sampling::SampleParams sampleParams();
 
 /**
- * Strict REMAP_TRACE_PERIOD-value parser: a nonempty decimal cycle
- * count (digits only, so no signs, spaces or suffixes; "0" turns
- * counter sampling off). On failure @p out is untouched and @p error
- * receives a one-line description.
+ * Strict parser for a decimal count held by the variable @p name:
+ * nonempty, digits only (no signs, spaces or suffixes), at most 19
+ * digits so it cannot overflow. On failure @p out is untouched and
+ * @p error receives a one-line description naming the variable.
+ */
+bool parseCount(const char *name, const char *text, std::uint64_t *out,
+                std::string *error);
+
+/**
+ * Strict REMAP_TRACE_PERIOD-value parser: parseCount() of a cycle
+ * count ("0" turns counter sampling off).
  */
 bool parseTracePeriod(const char *text, std::uint64_t *out,
                       std::string *error);
+
+/**
+ * Strict REMAP_CKPT_MEM-value parser: parseCount() of a megabyte
+ * count whose byte count must fit std::size_t, so "256MB" and an
+ * overflowing count are rejected rather than becoming the default or
+ * a wrapped cap. @p bytes receives the cap in bytes.
+ */
+bool parseMemoryMb(const char *text, std::size_t *bytes,
+                   std::string *error);
 
 /**
  * The trace counter-sampling period from REMAP_TRACE_PERIOD, or
@@ -105,6 +129,18 @@ bool parseTracePeriod(const char *text, std::uint64_t *out,
  * sampling and "10k" must not mean 10.
  */
 std::uint64_t tracePeriod(std::uint64_t dflt);
+
+/** REMAP_CKPT_WARMUP in cycles, or @p dflt when unset; malformed
+ *  values are fatal (parseCount()). */
+std::uint64_t ckptWarmup(std::uint64_t dflt);
+
+/** REMAP_CKPT_MEM converted to bytes, or @p dflt_bytes when unset;
+ *  malformed or overflowing values are fatal (parseMemoryMb()). */
+std::size_t ckptMemBytes(std::size_t dflt_bytes);
+
+/** REMAP_JOBS, or 0 when unset; malformed values are fatal
+ *  (parseCount()). */
+std::uint64_t jobs();
 
 } // namespace remap::env
 

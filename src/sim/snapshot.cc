@@ -9,6 +9,7 @@ writeHeader(Serializer &s, std::uint64_t config_hash,
 {
     s.bytes(magic, sizeof(magic));
     s.u32(formatVersion);
+    s.u64(buildId());
     s.u64(config_hash);
     s.u64(boundary_cycle);
 }
@@ -25,6 +26,11 @@ readHeader(Deserializer &d, Header *out)
     out->version = d.u32();
     if (out->version != formatVersion) {
         d.fail("format version mismatch");
+        return false;
+    }
+    out->buildId = d.u64();
+    if (out->buildId != buildId()) {
+        d.fail("build identity mismatch");
         return false;
     }
     out->configHash = d.u64();

@@ -33,7 +33,11 @@
  * Versioning policy: formatVersion bumps on ANY layout change — there
  * are no per-section versions and no migration of old snapshots. A
  * snapshot is a pure cache of recomputable state, so stale versions
- * are simply discarded (SnapshotCache treats them as misses).
+ * are simply discarded (SnapshotCache treats them as misses). The
+ * container header also carries buildId(), a hash of the simulator
+ * sources: a blob written by any other build — even one whose layout
+ * and configuration hash are unchanged — describes another model's
+ * behaviour and is discarded the same way.
  */
 
 #ifndef REMAP_SIM_SNAPSHOT_HH
@@ -48,7 +52,13 @@ namespace remap::snap
 {
 
 /** Bump on any serialized-layout change (see versioning policy). */
-inline constexpr std::uint32_t formatVersion = 3;
+inline constexpr std::uint32_t formatVersion = 4;
+
+/** Identity of the simulator build: the first 64 bits of a SHA-256
+ *  over every file under src/, generated at build time by
+ *  src/sim/build_id.cmake. Any source edit changes it; every program
+ *  built from one tree shares it. */
+std::uint64_t buildId();
 
 /** Leading magic of every snapshot blob/file. */
 inline constexpr std::uint8_t magic[8] = {'R', 'M', 'A', 'P',
@@ -346,9 +356,9 @@ class Deserializer
 
 /**
  * Prepend the snapshot container header to @p s:
- * magic, format version, config-hash, boundary cycle. readHeader()
- * is the load-side gate — corrupt or stale blobs are rejected there
- * and never reach component restore code.
+ * magic, format version, build identity, config-hash, boundary
+ * cycle. readHeader() is the load-side gate — corrupt or stale blobs
+ * are rejected there and never reach component restore code.
  */
 void writeHeader(Serializer &s, std::uint64_t config_hash,
                  std::uint64_t boundary_cycle);
@@ -357,14 +367,15 @@ void writeHeader(Serializer &s, std::uint64_t config_hash,
 struct Header
 {
     std::uint32_t version = 0;
+    std::uint64_t buildId = 0;
     std::uint64_t configHash = 0;
     std::uint64_t boundaryCycle = 0;
 };
 
 /**
- * Validate magic + version and parse the header. @return false (with
- * @p d failed) on any mismatch; the caller treats that as a cache
- * miss, never as an error.
+ * Validate magic, version and build identity and parse the header.
+ * @return false (with @p d failed) on any mismatch; the caller
+ * treats that as a cache miss, never as an error.
  */
 bool readHeader(Deserializer &d, Header *out);
 

@@ -9,10 +9,13 @@
  *     event-horizon leap scheduler;
  *   - reference path: one-instruction fetch with the pristine cache
  *     way walk (REMAP_NO_BLOCK_CACHE=1 REMAP_NO_MRU=1);
- *   - cold-segmented: runRegion on an empty snapshot cache, which
- *     stops at doubling boundaries from cycle 2048 to capture;
- *   - warm-restored: runRegion again, resuming from the largest
- *     captured snapshot;
+ *   - stored: runRegion on an empty snapshot cache, which simulates
+ *     and assembles the result (per-copy energy and work);
+ *   - served: runRegion again, answered from the final-result entry
+ *     the first call stored;
+ *   - save/restore: the run stopped at the largest doubling boundary
+ *     (from cycle 2048) below its end, saved, restored into a fresh
+ *     build and run to the end;
  *   - profiled (fig8-fig11 regions): REMAP_PROFILE=1.
  *
  *  One value-parameterized case per region lets `ctest -j` balance
@@ -89,11 +92,9 @@ legEnv(Leg leg)
     return {};
 }
 
-/** Build and run @p job under @p leg, then capture every observable
- *  the run produced. */
-Probe
-runProbe(const RegionJob &job, Leg leg,
-         const std::string &trace_path = "", Cycle trace_period = 0)
+/** Build @p job with @p leg's environment switches set. */
+workloads::PreparedRun
+buildUnder(const RegionJob &job, Leg leg)
 {
     for (const char *name : legEnv(leg))
         EXPECT_EQ(setenv(name, "1", 1), 0);
@@ -101,12 +102,15 @@ runProbe(const RegionJob &job, Leg leg,
     for (const char *name : legEnv(leg))
         EXPECT_EQ(unsetenv(name), 0);
     EXPECT_EQ(r.system->profiler() != nullptr, leg == Leg::Profiled);
+    return r;
+}
 
-    if (!trace_path.empty()) {
-        EXPECT_TRUE(r.system->enableTracing(trace_path, trace_period));
-    }
-
-    const sys::RunResult res = r.run();
+/** Capture every observable of @p r, which ran @p res to its end
+ *  (cycles counted from cycle 0). */
+Probe
+capture(const RegionJob &job, workloads::PreparedRun &r,
+        const sys::RunResult &res)
+{
     if (r.verify) {
         EXPECT_TRUE(r.verify()) << "golden mismatch: " << r.name;
     }
@@ -130,6 +134,20 @@ runProbe(const RegionJob &job, Leg leg,
     snap::Serializer s;
     r.system->save(s);
     p.snapshot = s.buffer();
+    return p;
+}
+
+/** Build and run @p job under @p leg, then capture every observable
+ *  the run produced. */
+Probe
+runProbe(const RegionJob &job, Leg leg,
+         const std::string &trace_path = "", Cycle trace_period = 0)
+{
+    workloads::PreparedRun r = buildUnder(job, leg);
+    if (!trace_path.empty()) {
+        EXPECT_TRUE(r.system->enableTracing(trace_path, trace_period));
+    }
+    Probe p = capture(job, r, r.run());
     if (!trace_path.empty()) {
         r.system->disableTracing();
         std::ifstream in(trace_path, std::ios::binary);
@@ -139,6 +157,43 @@ runProbe(const RegionJob &job, Leg leg,
         std::remove(trace_path.c_str());
     }
     return p;
+}
+
+/** The largest boundary 2048 * 2^k strictly below @p cycles (0 when
+ *  the run ends by cycle 2048). */
+Cycle
+segmentBoundary(Cycle cycles)
+{
+    Cycle boundary = 0;
+    for (Cycle next = 2048; next < cycles; next *= 2)
+        boundary = next;
+    return boundary;
+}
+
+/**
+ * Run @p job under @p capture_leg to cycle @p boundary, save the
+ * System, restore it into a fresh build under @p resume_leg, run that
+ * to the end and capture it.
+ */
+Probe
+runRestored(const RegionJob &job, Cycle boundary, Leg capture_leg,
+            Leg resume_leg)
+{
+    workloads::PreparedRun first = buildUnder(job, capture_leg);
+    const sys::RunResult seg = first.system->runSegment(boundary);
+    EXPECT_TRUE(seg.timedOut);
+    EXPECT_EQ(seg.cycles, boundary);
+    snap::Serializer s;
+    first.system->save(s);
+
+    workloads::PreparedRun r = buildUnder(job, resume_leg);
+    snap::Deserializer d(s.buffer());
+    r.system->restore(d);
+    EXPECT_TRUE(d.ok()) << d.error();
+    EXPECT_TRUE(d.atEnd());
+    sys::RunResult res = r.run();
+    res.cycles += boundary;
+    return capture(job, r, res);
 }
 
 void
@@ -233,32 +288,33 @@ TEST_P(RegionDifferential, AlternativesMatchReference)
         expectIdentical(runProbe(c.job, Leg::Profiled), ref);
     }
 
-    // Snapshot legs: a cold run on an empty cache captures at
-    // doubling boundaries from 2048 (aggressive, so even short
-    // regions exercise restore), then a second run restores the
-    // largest capture.
+    // Result-entry legs: the first runRegion on an empty cache
+    // simulates and stores, the second is served from the entry.
     power::EnergyModel model;
     auto &cache = SnapshotCache::instance();
     cache.setEnabled(true);
     cache.clear();
-    cache.setFirstBoundary(2048);
-    const RegionResult cold =
+    const RegionResult stored =
         harness::runRegion(*c.job.info, c.job.spec, model);
-    const RegionResult warm =
+    const RegionResult served =
         harness::runRegion(*c.job.info, c.job.spec, model);
     cache.clear();
-    cache.setFirstBoundary(16384);
     {
-        SCOPED_TRACE("cold-segmented");
-        EXPECT_FALSE(cold.warmStarted);
-        expectRegionMatches(cold, ref, c.job.spec);
+        SCOPED_TRACE("stored");
+        EXPECT_FALSE(stored.warmStarted);
+        expectRegionMatches(stored, ref, c.job.spec);
     }
     {
-        SCOPED_TRACE("warm-restored");
-        if (ref.cycles > 2048) {
-            EXPECT_TRUE(warm.warmStarted);
-        }
-        expectRegionMatches(warm, ref, c.job.spec);
+        SCOPED_TRACE("served");
+        EXPECT_TRUE(served.warmStarted);
+        EXPECT_EQ(served.snapshotBoundary, served.cycles);
+        expectRegionMatches(served, ref, c.job.spec);
+    }
+    if (const Cycle boundary = segmentBoundary(ref.cycles)) {
+        SCOPED_TRACE("save/restore");
+        expectIdentical(
+            runRestored(c.job, boundary, Leg::Default, Leg::Default),
+            ref);
     }
 }
 
@@ -312,71 +368,42 @@ TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
 {
     // Derived fast-path state — the decoded basic-block tables and
     // operand-readiness memos in the cores, the MRU way predictions
-    // in the caches — is never serialized; Core::restore and
-    // Cache::restore rebuild it from scratch. Snapshots are therefore
-    // interchangeable across REMAP_NO_BLOCK_CACHE / REMAP_NO_MRU
-    // settings: a reference-path run warm-started from a snapshot a
-    // fast-path run captured must land on exactly the cold reference
-    // trajectory, and vice versa.
-    auto &cache = SnapshotCache::instance();
-    cache.setEnabled(true);
-    cache.clear();
-    cache.setFirstBoundary(2048);
-
-    power::EnergyModel model;
-    const auto &info = workloads::byName("ll2");
+    // in the caches, the leap scheduler's activity cache — is never
+    // serialized; restore rebuilds it from scratch. Snapshots are
+    // therefore interchangeable across REMAP_NO_LEAP /
+    // REMAP_NO_BLOCK_CACHE / REMAP_NO_MRU settings: a run restored
+    // under any setting from a snapshot captured under any other
+    // must land on exactly the uninterrupted trajectory.
     RunSpec spec;
     spec.variant = Variant::HwBarrier;
     spec.problemSize = 64;
     spec.threads = 8;
+    const RegionJob job{&workloads::byName("ll2"), spec};
 
-    // Cold fast-path run; captures snapshots at doubling boundaries.
-    const auto cold_fast = harness::runRegion(info, spec, model);
-
-    // Reference path, warm-started from the fast-path snapshot, then
-    // cold for the identity baseline.
-    ASSERT_EQ(setenv("REMAP_NO_BLOCK_CACHE", "1", 1), 0);
-    ASSERT_EQ(setenv("REMAP_NO_MRU", "1", 1), 0);
-    const auto warm_slow = harness::runRegion(info, spec, model);
-    cache.setEnabled(false);
-    const auto cold_slow = harness::runRegion(info, spec, model);
-
-    // Reverse direction: reference-path snapshots warm-start a
-    // fast-path run.
-    cache.setEnabled(true);
-    cache.clear();
-    const auto capture_slow = harness::runRegion(info, spec, model);
-    ASSERT_EQ(unsetenv("REMAP_NO_BLOCK_CACHE"), 0);
-    ASSERT_EQ(unsetenv("REMAP_NO_MRU"), 0);
-    const auto warm_fast = harness::runRegion(info, spec, model);
-
-    ASSERT_TRUE(warm_slow.warmStarted);
-    ASSERT_TRUE(warm_fast.warmStarted);
-    EXPECT_FALSE(capture_slow.warmStarted);
-
-    EXPECT_EQ(cold_fast.cycles, cold_slow.cycles);
-    EXPECT_EQ(cold_fast.energyJ, cold_slow.energyJ);
-    EXPECT_EQ(cold_fast.work, cold_slow.work);
-    EXPECT_EQ(warm_slow.cycles, cold_slow.cycles);
-    EXPECT_EQ(warm_slow.energyJ, cold_slow.energyJ);
-    EXPECT_EQ(warm_slow.work, cold_slow.work);
-    EXPECT_EQ(warm_fast.cycles, cold_slow.cycles);
-    EXPECT_EQ(warm_fast.energyJ, cold_slow.energyJ);
-    EXPECT_EQ(warm_fast.work, cold_slow.work);
-
-    cache.clear();
-    cache.setFirstBoundary(16384);
+    const Probe ref = runProbe(job, Leg::Default);
+    const Cycle boundary = segmentBoundary(ref.cycles);
+    ASSERT_GT(boundary, 0u);
+    const Leg legs[] = {Leg::Default, Leg::NoLeap, Leg::ReferencePath};
+    for (Leg from : legs) {
+        for (Leg to : legs) {
+            if (from == to)
+                continue;
+            SCOPED_TRACE(testing::Message()
+                         << "capture leg " << int(from)
+                         << ", resume leg " << int(to));
+            expectIdentical(runRestored(job, boundary, from, to), ref);
+        }
+    }
 }
 
 TEST(SnapshotDifferential, TracedRunsBypassTheCacheUnchanged)
 {
-    // Tracing must observe the complete run, so runRegion skips
-    // warm-start whenever the system traces — and the traced result
-    // still equals the warm-started untraced one.
+    // Tracing must observe the complete run, so runRegion never
+    // serves a traced run from a stored result — it simulates, and
+    // the traced result still equals the stored one.
     auto &cache = SnapshotCache::instance();
     cache.setEnabled(true);
     cache.clear();
-    cache.setFirstBoundary(1024);
 
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
@@ -385,25 +412,36 @@ TEST(SnapshotDifferential, TracedRunsBypassTheCacheUnchanged)
     spec.problemSize = 32;
     spec.threads = 8;
 
-    const auto cold = harness::runRegion(info, spec, model);
-    const auto warm = harness::runRegion(info, spec, model);
-    ASSERT_TRUE(warm.warmStarted);
+    const auto stored = harness::runRegion(info, spec, model);
+    ASSERT_FALSE(stored.warmStarted);
+    const std::uint64_t stores = cache.stats().stores;
+    ASSERT_GE(stores, 1u);
 
-    ASSERT_EQ(setenv("REMAP_TRACE", "/tmp/remap_snapdiff_trace.json",
-                     1),
-              0);
+    const std::string trace_path =
+        testing::TempDir() + "remap_snapdiff_trace.json";
+    ASSERT_EQ(setenv("REMAP_TRACE", trace_path.c_str(), 1), 0);
     const auto traced = harness::runRegion(info, spec, model);
     ASSERT_EQ(unsetenv("REMAP_TRACE"), 0);
+    std::ifstream trace(trace_path, std::ios::binary);
+    EXPECT_TRUE(trace.good() && trace.peek() != EOF)
+        << "traced run wrote no trace";
+    trace.close();
+    std::remove(trace_path.c_str());
 
     EXPECT_FALSE(traced.warmStarted);
     EXPECT_EQ(traced.configHash, 0u);
-    EXPECT_EQ(traced.cycles, warm.cycles);
-    EXPECT_EQ(traced.energyJ, warm.energyJ);
-    EXPECT_EQ(traced.work, warm.work);
-    EXPECT_EQ(cold.cycles, warm.cycles);
+    EXPECT_EQ(cache.stats().stores, stores);
+    EXPECT_EQ(traced.cycles, stored.cycles);
+    EXPECT_EQ(traced.insts, stored.insts);
+    EXPECT_EQ(traced.energyJ, stored.energyJ);
+    EXPECT_EQ(traced.work, stored.work);
+
+    // The entry is intact: an untraced repeat is still served.
+    const auto served = harness::runRegion(info, spec, model);
+    EXPECT_TRUE(served.warmStarted);
+    EXPECT_EQ(served.cycles, stored.cycles);
 
     cache.clear();
-    cache.setFirstBoundary(16384);
 }
 
 } // namespace

@@ -194,6 +194,67 @@ TEST(Sampling, MalformedTracePeriodsAreRejected)
     ASSERT_EQ(unsetenv("REMAP_TRACE_PERIOD"), 0);
 }
 
+TEST(Sampling, MalformedCountVariablesAreRejected)
+{
+    // REMAP_CKPT_WARMUP, REMAP_CKPT_MEM and REMAP_JOBS take the same
+    // digits-only counts: "256MB" must not silently become the
+    // default cap, and "4 " must not become 4 workers.
+    const char *names[] = {"REMAP_CKPT_WARMUP", "REMAP_CKPT_MEM",
+                           "REMAP_JOBS"};
+    const char *bad[] = {"", " ", "abc", "256MB", "-5", "+5", "1e4",
+                         " 100", "100 ", "99999999999999999999"};
+    for (const char *name : names) {
+        for (const char *text : bad) {
+            SCOPED_TRACE(std::string(name) + "='" + text + "'");
+            std::uint64_t count = 7;
+            std::string err;
+            EXPECT_FALSE(env::parseCount(name, text, &count, &err));
+            EXPECT_EQ(count, 7u);
+            EXPECT_NE(err.find(name), std::string::npos);
+        }
+        std::uint64_t count = 7;
+        std::string err;
+        EXPECT_TRUE(env::parseCount(name, "0", &count, &err)) << err;
+        EXPECT_EQ(count, 0u);
+        EXPECT_TRUE(env::parseCount(name, "256", &count, &err)) << err;
+        EXPECT_EQ(count, 256u);
+    }
+
+    // REMAP_CKPT_MEM is in megabytes; a count whose byte total does
+    // not fit size_t is rejected, not wrapped.
+    const std::uint64_t max_mb = SIZE_MAX / (1024 * 1024);
+    const std::string too_big = std::to_string(max_mb + 1);
+    const char *bad_mem[] = {"256MB", "", too_big.c_str()};
+    for (const char *text : bad_mem) {
+        SCOPED_TRACE(text);
+        std::size_t bytes = 7;
+        std::string err;
+        EXPECT_FALSE(env::parseMemoryMb(text, &bytes, &err));
+        EXPECT_EQ(bytes, 7u);
+        EXPECT_NE(err.find("REMAP_CKPT_MEM"), std::string::npos);
+    }
+    std::size_t bytes = 0;
+    std::string err;
+    EXPECT_TRUE(env::parseMemoryMb("256", &bytes, &err)) << err;
+    EXPECT_EQ(bytes, std::size_t(256) * 1024 * 1024);
+    const std::string largest = std::to_string(max_mb);
+    EXPECT_TRUE(env::parseMemoryMb(largest.c_str(), &bytes, &err))
+        << err;
+    EXPECT_EQ(bytes, static_cast<std::size_t>(max_mb) * 1024 * 1024);
+
+    // Unset falls back to the caller's default.
+    ASSERT_EQ(unsetenv("REMAP_CKPT_WARMUP"), 0);
+    ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
+    EXPECT_EQ(env::ckptWarmup(16384), 16384u);
+    EXPECT_EQ(env::ckptMemBytes(123), 123u);
+    ASSERT_EQ(setenv("REMAP_CKPT_WARMUP", "0", 1), 0);
+    ASSERT_EQ(setenv("REMAP_CKPT_MEM", "2", 1), 0);
+    EXPECT_EQ(env::ckptWarmup(16384), 0u);
+    EXPECT_EQ(env::ckptMemBytes(123), 2u * 1024 * 1024);
+    ASSERT_EQ(unsetenv("REMAP_CKPT_WARMUP"), 0);
+    ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
+}
+
 TEST(Sampling, MalformedKillSwitchesAreRejected)
 {
     // A kill switch is off only when unset and on only at "1": "0"

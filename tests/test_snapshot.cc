@@ -1,8 +1,9 @@
 /** @file Tests for the snapshot subsystem: serializer/deserializer
  *  format guarantees, per-component save/restore round trips
  *  (randomized via the deterministic Rng), corrupt/truncated/
- *  version-mismatch rejection, and SnapshotCache semantics
- *  (boundary ordering, LRU cap, disk persistence validation). */
+ *  version/build-mismatch rejection, SnapshotCache semantics
+ *  (boundary ordering, LRU cap, disk persistence validation) and
+ *  runRegion's final-result entries. */
 
 #include <gtest/gtest.h>
 
@@ -134,6 +135,20 @@ TEST(SnapshotHeader, VersionMismatchRejected)
     snap::Deserializer d(buf);
     snap::Header h;
     EXPECT_FALSE(snap::readHeader(d, &h));
+}
+
+TEST(SnapshotHeader, BuildIdentityMismatchRejected)
+{
+    // A blob from another simulator build may share the layout and
+    // the config hash, yet describe another model's behaviour.
+    snap::Serializer s;
+    snap::writeHeader(s, 1, 2);
+    auto buf = s.take();
+    buf[12] ^= 0x01; // build identity follows magic + version
+    snap::Deserializer d(buf);
+    snap::Header h;
+    EXPECT_FALSE(snap::readHeader(d, &h));
+    EXPECT_STREQ(d.error(), "build identity mismatch");
 }
 
 TEST(SnapshotHeader, TruncatedRejected)
@@ -527,32 +542,161 @@ TEST(SnapshotCacheTest, DiskPersistenceValidatesHeader)
     fs::remove_all(dir);
 }
 
-TEST(RunRegionWarmStart, SecondRunIsWarmAndBitIdentical)
+/** The small region the result-entry tests run. */
+workloads::RunSpec
+resultEntrySpec()
 {
-    CacheGuard guard;
-    auto &c = SnapshotCache::instance();
-    c.setFirstBoundary(1024); // snapshot even this small workload
-
-    power::EnergyModel model;
-    const auto &info = workloads::byName("ll2");
     workloads::RunSpec spec;
     spec.variant = workloads::Variant::HwBarrier;
     spec.problemSize = 32;
     spec.threads = 8;
+    return spec;
+}
+
+void
+expectSameResult(const harness::RegionResult &a,
+                 const harness::RegionResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.insts, b.insts);
+    EXPECT_EQ(a.energyJ, b.energyJ);
+    EXPECT_EQ(a.work, b.work);
+    EXPECT_EQ(a.configHash, b.configHash);
+}
+
+TEST(RunRegionResultEntry, SecondRunIsServedAndBitIdentical)
+{
+    CacheGuard guard;
+    auto &c = SnapshotCache::instance();
+    power::EnergyModel model;
+    const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+
+    const SnapshotCache::Stats before = c.stats();
 
     const auto cold = harness::runRegion(info, spec, model);
     EXPECT_FALSE(cold.warmStarted);
     EXPECT_NE(cold.configHash, 0u);
-    EXPECT_GE(c.stats().stores, 1u);
+    // One entry per exact run: the final result, no snapshots.
+    EXPECT_EQ(c.stats().stores, before.stores + 1);
+    EXPECT_EQ(c.stats().misses, before.misses + 1);
 
-    const auto warm = harness::runRegion(info, spec, model);
-    EXPECT_TRUE(warm.warmStarted);
-    EXPECT_GT(warm.snapshotBoundary, 0u);
-    EXPECT_LT(warm.snapshotBoundary, warm.cycles);
-    EXPECT_EQ(warm.cycles, cold.cycles);
-    EXPECT_EQ(warm.energyJ, cold.energyJ);
-    EXPECT_EQ(warm.work, cold.work);
-    EXPECT_EQ(warm.configHash, cold.configHash);
+    const auto served = harness::runRegion(info, spec, model);
+    EXPECT_TRUE(served.warmStarted);
+    EXPECT_EQ(served.snapshotBoundary, served.cycles);
+    EXPECT_TRUE(served.hostPhaseMs.empty());
+    EXPECT_EQ(c.stats().hits, before.hits + 1);
+    EXPECT_EQ(c.stats().stores, before.stores + 1);
+    expectSameResult(served, cold);
+}
+
+/** A fresh REMAP_CKPT-style directory, removed on scope exit. */
+struct DiskDir
+{
+    std::filesystem::path path;
+    explicit DiskDir(const char *name)
+        : path(std::filesystem::temp_directory_path() / name)
+    {
+        std::filesystem::remove_all(path);
+        SnapshotCache::instance().setDiskDir(path.string());
+    }
+    ~DiskDir() { std::filesystem::remove_all(path); }
+
+    /** The single entry file the directory holds. */
+    std::filesystem::path
+    onlyFile() const
+    {
+        std::vector<std::filesystem::path> files;
+        for (const auto &e : std::filesystem::directory_iterator(path))
+            files.push_back(e.path());
+        EXPECT_EQ(files.size(), 1u);
+        return files.empty() ? std::filesystem::path() : files[0];
+    }
+};
+
+TEST(RunRegionResultEntry, RoundTripsThroughDiskDir)
+{
+    CacheGuard guard;
+    DiskDir dir("remap_result_entry_disk");
+    auto &c = SnapshotCache::instance();
+    power::EnergyModel model;
+    const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+
+    const auto cold = harness::runRegion(info, spec, model);
+    ASSERT_FALSE(cold.warmStarted);
+    ASSERT_FALSE(dir.onlyFile().empty());
+
+    // A fresh in-memory cache (another process) is served from disk.
+    c.clear();
+    const std::uint64_t loads = c.stats().diskLoads;
+    const auto served = harness::runRegion(info, spec, model);
+    EXPECT_TRUE(served.warmStarted);
+    EXPECT_EQ(c.stats().diskLoads, loads + 1);
+    expectSameResult(served, cold);
+}
+
+TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
+{
+    CacheGuard guard;
+    DiskDir dir("remap_result_entry_truncated");
+    auto &c = SnapshotCache::instance();
+    power::EnergyModel model;
+    const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+
+    const auto cold = harness::runRegion(info, spec, model);
+    const std::filesystem::path file = dir.onlyFile();
+    // Cut into the last field: the header still validates, the
+    // payload does not parse.
+    std::filesystem::resize_file(file,
+                                 std::filesystem::file_size(file) - 4);
+    c.clear();
+    const std::uint64_t rejected = c.stats().rejected;
+    testing::internal::CaptureStderr();
+    const auto rerun = harness::runRegion(info, spec, model);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("ignoring bad result entry"), std::string::npos)
+        << err;
+    EXPECT_EQ(c.stats().rejected, rejected + 1);
+    EXPECT_FALSE(rerun.warmStarted);
+    expectSameResult(rerun, cold);
+
+    // The re-simulated run replaced the file with a good entry.
+    c.clear();
+    EXPECT_TRUE(harness::runRegion(info, spec, model).warmStarted);
+}
+
+TEST(RunRegionResultEntry, OtherBuildIdentityIsRejected)
+{
+    CacheGuard guard;
+    DiskDir dir("remap_result_entry_build");
+    auto &c = SnapshotCache::instance();
+    power::EnergyModel model;
+    const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+
+    const auto cold = harness::runRegion(info, spec, model);
+    {
+        // Rewrite the header's build identity (after the 8-byte
+        // magic and 4-byte version), as another build would have.
+        std::fstream f(dir.onlyFile(), std::ios::in | std::ios::out |
+                                           std::ios::binary);
+        f.seekg(12);
+        const int byte = f.get();
+        f.seekp(12);
+        f.put(static_cast<char>(byte ^ 0x01));
+    }
+    c.clear();
+    const std::uint64_t rejected = c.stats().rejected;
+    testing::internal::CaptureStderr();
+    const auto rerun = harness::runRegion(info, spec, model);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("build identity mismatch"), std::string::npos)
+        << err;
+    EXPECT_EQ(c.stats().rejected, rejected + 1);
+    EXPECT_FALSE(rerun.warmStarted);
+    expectSameResult(rerun, cold);
 }
 
 } // namespace

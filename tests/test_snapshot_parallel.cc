@@ -1,10 +1,10 @@
 /** @file Concurrency tests for the SnapshotCache: many JobPool
  *  workers hammering lookup/store/reject on shared and disjoint
- *  keys, concurrent disk publication, and warm-started parallel
- *  region batches matching serial results bit for bit. Run under
- *  ThreadSanitizer by the CI thread-sanitizer job (the pool is
- *  forced to multiple workers, so the races exist even on a
- *  single-core host). */
+ *  keys, concurrent disk publication, and parallel region batches
+ *  stored and served from final-result entries matching serial
+ *  results bit for bit. Run under ThreadSanitizer by the CI
+ *  thread-sanitizer job (the pool is forced to multiple workers, so
+ *  the races exist even on a single-core host). */
 
 #include <gtest/gtest.h>
 
@@ -151,11 +151,10 @@ TEST(SnapshotCacheParallel, ConcurrentDiskStoresPublishAtomically)
     fs::remove_all(dir);
 }
 
-TEST(SnapshotCacheParallel, WarmParallelBatchMatchesSerial)
+TEST(SnapshotCacheParallel, ServedParallelBatchMatchesSerial)
 {
     CacheGuard guard;
     auto &cache = SnapshotCache::instance();
-    cache.setFirstBoundary(512);
 
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
@@ -172,19 +171,28 @@ TEST(SnapshotCacheParallel, WarmParallelBatchMatchesSerial)
         }
     }
 
-    // Serial cold pass: the reference results, and the snapshots.
+    // Serial pass with the cache off: the simulated reference.
+    cache.setEnabled(false);
     JobPool serial(1);
-    const auto cold = harness::runRegions(jobs, model, &serial);
+    const auto ref = harness::runRegions(jobs, model, &serial);
+    cache.setEnabled(true);
 
-    // Parallel warm pass: every job restores concurrently.
+    // Parallel passes: the first stores every result concurrently,
+    // the second is served concurrently from those entries.
     JobPool parallel(4);
-    const auto warm = harness::runRegions(jobs, model, &parallel);
-    ASSERT_EQ(cold.size(), warm.size());
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-        EXPECT_EQ(cold[i].cycles, warm[i].cycles);
-        EXPECT_EQ(cold[i].energyJ, warm[i].energyJ);
-        EXPECT_EQ(cold[i].work, warm[i].work);
-        EXPECT_TRUE(warm[i].warmStarted) << "job " << i;
+    const auto stored = harness::runRegions(jobs, model, &parallel);
+    const auto served = harness::runRegions(jobs, model, &parallel);
+    ASSERT_EQ(ref.size(), stored.size());
+    ASSERT_EQ(ref.size(), served.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        for (const auto *r : {&stored[i], &served[i]}) {
+            EXPECT_EQ(ref[i].cycles, r->cycles) << "job " << i;
+            EXPECT_EQ(ref[i].insts, r->insts) << "job " << i;
+            EXPECT_EQ(ref[i].energyJ, r->energyJ) << "job " << i;
+            EXPECT_EQ(ref[i].work, r->work) << "job " << i;
+        }
+        EXPECT_FALSE(stored[i].warmStarted) << "job " << i;
+        EXPECT_TRUE(served[i].warmStarted) << "job " << i;
     }
 }
 
