@@ -137,7 +137,7 @@ System::System(const SystemConfig &config)
 
     // Read directly (not via prof::envEnabled's cache) so tests can
     // toggle REMAP_PROFILE between System constructions.
-    if (std::getenv("REMAP_PROFILE") != nullptr)
+    if (env::profile())
         enableProfiling();
 }
 

@@ -335,8 +335,8 @@ class System
      * Start host-time profiling: every core, the memory hierarchy,
      * the barrier unit and the run loop attribute wall-clock time to
      * their phases (see sim/profile.hh). Also enabled automatically
-     * at construction when REMAP_PROFILE is set in the environment
-     * (read directly, not cached, so tests can toggle it between
+     * at construction when REMAP_PROFILE=1 (env::profile(), read
+     * per construction, not cached, so tests can toggle it between
      * constructions). Pure observation: simulated cycles, statistics
      * and energy are bit-identical with profiling on or off.
      */

@@ -538,19 +538,6 @@ runRegion(const workloads::WorkloadInfo &info, const RunSpec &spec,
     return res;
 }
 
-VariantResults
-runVariantSet(const workloads::WorkloadInfo &info,
-              const power::EnergyModel &model, bool include_swqueue,
-              unsigned compute_copies)
-{
-    // The region simulations are independent; fan them out over the
-    // shared pool (REMAP_JOBS=1 recovers fully serial execution).
-    // Results are keyed by variant, not completion order, so this is
-    // bit-identical to running them back to back.
-    return runVariantSetParallel(info, model, include_swqueue,
-                                 compute_copies);
-}
-
 WholeProgramRow
 composeWholeProgram(const workloads::WorkloadInfo &info,
                     const VariantResults &results,
@@ -627,36 +614,6 @@ composeWholeProgram(const workloads::WorkloadInfo &info,
                       static_cast<Cycle>(t_comm))) /
         ed_base;
     return row;
-}
-
-std::vector<BarrierPoint>
-barrierSweep(const workloads::WorkloadInfo &info, Variant v,
-             unsigned threads, const std::vector<unsigned> &sizes,
-             const power::EnergyModel &model)
-{
-    std::vector<BarrierPoint> points;
-    for (unsigned size : sizes) {
-        RunSpec seq_spec;
-        seq_spec.variant = Variant::Seq;
-        seq_spec.problemSize = size;
-        RegionResult seq = runRegion(info, seq_spec, model);
-
-        RunSpec spec;
-        spec.variant = v;
-        spec.problemSize = size;
-        spec.threads = threads;
-        RegionResult res = (v == Variant::Seq)
-                               ? seq
-                               : runRegion(info, spec, model);
-
-        BarrierPoint p;
-        p.problemSize = size;
-        p.cyclesPerIter = res.cyclesPerUnit();
-        p.relEd = res.ed(model.clockParams()) /
-                  seq.ed(model.clockParams());
-        points.push_back(p);
-    }
-    return points;
 }
 
 double

@@ -1,7 +1,8 @@
 /**
  * @file
- * Experiment drivers for the paper's tables and figures. Each bench
- * binary composes these into the rows/series the paper reports.
+ * Experiment building blocks for the paper's tables and figures:
+ * one region run, whole-program composition and the Table I model.
+ * harness/paper.hh composes them into the rows the paper reports.
  */
 
 #ifndef REMAP_HARNESS_EXPERIMENT_HH
@@ -111,20 +112,8 @@ RegionResult runRegion(const workloads::WorkloadInfo &info,
                        const workloads::RunSpec &spec,
                        const power::EnergyModel &model);
 
-/** Region results across all variants of one workload. */
+/** Region results of one workload, by variant. */
 using VariantResults = std::map<workloads::Variant, RegionResult>;
-
-/**
- * Run the Fig. 10/11 variant set for @p info: Seq, SeqOoo2 and
- * 1Th+Comp for every workload; 2Th+Comm, 2Th+CompComm, OOO2+Comm
- * (and SwQueue when @p include_swqueue) for communicating workloads.
- * Compute-only 1Th+Comp runs @p compute_copies concurrent copies to
- * model fabric contention (Section V-A).
- */
-VariantResults runVariantSet(const workloads::WorkloadInfo &info,
-                             const power::EnergyModel &model,
-                             bool include_swqueue = false,
-                             unsigned compute_copies = 4);
 
 /** One Fig. 8/9 row: whole-program metrics vs. the OOO1 baseline. */
 struct WholeProgramRow
@@ -146,23 +135,6 @@ struct WholeProgramRow
 WholeProgramRow composeWholeProgram(const workloads::WorkloadInfo &info,
                                     const VariantResults &results,
                                     const power::EnergyModel &model);
-
-/** One point of a barrier-workload sweep (Figs. 12-14). */
-struct BarrierPoint
-{
-    unsigned problemSize = 0;
-    double cyclesPerIter = 0.0;
-    double relEd = 1.0; ///< ED relative to the sequential run
-};
-
-/**
- * Sweep a barrier workload over @p sizes at @p threads for variant
- * @p v; relEd is computed against a Seq run at each size.
- */
-std::vector<BarrierPoint>
-barrierSweep(const workloads::WorkloadInfo &info, workloads::Variant v,
-             unsigned threads, const std::vector<unsigned> &sizes,
-             const power::EnergyModel &model);
 
 /** Geometric mean of a list of ratios. */
 double geomean(const std::vector<double> &v);

@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "harness/snapshot_cache.hh"
+#include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
@@ -53,8 +54,7 @@ experimentLabel()
 bool
 manifestsEnabled()
 {
-    const char *dir = std::getenv("REMAP_MANIFEST");
-    return dir != nullptr && *dir != '\0';
+    return !env::manifestDir().empty();
 }
 
 std::string
@@ -66,11 +66,11 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
 {
     std::string out_path = path;
     if (out_path.empty()) {
-        const char *dir = std::getenv("REMAP_MANIFEST");
-        if (!dir || !*dir)
+        const std::string dir = env::manifestDir();
+        if (dir.empty())
             return "";
         static std::atomic<std::uint64_t> seq{0};
-        out_path = std::string(dir) + "/" + experimentLabel() +
+        out_path = dir + "/" + experimentLabel() +
                    "_manifest_" +
                    std::to_string(seq.fetch_add(1)) + ".json";
     }

@@ -17,10 +17,6 @@
 namespace remap::harness
 {
 
-using workloads::Mode;
-using workloads::RunSpec;
-using workloads::Variant;
-
 namespace
 {
 
@@ -291,47 +287,8 @@ JobPool::run(std::vector<std::function<void()>> jobs)
 }
 
 // ---------------------------------------------------------------- //
-// Batch experiment drivers
+// Region batches
 // ---------------------------------------------------------------- //
-
-namespace
-{
-
-/** The exact variant/RunSpec list runVariantSet simulates, in its
- *  serial submission order. */
-std::vector<std::pair<Variant, RunSpec>>
-variantSpecs(const workloads::WorkloadInfo &info, bool include_swqueue,
-             unsigned compute_copies)
-{
-    std::vector<std::pair<Variant, RunSpec>> specs;
-    RunSpec spec;
-
-    spec.variant = Variant::Seq;
-    specs.emplace_back(Variant::Seq, spec);
-    spec.variant = Variant::SeqOoo2;
-    specs.emplace_back(Variant::SeqOoo2, spec);
-
-    spec.variant = Variant::Comp;
-    if (info.mode == Mode::ComputeOnly)
-        spec.copies = compute_copies;
-    specs.emplace_back(Variant::Comp, spec);
-    spec.copies = 1;
-
-    if (info.mode == Mode::CommComp) {
-        for (Variant v : {Variant::Comm, Variant::CompComm,
-                          Variant::Ooo2Comm}) {
-            spec.variant = v;
-            specs.emplace_back(v, spec);
-        }
-        if (include_swqueue) {
-            spec.variant = Variant::SwQueue;
-            specs.emplace_back(Variant::SwQueue, spec);
-        }
-    }
-    return specs;
-}
-
-} // namespace
 
 std::vector<RegionResult>
 runRegions(const std::vector<RegionJob> &jobs,
@@ -352,89 +309,6 @@ runRegions(const std::vector<RegionJob> &jobs,
     if (timings)
         *timings = std::move(t);
     return results;
-}
-
-VariantResults
-runVariantSetParallel(const workloads::WorkloadInfo &info,
-                      const power::EnergyModel &model,
-                      bool include_swqueue, unsigned compute_copies,
-                      JobPool *pool)
-{
-    const auto specs =
-        variantSpecs(info, include_swqueue, compute_copies);
-    std::vector<RegionJob> jobs;
-    jobs.reserve(specs.size());
-    for (const auto &[v, spec] : specs)
-        jobs.push_back(RegionJob{&info, spec});
-    const std::vector<RegionResult> results =
-        runRegions(jobs, model, pool);
-    VariantResults out;
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        out[specs[i].first] = results[i];
-    return out;
-}
-
-std::vector<VariantResults>
-runVariantSetsParallel(
-    const std::vector<const workloads::WorkloadInfo *> &infos,
-    const power::EnergyModel &model, bool include_swqueue,
-    unsigned compute_copies, JobPool *pool)
-{
-    std::vector<RegionJob> jobs;
-    std::vector<std::pair<std::size_t, Variant>> keys;
-    for (std::size_t w = 0; w < infos.size(); ++w) {
-        for (const auto &[v, spec] :
-             variantSpecs(*infos[w], include_swqueue,
-                          compute_copies)) {
-            jobs.push_back(RegionJob{infos[w], spec});
-            keys.emplace_back(w, v);
-        }
-    }
-    const std::vector<RegionResult> results =
-        runRegions(jobs, model, pool);
-    std::vector<VariantResults> out(infos.size());
-    for (std::size_t i = 0; i < results.size(); ++i)
-        out[keys[i].first][keys[i].second] = results[i];
-    return out;
-}
-
-std::vector<BarrierPoint>
-barrierSweepParallel(const workloads::WorkloadInfo &info, Variant v,
-                     unsigned threads,
-                     const std::vector<unsigned> &sizes,
-                     const power::EnergyModel &model, JobPool *pool)
-{
-    std::vector<RegionJob> jobs;
-    for (unsigned size : sizes) {
-        RunSpec seq_spec;
-        seq_spec.variant = Variant::Seq;
-        seq_spec.problemSize = size;
-        jobs.push_back(RegionJob{&info, seq_spec});
-        if (v != Variant::Seq) {
-            RunSpec spec;
-            spec.variant = v;
-            spec.problemSize = size;
-            spec.threads = threads;
-            jobs.push_back(RegionJob{&info, spec});
-        }
-    }
-    const std::vector<RegionResult> results =
-        runRegions(jobs, model, pool);
-
-    std::vector<BarrierPoint> points;
-    std::size_t idx = 0;
-    for (unsigned size : sizes) {
-        const RegionResult &seq = results[idx++];
-        const RegionResult &res =
-            v == Variant::Seq ? seq : results[idx++];
-        BarrierPoint p;
-        p.problemSize = size;
-        p.cyclesPerIter = res.cyclesPerUnit();
-        p.relEd = res.ed(model.clockParams()) /
-                  seq.ed(model.clockParams());
-        points.push_back(p);
-    }
-    return points;
 }
 
 } // namespace remap::harness

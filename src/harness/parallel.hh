@@ -1,7 +1,7 @@
 /**
  * @file
  * Parallel experiment harness: a work-stealing thread pool plus
- * batch drivers that fan independent (workload, variant, spec)
+ * runRegions(), which fans independent (workload, variant, spec)
  * simulations out across host cores.
  *
  * Every simulation submitted here is a self-contained System with no
@@ -104,43 +104,6 @@ std::vector<RegionResult>
 runRegions(const std::vector<RegionJob> &jobs,
            const power::EnergyModel &model, JobPool *pool = nullptr,
            std::vector<JobTiming> *timings = nullptr);
-
-/**
- * Parallel runVariantSet: identical variant list and per-variant
- * RunSpecs to the serial harness::runVariantSet, with the region
- * simulations fanned out over @p pool.
- */
-VariantResults
-runVariantSetParallel(const workloads::WorkloadInfo &info,
-                      const power::EnergyModel &model,
-                      bool include_swqueue = false,
-                      unsigned compute_copies = 4,
-                      JobPool *pool = nullptr);
-
-/**
- * Variant sets for many workloads at once: all region jobs of all
- * workloads are submitted as one batch, which is what the fig8-fig11
- * drivers want (cross-workload parallelism, not just cross-variant).
- * Results are in @p infos order.
- */
-std::vector<VariantResults>
-runVariantSetsParallel(const std::vector<const workloads::WorkloadInfo *> &infos,
-                       const power::EnergyModel &model,
-                       bool include_swqueue = false,
-                       unsigned compute_copies = 4,
-                       JobPool *pool = nullptr);
-
-/**
- * Parallel barrierSweep: the per-size Seq baseline and variant runs
- * all become independent jobs. Point values match the serial
- * harness::barrierSweep bit for bit.
- */
-std::vector<BarrierPoint>
-barrierSweepParallel(const workloads::WorkloadInfo &info,
-                     workloads::Variant v, unsigned threads,
-                     const std::vector<unsigned> &sizes,
-                     const power::EnergyModel &model,
-                     JobPool *pool = nullptr);
 
 } // namespace remap::harness
 

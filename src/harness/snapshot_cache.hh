@@ -2,9 +2,10 @@
  * @file
  * SnapshotCache — the content-addressed store behind region runs.
  *
- * Sweep drivers (figs. 8-14) run the same (workload, spec) simulation
- * many times: every barrierSweep() series re-simulates the per-size
- * Seq baseline, and the figures share one region set. The cache holds
+ * The same (workload, spec) simulation recurs across processes:
+ * repeated `paper` invocations sharing REMAP_CKPT, and perfbench's
+ * per-figure batches (Figs. 8-11 share one region set, Fig. 14
+ * repeats Fig. 12's sweeps). The cache holds
  * four entry classes, all blobs behind a snap::writeHeader()
  * container header:
  *

@@ -50,6 +50,17 @@ parseKillSwitch(const char *name, const char *text, bool *off,
 }
 
 bool
+profile()
+{
+    bool on = false;
+    std::string err;
+    if (!parseKillSwitch("REMAP_PROFILE", std::getenv("REMAP_PROFILE"),
+                         &on, &err))
+        REMAP_FATAL("%s", err.c_str());
+    return on;
+}
+
+bool
 noLeap()
 {
     static std::atomic<bool> announced{false};
@@ -332,6 +343,32 @@ std::uint64_t
 jobs()
 {
     return countVar("REMAP_JOBS", 0);
+}
+
+bool
+parseDirectory(const char *name, const char *text, std::string *dir,
+               std::string *error)
+{
+    if (!text || *text) {
+        *dir = text ? text : "";
+        return true;
+    }
+    if (error) {
+        *error = "invalid " + std::string(name) +
+                 "='' (want a directory, or unset the variable)";
+    }
+    return false;
+}
+
+std::string
+manifestDir()
+{
+    std::string dir;
+    std::string err;
+    if (!parseDirectory("REMAP_MANIFEST", std::getenv("REMAP_MANIFEST"),
+                        &dir, &err))
+        REMAP_FATAL("%s", err.c_str());
+    return dir;
 }
 
 } // namespace remap::env

@@ -19,6 +19,9 @@
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
  *  - REMAP_NO_SAMPLE_REPLAY=1 disable checkpointed sample replay
  *
+ * Switches (same strict form: unset = off, "1" = on):
+ *  - REMAP_PROFILE=1        host-time profiling (env::profile())
+ *
  * Mode overrides:
  *  - REMAP_SAMPLE=...       default sampled-mode schedule (see
  *                           env::sampleParams())
@@ -31,6 +34,9 @@
  *  - REMAP_CKPT_MEM=MB      snapshot-cache memory cap
  *                           (env::ckptMemBytes())
  *  - REMAP_JOBS=N           job-pool workers (env::jobs())
+ *
+ * Directories (nonempty; the empty string is a fatal error):
+ *  - REMAP_MANIFEST=DIR     run-manifest output (env::manifestDir())
  */
 
 #ifndef REMAP_SIM_ENV_HH
@@ -54,6 +60,10 @@ namespace remap::env
  */
 bool parseKillSwitch(const char *name, const char *text, bool *off,
                      std::string *error);
+
+/** True when REMAP_PROFILE=1: host-time profiling on. Parsed like a
+ *  kill switch, so "0" is a fatal error, never "on". */
+bool profile();
 
 /** True when REMAP_NO_LEAP=1: event-horizon leap disabled. */
 bool noLeap();
@@ -141,6 +151,20 @@ std::size_t ckptMemBytes(std::size_t dflt_bytes);
 /** REMAP_JOBS, or 0 when unset; malformed values are fatal
  *  (parseCount()). */
 std::uint64_t jobs();
+
+/**
+ * Strict parser for a directory held by the variable @p name: unset
+ * leaves @p dir empty (off), a nonempty value is the directory, and
+ * the empty string fails with a one-line @p error naming the
+ * variable, so a value meant to turn an output on never silently
+ * leaves it off.
+ */
+bool parseDirectory(const char *name, const char *text, std::string *dir,
+                    std::string *error);
+
+/** REMAP_MANIFEST, or "" when unset; an empty value is fatal
+ *  (parseDirectory()). */
+std::string manifestDir();
 
 } // namespace remap::env
 

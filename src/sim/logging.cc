@@ -1,7 +1,12 @@
 #include "sim/logging.hh"
 
+#include <atomic>
+#include <chrono>
 #include <cstdarg>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace remap
@@ -98,9 +103,20 @@ panicImpl(const char *file, int line, const std::string &msg)
 void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
+    // A fatal error can come from a job-pool worker (a malformed
+    // switch is read where a System is built), where std::exit()
+    // would run the shared pool's destructor and join the pool from
+    // inside it. So exit without static destructors, and report only
+    // the first fatal error when several workers hit it at once.
+    static std::atomic<bool> exiting{false};
+    if (exiting.exchange(true)) {
+        for (;;)
+            std::this_thread::sleep_for(std::chrono::seconds(1));
+    }
     emitLine("fatal",
              msg + detail::formatString("\n  at %s:%d", file, line));
-    std::exit(1);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

@@ -1,11 +1,11 @@
 #include "sim/profile.hh"
 
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 
+#include "sim/env.hh"
 #include "sim/json.hh"
 
 namespace remap::prof
@@ -42,7 +42,7 @@ phaseName(Phase p)
 bool
 envEnabled()
 {
-    static const bool enabled = std::getenv("REMAP_PROFILE") != nullptr;
+    static const bool enabled = env::profile();
     return enabled;
 }
 

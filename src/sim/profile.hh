@@ -10,7 +10,7 @@
  *    bit-identical with profiling on or off (enforced by
  *    tests/test_profile.cc).
  *  - Near-zero cost when disabled: every instrumentation site guards
- *    on a raw `Profiler *` that is null unless REMAP_PROFILE was set
+ *    on a raw `Profiler *` that is null unless REMAP_PROFILE=1
  *    (or System::enableProfiling() called), so the off path is one
  *    predictable branch — the same pattern the Tracer uses.
  *  - One Profiler per System: the parallel harness runs many Systems
@@ -55,9 +55,9 @@ inline constexpr unsigned kNumPhases = 10;
 /** Stable lower_snake name of @p p (JSON keys, trace series). */
 const char *phaseName(Phase p);
 
-/** True when REMAP_PROFILE is set in the environment (cached after
- *  the first call; per-System enabling reads the env directly so
- *  tests can toggle it between constructions). */
+/** True when REMAP_PROFILE=1 (env::profile(), cached after the
+ *  first call; per-System enabling re-reads it so tests can toggle
+ *  it between constructions). */
 bool envEnabled();
 
 /** Monotonic host clock reading in nanoseconds. */

@@ -1,5 +1,6 @@
 /** @file Tests for the experiment harness: table formatting, Table I
- *  calibration, region runs, whole-program composition. */
+ *  calibration, region runs, whole-program composition, and region
+ *  batches drawn from the paper spec. */
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 #include <sstream>
 
 #include "harness/experiment.hh"
+#include "harness/paper.hh"
 #include "harness/table.hh"
 
 namespace remap::harness
@@ -128,46 +130,70 @@ namespace
 
 TEST(BarrierSweepDriver, ProducesOrderedSanePoints)
 {
-    power::EnergyModel model;
+    // Two ll3 cells of the Fig. 12 sweep at p8, with the Seq
+    // baselines Fig. 14's ED is relative to, as the paper spec lists
+    // them.
+    using workloads::Variant;
     const auto &info = workloads::byName("ll3");
-    auto pts = barrierSweep(info, workloads::Variant::HwBarrier,
-                            /*threads=*/4, {64, 256}, model);
-    ASSERT_EQ(pts.size(), 2u);
-    EXPECT_EQ(pts[0].problemSize, 64u);
-    EXPECT_EQ(pts[1].problemSize, 256u);
-    // More work per iteration at the larger size.
-    EXPECT_GT(pts[1].cyclesPerIter, pts[0].cyclesPerIter);
-    for (const auto &p : pts) {
-        EXPECT_GT(p.cyclesPerIter, 0.0);
-        EXPECT_GT(p.relEd, 0.0);
+    std::vector<RegionJob> jobs;
+    for (const RegionJob &job : paperJobs({"fig12"})) {
+        const workloads::RunSpec &s = job.spec;
+        if (job.info == &info &&
+            (s.problemSize == 64 || s.problemSize == 256) &&
+            (s.variant == Variant::Seq ||
+             (s.variant == Variant::HwBarrier && s.threads == 8)))
+            jobs.push_back(job);
+    }
+    ASSERT_EQ(jobs.size(), 4u);
+    power::EnergyModel model;
+    const PaperResults results(jobs, runRegions(jobs, model));
+
+    double prev_cycles_per_iter = 0.0;
+    for (const unsigned size : {64u, 256u}) {
+        workloads::RunSpec spec;
+        spec.problemSize = size;
+        const RegionResult &seq = results.at(info, spec);
+        spec.variant = Variant::HwBarrier;
+        spec.threads = 8;
+        const RegionResult &res = results.at(info, spec);
+        // More work per iteration at the larger size.
+        EXPECT_GT(res.cyclesPerUnit(), prev_cycles_per_iter);
+        prev_cycles_per_iter = res.cyclesPerUnit();
+        EXPECT_GT(res.ed(model.clockParams()) /
+                      seq.ed(model.clockParams()),
+                  0.0);
     }
 }
 
 TEST(VariantSetDriver, CoversExpectedVariants)
 {
+    // adpcm's Fig. 10 jobs, shortened to 600 iterations so the test
+    // stays fast.
+    using workloads::Variant;
+    std::vector<RegionJob> jobs;
+    for (RegionJob job : paperJobs({"fig10"})) {
+        if (job.info->name != "adpcm")
+            continue;
+        job.spec.iterations = 600;
+        jobs.push_back(job);
+    }
     power::EnergyModel model;
-    // Use reduced sizes through a copy of the workload info with a
-    // wrapped factory so the test stays fast.
-    workloads::WorkloadInfo info = workloads::byName("adpcm");
-    auto base = info.make;
-    info.make = [base](const workloads::RunSpec &spec) {
-        workloads::RunSpec s = spec;
-        s.iterations = 600;
-        return base(s);
-    };
-    auto res = runVariantSet(info, model);
-    EXPECT_TRUE(res.count(workloads::Variant::Seq));
-    EXPECT_TRUE(res.count(workloads::Variant::SeqOoo2));
-    EXPECT_TRUE(res.count(workloads::Variant::Comp));
-    EXPECT_TRUE(res.count(workloads::Variant::Comm));
-    EXPECT_TRUE(res.count(workloads::Variant::CompComm));
-    EXPECT_TRUE(res.count(workloads::Variant::Ooo2Comm));
-    EXPECT_FALSE(res.count(workloads::Variant::SwQueue));
+    const std::vector<RegionResult> results = runRegions(jobs, model);
+    VariantResults res;
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        res[jobs[i].spec.variant] = results[i];
+    EXPECT_EQ(res.size(), jobs.size());
+    EXPECT_TRUE(res.count(Variant::Seq));
+    EXPECT_TRUE(res.count(Variant::SeqOoo2));
+    EXPECT_TRUE(res.count(Variant::Comp));
+    EXPECT_TRUE(res.count(Variant::Comm));
+    EXPECT_TRUE(res.count(Variant::CompComm));
+    EXPECT_TRUE(res.count(Variant::Ooo2Comm));
+    EXPECT_FALSE(res.count(Variant::SwQueue));
     // The headline ordering of Fig. 10 for adpcm.
-    EXPECT_LT(res.at(workloads::Variant::CompComm).cycles,
-              res.at(workloads::Variant::Comm).cycles);
-    EXPECT_LT(res.at(workloads::Variant::Comm).cycles,
-              res.at(workloads::Variant::Seq).cycles);
+    EXPECT_LT(res.at(Variant::CompComm).cycles,
+              res.at(Variant::Comm).cycles);
+    EXPECT_LT(res.at(Variant::Comm).cycles, res.at(Variant::Seq).cycles);
 }
 
 TEST(VariantNames, AllDistinct)

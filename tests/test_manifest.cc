@@ -22,13 +22,38 @@
 #include "harness/parallel.hh"
 #include "harness/snapshot_cache.hh"
 #include "power/energy.hh"
-#include "region_jobs.hh"
 #include "sim/json_value.hh"
 
 namespace
 {
 
 using namespace remap;
+
+/** A tiny sweep: one sequential baseline, SPL-barrier points at two
+ *  sizes, a barrier+compute point and a compute-mode region. Small
+ *  enough to finish in seconds, wide enough to touch the SPL modes
+ *  the paper sweeps. */
+std::vector<harness::RegionJob>
+smokeSweepJobs()
+{
+    std::vector<harness::RegionJob> jobs;
+    auto add = [&jobs](const char *name, workloads::Variant v,
+                       unsigned size, unsigned threads) {
+        workloads::RunSpec spec;
+        spec.variant = v;
+        spec.problemSize = size;
+        spec.threads = threads;
+        jobs.push_back(
+            harness::RegionJob{&workloads::byName(name), spec});
+    };
+    add("ll2", workloads::Variant::Seq, 32, 1);
+    add("ll2", workloads::Variant::HwBarrier, 32, 8);
+    add("ll3", workloads::Variant::HwBarrier, 64, 8);
+    add("ll3", workloads::Variant::HwBarrierComp, 64, 8);
+    add("dijkstra", workloads::Variant::HwBarrier, 32, 8);
+    add("wc", workloads::Variant::Seq, 0, 1);
+    return jobs;
+}
 
 TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
 {
@@ -37,8 +62,7 @@ TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
 
     const power::EnergyModel model;
     harness::JobPool pool(2);
-    const std::vector<harness::RegionJob> jobs =
-        testjobs::smokeSweepJobs();
+    const std::vector<harness::RegionJob> jobs = smokeSweepJobs();
     std::vector<harness::JobTiming> timings;
     const std::vector<harness::RegionResult> results =
         harness::runRegions(jobs, model, &pool, &timings);

@@ -1,6 +1,6 @@
 /** @file Tests for the parallel experiment harness (JobPool,
- *  runRegions, runVariantSetParallel): determinism relative to the
- *  serial path, pool bookkeeping, and regression coverage for the
+ *  runRegions): determinism relative to the serial path, pool
+ *  bookkeeping, and regression coverage for the
  *  fast-path System::run() loop (max_cycles/timedOut semantics,
  *  migration and barrier draining from the quiescent state). */
 
@@ -12,7 +12,9 @@
 
 #include "core/system.hh"
 #include "harness/experiment.hh"
+#include "harness/paper.hh"
 #include "harness/parallel.hh"
+#include "harness/snapshot_cache.hh"
 #include "isa/builder.hh"
 
 namespace remap
@@ -36,24 +38,29 @@ expectSameResult(const harness::RegionResult &a,
 
 TEST(ParallelHarness, VariantSetMatchesSerialForCommunicating)
 {
+    // wc's Fig. 10 variant set plus its Section V-B software-queue
+    // run, simulated (not served) on one worker and on four.
+    std::vector<harness::RegionJob> jobs;
+    for (const harness::RegionJob &job :
+         harness::paperJobs({"fig10", "svb"}))
+        if (job.info->name == "wc")
+            jobs.push_back(job);
+    ASSERT_EQ(jobs.size(), 7u);
     power::EnergyModel model;
-    const auto &info = workloads::byName("wc");
+    auto &cache = harness::SnapshotCache::instance();
     harness::JobPool serial(1);
     harness::JobPool parallel(4);
-    const auto s =
-        harness::runVariantSetParallel(info, model, true, 4, &serial);
-    const auto p = harness::runVariantSetParallel(info, model, true,
-                                                 4, &parallel);
-    ASSERT_EQ(s.size(), p.size());
-    for (const auto &[variant, result] : s) {
-        ASSERT_TRUE(p.count(variant));
-        expectSameResult(result, p.at(variant));
+    cache.clear();
+    const auto s = harness::runRegions(jobs, model, &serial);
+    cache.clear();
+    const auto p = harness::runRegions(jobs, model, &parallel);
+    cache.clear();
+    ASSERT_EQ(s.size(), jobs.size());
+    ASSERT_EQ(p.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        EXPECT_FALSE(p[i].warmStarted);
+        expectSameResult(s[i], p[i]);
     }
-    // The public entry point (shared pool) agrees too.
-    const auto shared = harness::runVariantSet(info, model, true, 4);
-    ASSERT_EQ(s.size(), shared.size());
-    for (const auto &[variant, result] : s)
-        expectSameResult(result, shared.at(variant));
 }
 
 TEST(ParallelHarness, RegionBatchMatchesSerialForBarrierWorkload)
@@ -104,8 +111,8 @@ TEST(ParallelHarness, PoolRunsEveryJobAndReportsTimings)
 
 TEST(ParallelHarness, NestedRunDoesNotDeadlock)
 {
-    // A job that itself submits a batch (e.g. runVariantSet called
-    // from inside a pooled figure driver) must run the inner batch
+    // A job that itself submits a batch (e.g. runRegions called
+    // from inside a pooled job) must run the inner batch
     // inline instead of waiting on its own pool.
     harness::JobPool pool(2);
     std::atomic<unsigned> inner{0};

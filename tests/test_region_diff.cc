@@ -1,9 +1,9 @@
 /** @file Every fast path's headline guarantee, in one harness: for
- *  each unique region any fig8-fig14 driver simulates, the default
- *  run is the reference, simulated once, and every alternative way
- *  of producing the same result must be bit-identical to it —
- *  cycles, every statistics counter, energy, work units and the full
- *  serialized snapshot:
+ *  each unique region the paper's fig8-fig13 records read
+ *  (harness/paper.hh), the default run is the reference, simulated
+ *  once, and every alternative way of producing the same result
+ *  must be bit-identical to it — cycles, every statistics counter,
+ *  energy, work units and the full serialized snapshot:
  *
  *   - no-leap: the per-cycle loop (REMAP_NO_LEAP=1) instead of the
  *     event-horizon leap scheduler;
@@ -19,8 +19,7 @@
  *   - profiled (fig8-fig11 regions): REMAP_PROFILE=1.
  *
  *  One value-parameterized case per region lets `ctest -j` balance
- *  the load; fig14 simulates fig12's regions, so it needs no pass of
- *  its own. A few single-region cases cover what the region legs
+ *  the load; fig14 reads fig12's regions, so it adds no case. A few single-region cases cover what the region legs
  *  cannot: traced runs and snapshot interchange across kill-switch
  *  settings. */
 
@@ -38,8 +37,8 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "harness/paper.hh"
 #include "harness/snapshot_cache.hh"
-#include "region_jobs.hh"
 #include "sim/snapshot.hh"
 
 namespace remap
@@ -218,7 +217,7 @@ expectRegionMatches(const RegionResult &alt, const Probe &ref,
     EXPECT_EQ(alt.insts, ref.insts);
 }
 
-/** One unique region of the fig8-fig14 union. */
+/** One unique region of the fig8-fig13 union. */
 struct RegionCase
 {
     RegionJob job;
@@ -237,20 +236,18 @@ PrintTo(const RegionCase &c, std::ostream *os)
 std::vector<RegionCase>
 regionCases()
 {
+    std::set<std::string> profiled;
+    for (const RegionJob &job :
+         harness::paperJobs({"fig8", "fig9", "fig10", "fig11"}))
+        profiled.insert(harness::jobKey(job));
     std::vector<RegionCase> cases;
-    std::set<std::string> seen;
-    auto add = [&](const std::vector<RegionJob> &jobs, bool profiled) {
-        for (const RegionJob &job : jobs) {
-            std::string key = SnapshotCache::makeKey(
-                job.info->name, job.spec, /*config_hash=*/0);
-            key.erase(key.rfind('/'));
-            if (seen.insert(key).second)
-                cases.push_back(RegionCase{job, profiled, key});
-        }
-    };
-    add(testjobs::fig8To11Jobs(), true);
-    add(testjobs::fig12Jobs(), false);
-    add(testjobs::fig13Jobs(), false);
+    for (const RegionJob &job : harness::paperJobs(
+             {"fig8", "fig9", "fig10", "fig11", "fig12", "fig13"})) {
+        std::string key = harness::jobKey(job);
+        const bool p = profiled.count(key) > 0;
+        key.erase(key.rfind('/'));
+        cases.push_back(RegionCase{job, p, key});
+    }
     return cases;
 }
 

@@ -259,8 +259,10 @@ TEST(Sampling, MalformedKillSwitchesAreRejected)
 {
     // A kill switch is off only when unset and on only at "1": "0"
     // or an empty value must not silently disable a fast path.
+    // REMAP_PROFILE reads the same way, so "0" never turns it on.
     const char *names[] = {"REMAP_NO_LEAP", "REMAP_NO_BLOCK_CACHE",
-                           "REMAP_NO_MRU", "REMAP_NO_SAMPLE_REPLAY"};
+                           "REMAP_NO_MRU", "REMAP_NO_SAMPLE_REPLAY",
+                           "REMAP_PROFILE"};
     const char *bad[] = {"0", "", "yes", " 1"};
     for (const char *name : names) {
         for (const char *text : bad) {
@@ -277,6 +279,21 @@ TEST(Sampling, MalformedKillSwitchesAreRejected)
         EXPECT_TRUE(env::parseKillSwitch(name, nullptr, &off, &err));
         EXPECT_FALSE(off);
     }
+}
+
+TEST(Sampling, EmptyDirectoryVariablesAreRejected)
+{
+    // REMAP_MANIFEST="" must not silently leave manifests off.
+    std::string dir = "stale";
+    std::string err;
+    EXPECT_FALSE(env::parseDirectory("REMAP_MANIFEST", "", &dir, &err));
+    EXPECT_NE(err.find("REMAP_MANIFEST"), std::string::npos);
+    EXPECT_EQ(dir, "stale");
+    EXPECT_TRUE(
+        env::parseDirectory("REMAP_MANIFEST", nullptr, &dir, &err));
+    EXPECT_EQ(dir, "");
+    EXPECT_TRUE(env::parseDirectory("REMAP_MANIFEST", ".", &dir, &err));
+    EXPECT_EQ(dir, ".");
 }
 
 TEST(SamplingMath, RelativeHalfWidthNormalizesTheEstimate)
