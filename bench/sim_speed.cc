@@ -363,14 +363,12 @@ BENCHMARK(BM_SampledSweep)
     ->UseRealTime();
 
 /**
- * The same sampled batch served from its checkpointed replay sets
- * (DESIGN.md §15): a priming pass records one snapshot per measured
- * window plus the end-of-run state, then every timed pass restores
- * those and re-runs only the detailed windows — functional warming
- * between windows is never simulated. Results (estimate, golden
- * outputs, instruction counts) are bit-identical to BM_SampledSweep;
- * the tracked number is the wall_ms_per_iter ratio against that cold
- * benchmark.
+ * The same sampled batch served from its final-result entries
+ * (DESIGN.md §15): a priming pass simulates and stores each run's
+ * verified result, then every timed pass is served from those
+ * entries without simulating. Results (estimate, instruction counts,
+ * energy) equal BM_SampledSweep's field for field; the tracked
+ * number is the wall_ms_per_iter ratio against that cold benchmark.
  */
 void
 BM_SampledReplayWarm(benchmark::State &state)
@@ -380,7 +378,7 @@ BM_SampledReplayWarm(benchmark::State &state)
     auto &cache = harness::SnapshotCache::instance();
     cache.setEnabled(true);
     cache.clear();
-    // Prime: one untimed cold sampled pass captures the replay sets.
+    // Prime: one untimed cold sampled pass stores the results.
     harness::runRegions(jobs, model);
     std::uint64_t sim_cycles = 0, sim_insts = 0;
     for (auto _ : state) {

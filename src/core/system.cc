@@ -126,13 +126,13 @@ System::System(const SystemConfig &config)
 
     coreDone_.assign(cores_.size(), 1); // no threads bound yet
 
-    if (const char *env = std::getenv("REMAP_TRACE")) {
+    if (const std::string base = env::traceFile(); !base.empty()) {
         const Cycle period = env::tracePeriod(10'000);
         // Under the parallel harness many Systems are constructed
         // concurrently; suffix the shared REMAP_TRACE path so each
         // instance writes its own file. An explicit enableTracing()
         // call uses its path verbatim.
-        enableTracing(trace::uniqueTracePath(env), period);
+        enableTracing(trace::uniqueTracePath(base), period);
     }
 
     // Read directly (not via prof::envEnabled's cache) so tests can
@@ -486,9 +486,7 @@ namespace
 // Chunks are sized so detailed phases re-check often (windows are
 // short), warming phases run long (they are cheap), and the drain
 // transition stays fine-grained (cores flip to warming as they
-// empty, bounding mixed-mode spans). Shared with
-// replaySampledWindow(), whose bit-identity contract depends on
-// reproducing exactly these chunk sizes.
+// empty, bounding mixed-mode spans).
 constexpr Cycle kDetailChunk = 64;
 constexpr Cycle kDrainChunk = 16;
 constexpr Cycle kWarmChunk = 1024;
@@ -496,7 +494,7 @@ constexpr Cycle kWarmChunk = 1024;
 } // namespace
 
 RunResult
-System::runSampled(Cycle max_cycles, const SampleHooks &hooks)
+System::runSampled(Cycle max_cycles)
 {
     if (!sampleParams_.enabled())
         return runInternal(max_cycles, /*warn_on_timeout=*/true);
@@ -547,9 +545,6 @@ System::runSampled(Cycle max_cycles, const SampleHooks &hooks)
                 measuring = true;
                 window_start_insts = insts;
                 window_start_cycle = cycle_;
-                if (hooks.onWindowOpen)
-                    hooks.onWindowOpen(sampleWindows_.size(),
-                                       k * P + W + M);
             }
             const std::uint64_t target =
                 k * P + (off < W ? W : W + M);
@@ -569,8 +564,6 @@ System::runSampled(Cycle max_cycles, const SampleHooks &hooks)
                     {cycle_ - window_start_cycle,
                      after - window_start_insts});
                 measuring = false;
-                if (hooks.onWindowEnd && !finished)
-                    hooks.onWindowEnd(sampleWindows_.size());
             }
             continue;
         }
@@ -650,54 +643,6 @@ System::runSampled(Cycle max_cycles, const SampleHooks &hooks)
                    static_cast<unsigned long long>(max_cycles));
     result.cycles = cycle_ - start;
     return result;
-}
-
-bool
-System::replaySampledWindow(std::uint64_t close_target_insts,
-                            Cycle max_cycles,
-                            sampling::WindowSample *out)
-{
-    REMAP_ASSERT(sampleParams_.enabled(),
-                 "window replay needs a sampling schedule");
-    // Mirror of runSampled()'s measuring-phase loop: the restored
-    // state is exactly what the original run held when its window
-    // opened, so issuing the same chunk sequence (kDetailChunk, the
-    // same live-core divisor, the same close condition) reproduces
-    // the original window cycle-for-cycle. Any drift here would be a
-    // simulator bug; the harness cross-checks the replayed samples
-    // against the originating run's recorded windows.
-    const Cycle start = cycle_;
-    const std::uint64_t start_insts = totalCommittedInsts();
-    const auto liveCores = [&]() -> std::uint64_t {
-        std::uint64_t live = 0;
-        for (const auto &c : cores_)
-            if (c->thread() && !c->done())
-                ++live;
-        return live > 0 ? live : 1;
-    };
-
-    for (;;) {
-        const Cycle used = cycle_ - start;
-        if (used >= max_cycles)
-            return false;
-        const std::uint64_t insts = totalCommittedInsts();
-        const Cycle chunk = std::min<Cycle>(
-            kDetailChunk,
-            std::max<Cycle>(
-                1, (close_target_insts - insts) / liveCores()));
-        const RunResult seg =
-            runSegment(std::min(chunk, max_cycles - used));
-        const bool finished = !seg.timedOut;
-        const std::uint64_t after = totalCommittedInsts();
-        if (after >= close_target_insts ||
-            (finished && after > start_insts)) {
-            if (out)
-                *out = {cycle_ - start, after - start_insts};
-            return true;
-        }
-        if (finished)
-            return false; // quiesced without committing anything
-    }
 }
 
 RunResult
@@ -1150,8 +1095,8 @@ System::save(snap::Serializer &s) const
         s.u64(m.drainStart);
     }
 
-    // Sampled-mode windows recorded so far, so a warm-started
-    // sampled run resumes its estimate where the snapshot left off.
+    // Sampled-mode windows recorded so far, so a restored sampled
+    // run resumes its estimate where the snapshot left off.
     s.u32(static_cast<std::uint32_t>(sampleWindows_.size()));
     for (const sampling::WindowSample &ws : sampleWindows_) {
         s.u64(ws.cycles);

@@ -23,7 +23,6 @@
 #define REMAP_CORE_SYSTEM_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -92,26 +91,6 @@ struct RunResult
     Cycle cycles = 0;
     /** True when the run hit the cycle limit before quiescing. */
     bool timedOut = false;
-};
-
-/** Observation hooks for runSampled(). Both fire while every core is
- *  in detailed mode and must not mutate the System — they exist so
- *  the harness can capture snapshots (checkpointed sample replay,
- *  DESIGN.md §15) without the core library knowing about caches. */
-struct SampleHooks
-{
-    /** Invoked the moment a measured window opens (its start
-     *  instruction/cycle counters just latched), with the index the
-     *  window will occupy in sampleWindows() and the absolute
-     *  committed-instruction count at which it is scheduled to
-     *  close — the pair replaySampledWindow() needs. */
-    std::function<void(std::uint64_t index,
-                       std::uint64_t close_target_insts)>
-        onWindowOpen;
-    /** Invoked after each measured window closes, with the number of
-     *  windows recorded so far; skipped when the run quiesced inside
-     *  the window. */
-    std::function<void(std::uint64_t count)> onWindowEnd;
 };
 
 /** The simulated ReMAP chip. */
@@ -198,25 +177,9 @@ class System
     /**
      * Run to completion (or @p max_cycles) under the configured
      * sampling schedule; falls back to an exact runInternal() when
-     * sampling is disabled. @p hooks (both optional) observe window
-     * open/close while every core is in detailed mode — the hook
-     * points for replay-window and boundary snapshots.
+     * sampling is disabled.
      */
-    RunResult runSampled(Cycle max_cycles = 2'000'000'000ULL,
-                         const SampleHooks &hooks = {});
-    /**
-     * Re-run one measured window from restored state: the System must
-     * have just been restored from a snapshot captured by an
-     * onWindowOpen hook, and @p close_target_insts is the value the
-     * hook was given. Replays the exact detailed segment sequence the
-     * originating runSampled() used for this window (same chunk
-     * sizing, same close condition), so the recorded WindowSample is
-     * bit-identical to the original. Returns false (result unusable)
-     * if the window fails to close within @p max_cycles.
-     */
-    bool replaySampledWindow(std::uint64_t close_target_insts,
-                             Cycle max_cycles,
-                             sampling::WindowSample *out);
+    RunResult runSampled(Cycle max_cycles = 2'000'000'000ULL);
     /** Extrapolated-cycle estimate from the recorded windows. */
     sampling::Estimate sampleEstimate() const;
     /** Measured windows recorded so far (serialized in snapshots). */
@@ -456,7 +419,7 @@ class System
 
     /** @{ @name Sampled-mode state. The schedule is configuration
      * (hashed when enabled); the recorded windows are dynamic state
-     * (serialized, so a warm-started sampled run resumes its
+     * (serialized, so a restored sampled run resumes its
      * estimate). */
     sampling::SampleParams sampleParams_{};
     std::vector<sampling::WindowSample> sampleWindows_;

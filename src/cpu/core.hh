@@ -129,7 +129,7 @@ class OooCore
     /** Resume detailed execution. */
     void endWarming() { warming_ = false; }
     /** Instructions executed under functional warming (serialized —
-     *  the sampled-mode estimator needs it across warm starts). */
+     *  the sampled-mode estimator needs it across a restore). */
     std::uint64_t warmedInsts() const { return warmedInsts_; }
     /**
      * Burst-mode functional warming: commit up to @p max_cycles

@@ -26,21 +26,19 @@ struct RegionResult
     Cycle cycles = 0;     ///< wall-clock core cycles of the run
     double energyJ = 0.0; ///< energy per program copy (J)
     double work = 1.0;    ///< work units completed (per copy)
-    /** Instructions committed across all cores (all copies; warm
-     *  starts restore counters, so this is the full-run total). */
+    /** Instructions committed across all cores (all copies). */
     std::uint64_t insts = 0;
 
     /** System::configHash() of the simulated run (0 when the
      *  snapshot cache was bypassed, e.g. while tracing). */
     std::uint64_t configHash = 0;
-    /** True when the run did not simulate from cycle 0: a sampled
-     *  run resumed from a cached snapshot, or an exact run was
-     *  served from its final-result entry (restored at its final
-     *  cycle, so snapshotBoundary == cycles). Results are
-     *  bit-identical either way; this records provenance for
-     *  manifests/logs. */
+    /** True when the run was served from its final-result entry
+     *  instead of simulating (snapshotBoundary then holds the stored
+     *  entry's boundary, its `cycles`). A served result equals the
+     *  simulated one in every other field but hostPhaseMs; this
+     *  records provenance for manifests/logs. */
     bool warmStarted = false;
-    /** Boundary cycle the run restored from (0 = cold). */
+    /** Boundary cycle the run restored from (0 = simulated). */
     Cycle snapshotBoundary = 0;
     /** Host milliseconds per profiler phase for this run, in Phase
      *  order (empty when REMAP_PROFILE is off, and for a served
@@ -64,14 +62,9 @@ struct RegionResult
     double ciHighCycles = 0.0;
     /** @} */
 
-    /** @{ @name Sample-replay / adaptive-schedule provenance
-     * (DESIGN.md §15). Replayed runs restore every measured window
-     * from cached snapshots and re-run only the detailed windows —
-     * results stay bit-identical to the originating run. Adaptive
-     * runs record the schedule the matched-pair controller converged
-     * to and the relative CI half-width it achieved. */
-    bool sampleReplayed = false;       ///< served by window replay
-    std::uint64_t replayedWindows = 0; ///< windows re-run from snapshots
+    /** @{ @name Adaptive-schedule provenance (DESIGN.md §15).
+     * Adaptive runs record the schedule the matched-pair controller
+     * converged to and the relative CI half-width it achieved. */
     double ciTarget = 0.0;       ///< requested rel. half-width (0 = fixed)
     double achievedRelHw = 0.0;  ///< measured relative CI half-width
     unsigned adaptiveIterations = 0;   ///< schedules the controller tried
@@ -99,14 +92,13 @@ struct RegionResult
  * output (REMAP_FATAL on mismatch), and measure energy. Energy is
  * divided by RunSpec::copies so results are per program.
  *
- * An exact, untraced run with the SnapshotCache on is looked up by
- * its final-result entry (key: workload, full RunSpec and
+ * With the SnapshotCache on, an untraced run — exact, sampled or
+ * adaptive — is looked up by its final-result entry (key: workload,
+ * the effective RunSpec including a REMAP_SAMPLE schedule, and
  * configHash(); see snapshot_cache.hh) after the system is built. A
- * hit returns the stored cycles, instructions, energy and work
- * without simulating; a miss simulates continuously and stores the
- * entry only after verification and energy measurement. Exact runs
- * never segment or snapshot; sampled and adaptive runs keep their
- * warm-start and replay entries (DESIGN.md §14-15).
+ * hit returns every stored result field without simulating; a miss
+ * simulates in the run's own mode and stores the entry only after
+ * verification and energy measurement.
  */
 RegionResult runRegion(const workloads::WorkloadInfo &info,
                        const workloads::RunSpec &spec,

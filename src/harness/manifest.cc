@@ -143,9 +143,9 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
             w.kv("energy_j", results[i].energyJ);
             w.kv("work_units", results[i].work);
             w.kv("cycles_per_unit", results[i].cyclesPerUnit());
-            // Snapshot provenance: which simulated configuration the
-            // run hashed to, and whether it warm-started from a
-            // cached snapshot (bit-identical either way).
+            // Cache provenance: which simulated configuration the run
+            // hashed to, and whether it was served from its stored
+            // result (identical either way).
             if (results[i].configHash != 0)
                 w.kv("config_hash", hex64(results[i].configHash));
             w.kv("warm_started", results[i].warmStarted);
@@ -161,12 +161,9 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
                 w.kv("warmed_insts", results[i].warmedInsts);
                 w.kv("ci_low_cycles", results[i].ciLowCycles);
                 w.kv("ci_high_cycles", results[i].ciHighCycles);
-                // Replay / adaptive provenance (DESIGN.md §15):
-                // whether the run was served from its cached replay
-                // set, and — for adaptive runs — the schedule the
-                // controller converged to and the half-width it hit.
-                w.kv("replayed", results[i].sampleReplayed);
-                w.kv("replayed_windows", results[i].replayedWindows);
+                // Adaptive provenance (DESIGN.md §15): the schedule
+                // the controller converged to and the half-width it
+                // hit.
                 if (results[i].ciTarget > 0.0) {
                     w.key("adaptive");
                     w.beginObject();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -21,9 +20,7 @@ namespace fs = std::filesystem;
 SnapshotCache::SnapshotCache()
 {
     capBytes_ = env::ckptMemBytes(std::size_t(256) * 1024 * 1024);
-    firstBoundary_ = env::ckptWarmup(16384);
-    if (const char *dir = std::getenv("REMAP_CKPT"); dir && *dir)
-        setDiskDir(dir);
+    setDiskDir(env::ckptDir());
     // Surface the process-wide cache in every System's stats "sim"
     // subtree (the hook indirection keeps the core library free of
     // harness dependencies).
@@ -73,20 +70,6 @@ SnapshotCache::enabled() const
 }
 
 void
-SnapshotCache::setFirstBoundary(Cycle cycles)
-{
-    std::lock_guard lock(mu_);
-    firstBoundary_ = cycles;
-}
-
-Cycle
-SnapshotCache::firstBoundary() const
-{
-    std::lock_guard lock(mu_);
-    return firstBoundary_;
-}
-
-void
 SnapshotCache::setMemoryCapBytes(std::size_t cap)
 {
     std::lock_guard lock(mu_);
@@ -109,8 +92,6 @@ SnapshotCache::clear()
     bytes_ = 0;
     stats_.bytes = 0;
     stats_.entries = 0;
-    stats_.windowBytes = 0;
-    stats_.windowEntries = 0;
 }
 
 std::string
@@ -177,7 +158,7 @@ SnapshotCache::lookup(const std::string &key,
     std::string disk_path;
     {
         std::lock_guard lock(mu_);
-        if (!enabled_ || firstBoundary_ == 0) {
+        if (!enabled_) {
             return nullptr;
         }
         auto it = entries_.find(key);
@@ -238,17 +219,12 @@ SnapshotCache::lookup(const std::string &key,
     }
     if (e.blob) {
         bytes_ -= e.blob->size();
-        if (e.window) {
-            stats_.windowBytes -= e.blob->size();
-            --stats_.windowEntries;
-        }
     } else {
         ++stats_.entries;
     }
     e.boundary = hdr.boundaryCycle;
     e.blob = blob;
     e.lastUse = ++useClock_;
-    e.window = false; // disk loads rejoin the evicted-last class
     bytes_ += blob->size();
     stats_.bytes = bytes_;
     stats_.entries = entries_.size();
@@ -266,28 +242,12 @@ SnapshotCache::store(const std::string &key, std::uint64_t config_hash,
                      Cycle boundary, std::vector<std::uint8_t> blob)
 {
     (void)config_hash; // embedded in the blob header by the saver
-    storeImpl(key, boundary, std::move(blob), /*window=*/false);
-}
-
-void
-SnapshotCache::storeWindow(const std::string &key,
-                           std::uint64_t config_hash, Cycle boundary,
-                           std::vector<std::uint8_t> blob)
-{
-    (void)config_hash; // embedded in the blob header by the saver
-    storeImpl(key, boundary, std::move(blob), /*window=*/true);
-}
-
-void
-SnapshotCache::storeImpl(const std::string &key, Cycle boundary,
-                         std::vector<std::uint8_t> blob, bool window)
-{
     auto shared = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(blob));
     std::string disk_path;
     {
         std::lock_guard lock(mu_);
-        if (!enabled_ || firstBoundary_ == 0) {
+        if (!enabled_) {
             return;
         }
         auto &e = entries_[key];
@@ -298,23 +258,12 @@ SnapshotCache::storeImpl(const std::string &key, Cycle boundary,
         }
         if (e.blob) {
             bytes_ -= e.blob->size();
-            if (e.window) {
-                stats_.windowBytes -= e.blob->size();
-                --stats_.windowEntries;
-            }
         }
         e.boundary = boundary;
         e.blob = shared;
         e.lastUse = ++useClock_;
-        e.window = window;
         bytes_ += shared->size();
-        if (window) {
-            ++stats_.windowStores;
-            stats_.windowBytes += shared->size();
-            ++stats_.windowEntries;
-        } else {
-            ++stats_.stores;
-        }
+        ++stats_.stores;
         stats_.bytes = bytes_;
         stats_.entries = entries_.size();
         evictLocked();
@@ -362,13 +311,7 @@ SnapshotCache::reject(const std::string &key)
     std::lock_guard lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-        const std::size_t sz =
-            it->second.blob ? it->second.blob->size() : 0;
-        bytes_ -= sz;
-        if (it->second.window) {
-            stats_.windowBytes -= sz;
-            --stats_.windowEntries;
-        }
+        bytes_ -= it->second.blob ? it->second.blob->size() : 0;
         entries_.erase(it);
     }
     ++stats_.rejected;
@@ -380,34 +323,14 @@ void
 SnapshotCache::evictLocked()
 {
     while (bytes_ > capBytes_ && entries_.size() > 1) {
-        // Window-class (replay) entries go first: a shed replay set
-        // costs one re-warmed run, a shed result or warm-start entry
-        // costs every later run of its key. Within a class, plain LRU.
-        auto victim = entries_.end();
-        auto any = entries_.begin();
+        auto victim = entries_.begin();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->second.lastUse < any->second.lastUse) {
-                any = it;
-            }
-            if (it->second.window &&
-                (victim == entries_.end() ||
-                 it->second.lastUse < victim->second.lastUse)) {
+            if (it->second.lastUse < victim->second.lastUse) {
                 victim = it;
             }
         }
-        if (victim == entries_.end()) {
-            victim = any;
-        }
-        const std::size_t sz =
-            victim->second.blob ? victim->second.blob->size() : 0;
-        bytes_ -= sz;
-        if (victim->second.window) {
-            stats_.windowBytes -= sz;
-            --stats_.windowEntries;
-            ++stats_.windowEvictions;
-        } else {
-            ++stats_.evictions;
-        }
+        bytes_ -= victim->second.blob ? victim->second.blob->size() : 0;
+        ++stats_.evictions;
         entries_.erase(victim);
     }
     stats_.bytes = bytes_;
@@ -434,11 +357,6 @@ SnapshotCache::dumpStatsJson(json::Writer &w) const
     w.kv("evictions", st.evictions);
     w.kv("bytes", static_cast<std::uint64_t>(st.bytes));
     w.kv("entries", static_cast<std::uint64_t>(st.entries));
-    w.kv("window_stores", st.windowStores);
-    w.kv("window_evictions", st.windowEvictions);
-    w.kv("window_bytes", static_cast<std::uint64_t>(st.windowBytes));
-    w.kv("window_entries",
-         static_cast<std::uint64_t>(st.windowEntries));
     w.endObject();
 }
 
@@ -455,14 +373,6 @@ SnapshotCache::summary() const
     }
     if (st.evictions) {
         extra += ", " + std::to_string(st.evictions) + " evicted";
-    }
-    if (st.windowStores) {
-        extra += ", " + std::to_string(st.windowStores) +
-                 " replay windows";
-        if (st.windowEvictions) {
-            extra += " (" + std::to_string(st.windowEvictions) +
-                     " shed)";
-        }
     }
     char buf[224];
     std::snprintf(

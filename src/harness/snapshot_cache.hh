@@ -5,40 +5,32 @@
  * The same (workload, spec) simulation recurs across processes:
  * repeated `paper` invocations sharing REMAP_CKPT, and perfbench's
  * per-figure batches (Figs. 8-11 share one region set, Fig. 14
- * repeats Fig. 12's sweeps). The cache holds
- * four entry classes, all blobs behind a snap::writeHeader()
- * container header:
- *
- *  - final results ("<key>/result"): the verified RegionResult of an
- *    exact run (cycles, instructions, energy, work). runRegion()
- *    serves a repeated exact run from this entry without simulating,
- *    and exact runs neither segment nor snapshot;
- *  - warm-start snapshots ("<key>"): the full System state of a
- *    sampled run at geometrically-doubling cycle boundaries (W, 2W,
- *    4W, ...), restored by later runs of the same key;
- *  - replay windows ("<key>/w<i>", "<key>/done"): per-window state of
- *    checkpointed sample replay (DESIGN.md §15);
- *  - adaptive-schedule memos ("<key>/sched").
+ * repeats Fig. 12's sweeps). Every entry is a blob behind a
+ * snap::writeHeader() container header. runRegion() keeps one entry
+ * per run, "<key>/result": the verified RegionResult of an exact,
+ * sampled or adaptive run, which serves a repeat without simulating.
+ * Nothing in the simulator writes any other entry; the "<key>"
+ * warm-start snapshots perfbench's traced path stores at
+ * firstBoundary(), 2x, 4x, ... cycles use the same lookup()/store().
  *
  * Keys are workload name + the full RunSpec + System::configHash()
  * (which covers every simulated parameter: core/mem/SPL
- * configuration, registered SPL functions and thread programs), and
- * every header carries snap::buildId(), a hash of the simulator
- * sources. So an entry is never applied to a changed configuration
- * or served to a build whose model differs from the one that wrote
- * it.
+ * configuration, sampling schedule, registered SPL functions and
+ * thread programs), and every header carries snap::buildId(), a hash
+ * of the simulator sources. So an entry is never applied to a
+ * changed configuration or served to a build whose model differs
+ * from the one that wrote it.
  *
  * Environment knobs:
  *  - REMAP_CKPT=<dir>     persist entries to disk (atomic rename;
  *                         corrupt/stale files and files from another
  *                         build are ignored with a warning, never
  *                         trusted), so separate processes share them;
- *  - REMAP_CKPT_WARMUP=N  first sampled-run snapshot boundary in
- *                         cycles (default 16384); 0 turns the whole
- *                         cache off, result entries included;
- *  - REMAP_CKPT_MEM=MB    in-memory cache cap (default 256 MB).
- * The two sizes are parsed strictly (env::ckptWarmup(),
- * env::ckptMemBytes()): a malformed value is a fatal error.
+ *                         the empty string is a fatal error
+ *                         (env::ckptDir());
+ *  - REMAP_CKPT_MEM=MB    in-memory cache cap (default 256 MB), parsed
+ *                         strictly (env::ckptMemBytes()): a malformed
+ *                         value is a fatal error.
  *
  * Thread-safe: lookups/stores take an internal mutex, concurrent
  * stores to one key keep the largest boundary (single-writer-per-key
@@ -85,17 +77,6 @@ class SnapshotCache
         std::uint64_t evictions = 0; ///< entries dropped by the cap
         std::size_t bytes = 0;       ///< resident in-memory bytes
         std::size_t entries = 0;     ///< resident in-memory entries
-        /** @{ @name Window-snapshot accounting (DESIGN.md §15).
-         * Replay-window entries share the REMAP_CKPT_MEM byte budget
-         * but are accounted separately and evicted *first*: they are
-         * a pure replay optimization, while result and warm-start
-         * entries serve every sweep, so a long sampled sweep degrades
-         * by shedding replay sets, never by starving those. */
-        std::uint64_t windowStores = 0;    ///< window snapshots captured
-        std::uint64_t windowEvictions = 0; ///< window entries shed
-        std::size_t windowBytes = 0;       ///< resident window bytes
-        std::size_t windowEntries = 0;     ///< resident window entries
-        /** @} */
     };
 
     /** The process-wide instance (reads the environment once). */
@@ -106,11 +87,9 @@ class SnapshotCache
     void setEnabled(bool on);
     bool enabled() const;
 
-    /** First sampled-run snapshot boundary in cycles; later
-     *  boundaries double. 0 turns the cache off: lookup() misses and
-     *  store() drops for every entry class. */
-    void setFirstBoundary(Cycle cycles);
-    Cycle firstBoundary() const;
+    /** First warm-start snapshot boundary in cycles (later
+     *  boundaries double); read only by perfbench's traced path. */
+    static constexpr Cycle firstBoundary() { return 16384; }
 
     /** Cap on resident in-memory snapshot bytes (LRU eviction). */
     void setMemoryCapBytes(std::size_t cap);
@@ -152,17 +131,6 @@ class SnapshotCache
     void store(const std::string &key, std::uint64_t config_hash,
                Cycle boundary, std::vector<std::uint8_t> blob);
 
-    /**
-     * store() for a replay-window snapshot (checkpointed sample
-     * replay, DESIGN.md §15). Same semantics, but the entry is
-     * accounted in the window-snapshot stats and evicted before any
-     * other entry when REMAP_CKPT_MEM pressure hits — replay
-     * sets are many entries per run and strictly an optimization.
-     */
-    void storeWindow(const std::string &key,
-                     std::uint64_t config_hash, Cycle boundary,
-                     std::vector<std::uint8_t> blob);
-
     /** Mark a looked-up blob as unusable (restore failed): drops the
      *  in-memory entry and counts a rejection, so a corrupt disk file
      *  cannot be handed out twice. */
@@ -188,14 +156,10 @@ class SnapshotCache
         Cycle boundary = 0;
         Blob blob;
         std::uint64_t lastUse = 0;
-        bool window = false; ///< replay-window entry (evicted first)
     };
 
-    /** Shared store()/storeWindow() implementation. */
-    void storeImpl(const std::string &key, Cycle boundary,
-                   std::vector<std::uint8_t> blob, bool window);
-    /** Evict least-recently-used entries until under the cap —
-     *  window-class entries first. Caller holds mu_. */
+    /** Evict least-recently-used entries until under the cap.
+     *  Caller holds mu_. */
     void evictLocked();
     /** Disk path for @p key (empty when persistence is off). */
     std::string diskPath(const std::string &key) const;
@@ -206,7 +170,6 @@ class SnapshotCache
     std::size_t capBytes_;
     std::uint64_t useClock_ = 0;
     bool enabled_ = true;
-    Cycle firstBoundary_;
     std::string diskDir_; ///< empty = no on-disk persistence
     Stats stats_;
 };

@@ -84,14 +84,6 @@ noMru()
                       announced);
 }
 
-bool
-noSampleReplay()
-{
-    static std::atomic<bool> announced{false};
-    return killSwitch("REMAP_NO_SAMPLE_REPLAY",
-                      "checkpointed sample replay", announced);
-}
-
 namespace
 {
 
@@ -321,12 +313,6 @@ tracePeriod(std::uint64_t dflt)
     return countVar("REMAP_TRACE_PERIOD", dflt);
 }
 
-std::uint64_t
-ckptWarmup(std::uint64_t dflt)
-{
-    return countVar("REMAP_CKPT_WARMUP", dflt);
-}
-
 std::size_t
 ckptMemBytes(std::size_t dflt_bytes)
 {
@@ -355,20 +341,44 @@ parseDirectory(const char *name, const char *text, std::string *dir,
     }
     if (error) {
         *error = "invalid " + std::string(name) +
-                 "='' (want a directory, or unset the variable)";
+                 "='' (want a path, or unset the variable)";
     }
     return false;
 }
 
+namespace
+{
+
+/** Read the directory variable @p name, "" when unset; an empty
+ *  value is fatal. */
 std::string
-manifestDir()
+directoryVar(const char *name)
 {
     std::string dir;
     std::string err;
-    if (!parseDirectory("REMAP_MANIFEST", std::getenv("REMAP_MANIFEST"),
-                        &dir, &err))
+    if (!parseDirectory(name, std::getenv(name), &dir, &err))
         REMAP_FATAL("%s", err.c_str());
     return dir;
+}
+
+} // namespace
+
+std::string
+manifestDir()
+{
+    return directoryVar("REMAP_MANIFEST");
+}
+
+std::string
+ckptDir()
+{
+    return directoryVar("REMAP_CKPT");
+}
+
+std::string
+traceFile()
+{
+    return directoryVar("REMAP_TRACE");
 }
 
 } // namespace remap::env

@@ -17,7 +17,6 @@
  *  - REMAP_NO_LEAP=1        disable the event-horizon leap scheduler
  *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded basic-block cache
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
- *  - REMAP_NO_SAMPLE_REPLAY=1 disable checkpointed sample replay
  *
  * Switches (same strict form: unset = off, "1" = on):
  *  - REMAP_PROFILE=1        host-time profiling (env::profile())
@@ -29,14 +28,14 @@
  *                           env::tracePeriod())
  *
  * Sizes (decimal digits only; anything else is a fatal error):
- *  - REMAP_CKPT_WARMUP=N    first sampled-run snapshot boundary
- *                           (env::ckptWarmup())
  *  - REMAP_CKPT_MEM=MB      snapshot-cache memory cap
  *                           (env::ckptMemBytes())
  *  - REMAP_JOBS=N           job-pool workers (env::jobs())
  *
  * Directories (nonempty; the empty string is a fatal error):
  *  - REMAP_MANIFEST=DIR     run-manifest output (env::manifestDir())
+ *  - REMAP_CKPT=DIR         snapshot-cache persistence (env::ckptDir())
+ *  - REMAP_TRACE=PATH       trace output base path (env::traceFile())
  */
 
 #ifndef REMAP_SIM_ENV_HH
@@ -73,11 +72,6 @@ bool noBlockCache();
 
 /** True when REMAP_NO_MRU=1: cache MRU-way fast path off. */
 bool noMru();
-
-/** True when REMAP_NO_SAMPLE_REPLAY=1: checkpointed sample replay
- *  disabled — sampled runs always re-simulate functional warming,
- *  exactly the pre-replay behaviour. */
-bool noSampleReplay();
 
 /**
  * Strict REMAP_SAMPLE-value parser. Accepted forms:
@@ -140,10 +134,6 @@ bool parseMemoryMb(const char *text, std::size_t *bytes,
  */
 std::uint64_t tracePeriod(std::uint64_t dflt);
 
-/** REMAP_CKPT_WARMUP in cycles, or @p dflt when unset; malformed
- *  values are fatal (parseCount()). */
-std::uint64_t ckptWarmup(std::uint64_t dflt);
-
 /** REMAP_CKPT_MEM converted to bytes, or @p dflt_bytes when unset;
  *  malformed or overflowing values are fatal (parseMemoryMb()). */
 std::size_t ckptMemBytes(std::size_t dflt_bytes);
@@ -153,8 +143,9 @@ std::size_t ckptMemBytes(std::size_t dflt_bytes);
 std::uint64_t jobs();
 
 /**
- * Strict parser for a directory held by the variable @p name: unset
- * leaves @p dir empty (off), a nonempty value is the directory, and
+ * Strict parser for a directory (or file base path) held by the
+ * variable @p name: unset leaves @p dir empty (off), a nonempty value
+ * is the path, and
  * the empty string fails with a one-line @p error naming the
  * variable, so a value meant to turn an output on never silently
  * leaves it off.
@@ -165,6 +156,14 @@ bool parseDirectory(const char *name, const char *text, std::string *dir,
 /** REMAP_MANIFEST, or "" when unset; an empty value is fatal
  *  (parseDirectory()). */
 std::string manifestDir();
+
+/** REMAP_CKPT, or "" when unset; an empty value is fatal
+ *  (parseDirectory()). */
+std::string ckptDir();
+
+/** REMAP_TRACE, or "" when unset; an empty value is fatal
+ *  (parseDirectory()). */
+std::string traceFile();
 
 } // namespace remap::env
 

@@ -3,7 +3,8 @@
  *  the accuracy contract (extrapolated cycles within ±2% of the exact
  *  run on fig8-style regions, golden outputs still bit-exact), and
  *  the keying guarantee (sampled runs never alias exact runs in the
- *  snapshot cache). */
+ *  snapshot cache), plus served repeats of sampled and adaptive
+ *  runs. */
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,8 @@
 #include "sim/rng.hh"
 #include "sim/sampling.hh"
 #include "workloads/workload.hh"
+
+#include "result_fields.hh"
 
 namespace remap
 {
@@ -196,11 +199,10 @@ TEST(Sampling, MalformedTracePeriodsAreRejected)
 
 TEST(Sampling, MalformedCountVariablesAreRejected)
 {
-    // REMAP_CKPT_WARMUP, REMAP_CKPT_MEM and REMAP_JOBS take the same
-    // digits-only counts: "256MB" must not silently become the
-    // default cap, and "4 " must not become 4 workers.
-    const char *names[] = {"REMAP_CKPT_WARMUP", "REMAP_CKPT_MEM",
-                           "REMAP_JOBS"};
+    // REMAP_CKPT_MEM and REMAP_JOBS take the same digits-only
+    // counts: "256MB" must not silently become the default cap, and
+    // "4 " must not become 4 workers.
+    const char *names[] = {"REMAP_CKPT_MEM", "REMAP_JOBS"};
     const char *bad[] = {"", " ", "abc", "256MB", "-5", "+5", "1e4",
                          " 100", "100 ", "99999999999999999999"};
     for (const char *name : names) {
@@ -243,15 +245,10 @@ TEST(Sampling, MalformedCountVariablesAreRejected)
     EXPECT_EQ(bytes, static_cast<std::size_t>(max_mb) * 1024 * 1024);
 
     // Unset falls back to the caller's default.
-    ASSERT_EQ(unsetenv("REMAP_CKPT_WARMUP"), 0);
     ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
-    EXPECT_EQ(env::ckptWarmup(16384), 16384u);
     EXPECT_EQ(env::ckptMemBytes(123), 123u);
-    ASSERT_EQ(setenv("REMAP_CKPT_WARMUP", "0", 1), 0);
     ASSERT_EQ(setenv("REMAP_CKPT_MEM", "2", 1), 0);
-    EXPECT_EQ(env::ckptWarmup(16384), 0u);
     EXPECT_EQ(env::ckptMemBytes(123), 2u * 1024 * 1024);
-    ASSERT_EQ(unsetenv("REMAP_CKPT_WARMUP"), 0);
     ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
 }
 
@@ -261,8 +258,7 @@ TEST(Sampling, MalformedKillSwitchesAreRejected)
     // or an empty value must not silently disable a fast path.
     // REMAP_PROFILE reads the same way, so "0" never turns it on.
     const char *names[] = {"REMAP_NO_LEAP", "REMAP_NO_BLOCK_CACHE",
-                           "REMAP_NO_MRU", "REMAP_NO_SAMPLE_REPLAY",
-                           "REMAP_PROFILE"};
+                           "REMAP_NO_MRU", "REMAP_PROFILE"};
     const char *bad[] = {"0", "", "yes", " 1"};
     for (const char *name : names) {
         for (const char *text : bad) {
@@ -283,17 +279,22 @@ TEST(Sampling, MalformedKillSwitchesAreRejected)
 
 TEST(Sampling, EmptyDirectoryVariablesAreRejected)
 {
-    // REMAP_MANIFEST="" must not silently leave manifests off.
-    std::string dir = "stale";
-    std::string err;
-    EXPECT_FALSE(env::parseDirectory("REMAP_MANIFEST", "", &dir, &err));
-    EXPECT_NE(err.find("REMAP_MANIFEST"), std::string::npos);
-    EXPECT_EQ(dir, "stale");
-    EXPECT_TRUE(
-        env::parseDirectory("REMAP_MANIFEST", nullptr, &dir, &err));
-    EXPECT_EQ(dir, "");
-    EXPECT_TRUE(env::parseDirectory("REMAP_MANIFEST", ".", &dir, &err));
-    EXPECT_EQ(dir, ".");
+    // An empty value must not silently leave manifests, snapshot
+    // persistence or tracing off (nor trace into hidden ".N" files).
+    const char *names[] = {"REMAP_MANIFEST", "REMAP_CKPT",
+                           "REMAP_TRACE"};
+    for (const char *name : names) {
+        SCOPED_TRACE(name);
+        std::string dir = "stale";
+        std::string err;
+        EXPECT_FALSE(env::parseDirectory(name, "", &dir, &err));
+        EXPECT_NE(err.find(name), std::string::npos);
+        EXPECT_EQ(dir, "stale");
+        EXPECT_TRUE(env::parseDirectory(name, nullptr, &dir, &err));
+        EXPECT_EQ(dir, "");
+        EXPECT_TRUE(env::parseDirectory(name, ".", &dir, &err));
+        EXPECT_EQ(dir, ".");
+    }
 }
 
 TEST(SamplingMath, RelativeHalfWidthNormalizesTheEstimate)
@@ -434,10 +435,41 @@ TEST(Sampling, SampledKeysNeverAliasExactOnes)
     const std::uint64_t h_sampled = b.system->configHash();
     EXPECT_NE(h_exact, h_sampled);
 
-    // An exact spec's hash is schedule-independent (stays stable
-    // across this PR for every existing stored result).
+    // An exact spec's hash is schedule-independent.
     a.system->setSampleParams(SampleParams{});
     EXPECT_EQ(a.system->configHash(), h_exact);
+
+    // The result entry is keyed by the effective spec: the same plain
+    // spec under REMAP_SAMPLE=1 and with it unset simulates once each
+    // and is then served only its own result.
+    auto &cache = harness::SnapshotCache::instance();
+    cache.setEnabled(true);
+    cache.clear();
+    const power::EnergyModel model;
+    const auto run = [&](bool sample_env) {
+        if (sample_env) {
+            EXPECT_EQ(setenv("REMAP_SAMPLE", "1", 1), 0);
+        }
+        harness::RegionResult r = harness::runRegion(info, exact, model);
+        EXPECT_EQ(unsetenv("REMAP_SAMPLE"), 0);
+        return r;
+    };
+    const std::uint64_t stores = cache.stats().stores;
+    const harness::RegionResult env_sampled = run(true);
+    const harness::RegionResult plain = run(false);
+    EXPECT_FALSE(env_sampled.warmStarted);
+    EXPECT_FALSE(plain.warmStarted);
+    EXPECT_EQ(cache.stats().stores, stores + 2);
+    EXPECT_NE(env_sampled.configHash, plain.configHash);
+    EXPECT_NE(env_sampled.cycles, plain.cycles);
+
+    const harness::RegionResult plain_again = run(false);
+    const harness::RegionResult env_sampled_again = run(true);
+    EXPECT_TRUE(plain_again.warmStarted);
+    EXPECT_TRUE(env_sampled_again.warmStarted);
+    expectSameResult(plain_again, plain);
+    expectSameResult(env_sampled_again, env_sampled);
+    cache.clear();
 }
 
 /** Exact and sampled cycles for one region at the default SMARTS
@@ -565,40 +597,9 @@ TEST(Sampling, AdaptiveKeysNeverAliasFixedSchedules)
     EXPECT_NE(a.system->configHash(), h_fixed);
 }
 
-TEST(Sampling, WindowSnapshotsEvictBeforeWarmStartEntries)
-{
-    auto &cache = harness::SnapshotCache::instance();
-    cache.setEnabled(true);
-    cache.clear();
-    const std::size_t old_cap = cache.memoryCapBytes();
-    cache.setMemoryCapBytes(4096);
-
-    // One warm-start entry, then enough window entries to overflow
-    // the cap: the window class must absorb every eviction while the
-    // warm-start entry stays resident.
-    cache.store("warmkey", 0, 100,
-                std::vector<std::uint8_t>(1024, 0xAB));
-    for (unsigned i = 0; i < 8; ++i)
-        cache.storeWindow("winkey/w" + std::to_string(i), 0,
-                          100 + i,
-                          std::vector<std::uint8_t>(1024, 0xCD));
-
-    const auto st = cache.stats();
-    EXPECT_EQ(st.windowStores, 8u);
-    EXPECT_GT(st.windowEvictions, 0u);
-    EXPECT_LE(st.bytes, 4096u);
-    Cycle b = 0;
-    EXPECT_TRUE(cache.lookup("warmkey", 0, &b) != nullptr);
-    EXPECT_EQ(b, 100u);
-
-    cache.setMemoryCapBytes(old_cap);
-    cache.clear();
-}
-
 TEST(Sampling, ReplayServesRepeatedSampledRunsBitIdentically)
 {
     ASSERT_EQ(unsetenv("REMAP_SAMPLE"), 0);
-    ASSERT_EQ(unsetenv("REMAP_NO_SAMPLE_REPLAY"), 0);
     auto &cache = harness::SnapshotCache::instance();
     cache.setEnabled(true);
     cache.clear();
@@ -612,43 +613,22 @@ TEST(Sampling, ReplayServesRepeatedSampledRunsBitIdentically)
     spec.iterations = 300;
     spec.sample = SampleParams::defaults();
 
-    // Cold run: simulates everything, captures the replay set.
+    // Cold run: simulates and stores exactly one entry, its result.
+    const harness::SnapshotCache::Stats before = cache.stats();
     const harness::RegionResult cold =
         harness::runRegion(info, spec, model);
     ASSERT_TRUE(cold.sampled);
-    EXPECT_FALSE(cold.sampleReplayed);
+    EXPECT_FALSE(cold.warmStarted);
+    EXPECT_EQ(cache.stats().stores, before.stores + 1);
 
-    // Warm run: served from the replay set, bit-identical outputs
-    // (runRegion re-verifies the golden output internally).
+    // Repeat: served from that entry, every simulated field equal.
     const harness::RegionResult warm =
         harness::runRegion(info, spec, model);
-    EXPECT_TRUE(warm.sampleReplayed);
-    EXPECT_EQ(warm.replayedWindows, cold.sampleWindows);
-    EXPECT_EQ(warm.cycles, cold.cycles);
-    EXPECT_EQ(warm.insts, cold.insts);
-    EXPECT_EQ(warm.sampleWindows, cold.sampleWindows);
-    EXPECT_EQ(warm.measuredCycles, cold.measuredCycles);
-    EXPECT_EQ(warm.warmedInsts, cold.warmedInsts);
-    EXPECT_DOUBLE_EQ(warm.ciLowCycles, cold.ciLowCycles);
-    EXPECT_DOUBLE_EQ(warm.ciHighCycles, cold.ciHighCycles);
-    EXPECT_DOUBLE_EQ(warm.energyJ, cold.energyJ);
-
-    // Kill switch: REMAP_NO_SAMPLE_REPLAY=1 must restore the
-    // pre-replay behaviour bit-identically (boundary warm-start is
-    // still allowed; window replay is not).
-    ASSERT_EQ(setenv("REMAP_NO_SAMPLE_REPLAY", "1", 1), 0);
-    const harness::RegionResult off =
-        harness::runRegion(info, spec, model);
-    ASSERT_EQ(unsetenv("REMAP_NO_SAMPLE_REPLAY"), 0);
-    EXPECT_FALSE(off.sampleReplayed);
-    EXPECT_EQ(off.cycles, cold.cycles);
-    EXPECT_EQ(off.insts, cold.insts);
-    EXPECT_EQ(off.sampleWindows, cold.sampleWindows);
-    EXPECT_EQ(off.measuredCycles, cold.measuredCycles);
-    EXPECT_EQ(off.warmedInsts, cold.warmedInsts);
-    EXPECT_DOUBLE_EQ(off.ciLowCycles, cold.ciLowCycles);
-    EXPECT_DOUBLE_EQ(off.ciHighCycles, cold.ciHighCycles);
-    EXPECT_DOUBLE_EQ(off.energyJ, cold.energyJ);
+    EXPECT_TRUE(warm.warmStarted);
+    EXPECT_EQ(warm.snapshotBoundary, cold.cycles);
+    EXPECT_EQ(cache.stats().hits, before.hits + 1);
+    EXPECT_EQ(cache.stats().stores, before.stores + 1);
+    expectSameResult(warm, cold);
 
     cache.clear();
 }
@@ -699,15 +679,14 @@ TEST(Sampling, AdaptiveRunConvergesToRequestedHalfWidth)
         static_cast<double>(exact_cycles);
     EXPECT_LE(err, 0.05);
 
-    // A repeated adaptive run converges instantly off the schedule
-    // memo + replay set and reports the same converged schedule.
+    // A repeated adaptive run is served from its result entry: it
+    // reports the first run's converged schedule and iteration count.
     const harness::RegionResult again =
         harness::runRegion(info, spec, model);
+    EXPECT_TRUE(again.warmStarted);
     EXPECT_EQ(again.convergedPeriod, res.convergedPeriod);
-    EXPECT_EQ(again.cycles, res.cycles);
-    EXPECT_EQ(again.insts, res.insts);
-    EXPECT_EQ(again.adaptiveIterations, 1u);
-    EXPECT_TRUE(again.sampleReplayed);
+    EXPECT_EQ(again.adaptiveIterations, res.adaptiveIterations);
+    expectSameResult(again, res);
 
     cache.clear();
 }

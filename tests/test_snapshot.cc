@@ -22,6 +22,8 @@
 #include "sim/snapshot.hh"
 #include "workloads/workload.hh"
 
+#include "result_fields.hh"
+
 namespace remap
 {
 namespace
@@ -419,7 +421,6 @@ struct CacheGuard
         auto &c = SnapshotCache::instance();
         c.setDiskDir("");
         c.setMemoryCapBytes(std::size_t(256) * 1024 * 1024);
-        c.setFirstBoundary(16384);
         c.setEnabled(true);
         c.clear();
     }
@@ -553,15 +554,14 @@ resultEntrySpec()
     return spec;
 }
 
-void
-expectSameResult(const harness::RegionResult &a,
-                 const harness::RegionResult &b)
+/** The same region under a schedule short enough to fast-forward,
+ *  so every sampled-mode field of its result is filled. */
+workloads::RunSpec
+sampledResultEntrySpec()
 {
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.energyJ, b.energyJ);
-    EXPECT_EQ(a.work, b.work);
-    EXPECT_EQ(a.configHash, b.configHash);
+    workloads::RunSpec spec = resultEntrySpec();
+    spec.sample = sampling::SampleParams{2000, 200, 100};
+    return spec;
 }
 
 TEST(RunRegionResultEntry, SecondRunIsServedAndBitIdentical)
@@ -617,54 +617,64 @@ struct DiskDir
 TEST(RunRegionResultEntry, RoundTripsThroughDiskDir)
 {
     CacheGuard guard;
-    DiskDir dir("remap_result_entry_disk");
     auto &c = SnapshotCache::instance();
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
-    const auto spec = resultEntrySpec();
 
-    const auto cold = harness::runRegion(info, spec, model);
-    ASSERT_FALSE(cold.warmStarted);
-    ASSERT_FALSE(dir.onlyFile().empty());
+    for (const auto &spec : {resultEntrySpec(), sampledResultEntrySpec()}) {
+        SCOPED_TRACE(SnapshotCache::makeKey(info.name, spec, 0));
+        DiskDir dir("remap_result_entry_disk");
+        const auto cold = harness::runRegion(info, spec, model);
+        ASSERT_FALSE(cold.warmStarted);
+        ASSERT_EQ(cold.sampled, spec.sample.enabled());
+        ASSERT_FALSE(dir.onlyFile().empty());
 
-    // A fresh in-memory cache (another process) is served from disk.
-    c.clear();
-    const std::uint64_t loads = c.stats().diskLoads;
-    const auto served = harness::runRegion(info, spec, model);
-    EXPECT_TRUE(served.warmStarted);
-    EXPECT_EQ(c.stats().diskLoads, loads + 1);
-    expectSameResult(served, cold);
+        // A fresh in-memory cache (another process) is served from
+        // disk.
+        c.clear();
+        const std::uint64_t loads = c.stats().diskLoads;
+        const auto served = harness::runRegion(info, spec, model);
+        EXPECT_TRUE(served.warmStarted);
+        EXPECT_EQ(c.stats().diskLoads, loads + 1);
+        expectSameResult(served, cold);
+    }
 }
 
 TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
 {
     CacheGuard guard;
-    DiskDir dir("remap_result_entry_truncated");
     auto &c = SnapshotCache::instance();
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
-    const auto spec = resultEntrySpec();
 
-    const auto cold = harness::runRegion(info, spec, model);
-    const std::filesystem::path file = dir.onlyFile();
-    // Cut into the last field: the header still validates, the
-    // payload does not parse.
-    std::filesystem::resize_file(file,
-                                 std::filesystem::file_size(file) - 4);
-    c.clear();
-    const std::uint64_t rejected = c.stats().rejected;
-    testing::internal::CaptureStderr();
-    const auto rerun = harness::runRegion(info, spec, model);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("ignoring bad result entry"), std::string::npos)
-        << err;
-    EXPECT_EQ(c.stats().rejected, rejected + 1);
-    EXPECT_FALSE(rerun.warmStarted);
-    expectSameResult(rerun, cold);
+    for (const auto &spec : {resultEntrySpec(), sampledResultEntrySpec()}) {
+        SCOPED_TRACE(SnapshotCache::makeKey(info.name, spec, 0));
+        DiskDir dir("remap_result_entry_truncated");
+        c.clear();
+        const auto cold = harness::runRegion(info, spec, model);
+        const std::filesystem::path file = dir.onlyFile();
+        // Cut into the last field: the header still validates, the
+        // payload does not parse.
+        std::filesystem::resize_file(
+            file, std::filesystem::file_size(file) - 4);
+        c.clear();
+        const std::uint64_t rejected = c.stats().rejected;
+        testing::internal::CaptureStderr();
+        const auto rerun = harness::runRegion(info, spec, model);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("ignoring bad result entry"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(c.stats().rejected, rejected + 1);
+        EXPECT_FALSE(rerun.warmStarted);
+        expectSameResult(rerun, cold);
 
-    // The re-simulated run replaced the file with a good entry.
-    c.clear();
-    EXPECT_TRUE(harness::runRegion(info, spec, model).warmStarted);
+        // The re-simulated run replaced the file with a good entry.
+        c.clear();
+        const auto served = harness::runRegion(info, spec, model);
+        EXPECT_TRUE(served.warmStarted);
+        expectSameResult(served, cold);
+    }
 }
 
 TEST(RunRegionResultEntry, OtherBuildIdentityIsRejected)

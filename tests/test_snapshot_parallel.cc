@@ -36,7 +36,6 @@ struct CacheGuard
     {
         auto &c = SnapshotCache::instance();
         c.setDiskDir("");
-        c.setFirstBoundary(16384);
         c.setEnabled(true);
         c.clear();
     }
