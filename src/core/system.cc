@@ -125,6 +125,8 @@ System::System(const SystemConfig &config)
     barrierUnit_.attachFabrics(std::move(raw));
 
     coreDone_.assign(cores_.size(), 1); // no threads bound yet
+    coreWake_.assign(cores_.size(), 0);
+    coreSleptThrough_.assign(cores_.size(), 0);
 
     if (const std::string base = env::traceFile(); !base.empty()) {
         const Cycle period = env::tracePeriod(10'000);
@@ -645,6 +647,28 @@ System::runSampled(Cycle max_cycles)
     return result;
 }
 
+void
+System::catchUpSleeper(std::size_t i, Cycle through, bool wake)
+{
+    const Cycle n = through - coreSleptThrough_[i];
+    cores_[i]->accountSkippedStallCycles(n);
+    sleepSkippedCycles_ += n;
+    coreSleptThrough_[i] = through;
+    if (wake) {
+        coreWake_[i] = 0;
+        --sleepingCores_;
+    }
+}
+
+void
+System::catchUpSleepers(Cycle through, bool wake)
+{
+    for (std::size_t i = 0; i < cores_.size(); ++i) {
+        if (coreWake_[i] != 0)
+            catchUpSleeper(i, through, wake);
+    }
+}
+
 RunResult
 System::runInternal(Cycle max_cycles, bool warn_on_timeout)
 {
@@ -668,15 +692,39 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
         // state unchanged (fixed stall signature). Only then are the
         // following cycles guaranteed to repeat this one verbatim
         // until the earliest nextEventCycle() threshold.
+        //
+        // Per-core sleep: a quiet, self-timed tick replays on every
+        // cycle up to the core's own nextEventCycle() whatever the
+        // rest of the chip does, so the core skips those ticks and
+        // counts as quiet meanwhile; its stall signature is accounted
+        // when it wakes, before each counter sample and when the run
+        // returns (DESIGN.md §10.2). Not while a migration can drain
+        // it, and never in the per-cycle reference (REMAP_NO_LEAP).
         bool all_quiet = leapEnabled_;
+        const bool may_sleep = leapEnabled_ && migrations_.empty();
         if (activeCores_ > 0) {
             for (std::size_t i = 0; i < cores_.size(); ++i) {
                 if (coreDone_[i])
                     continue;
-                cores_[i]->tick(cycle_);
-                if (!cores_[i]->lastTickQuiet())
+                if (coreWake_[i] != 0) {
+                    if (cycle_ < coreWake_[i])
+                        continue;
+                    catchUpSleeper(i, cycle_ - 1, /*wake=*/true);
+                }
+                cpu::OooCore &core = *cores_[i];
+                core.tick(cycle_);
+                if (!core.lastTickQuiet()) {
                     all_quiet = false;
-                if (cores_[i]->done()) {
+                } else if (may_sleep && core.lastTickSelfTimed()) {
+                    const Cycle wake = core.nextEventCycle(cycle_);
+                    if (wake > cycle_ + 1) {
+                        coreWake_[i] = wake;
+                        coreSleptThrough_[i] = cycle_;
+                        ++sleepingCores_;
+                        ++sleeps_;
+                    }
+                }
+                if (core.done()) {
                     coreDone_[i] = 1;
                     --activeCores_;
                 }
@@ -700,6 +748,8 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
             all_quiet = false; // drain requests invalidate signatures
         ++cycle_;
         if (cycle_ >= nextSample_) {
+            if (sleepingCores_ != 0)
+                catchUpSleepers(cycle_ - 1, /*wake=*/false);
             sampler_.sample(*tracer_, cycle_);
             nextSample_ = cycle_ + samplePeriod_;
         }
@@ -733,7 +783,9 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
             for (std::size_t i = 0; i < cores_.size(); ++i) {
                 if (!coreDone_[i])
                     target = std::min(
-                        target, cores_[i]->nextEventCycle(now));
+                        target, coreWake_[i] != 0
+                                    ? coreWake_[i]
+                                    : cores_[i]->nextEventCycle(now));
             }
             for (auto &fabric : fabrics_) {
                 if (!fabric->idle())
@@ -752,13 +804,15 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
                 leapSkippedCycles_ += skipped;
                 leapHist_.sample(skipped);
                 for (std::size_t i = 0; i < cores_.size(); ++i) {
-                    if (!coreDone_[i])
+                    if (!coreDone_[i] && coreWake_[i] == 0)
                         cores_[i]->accountSkippedStallCycles(skipped);
                 }
                 cycle_ = target;
             }
         }
     }
+    if (sleepingCores_ != 0)
+        catchUpSleepers(cycle_ - 1, /*wake=*/true);
     result.cycles = cycle_ - start;
     return result;
 }
@@ -805,6 +859,8 @@ System::resetStats()
     leaps_.reset();
     leapSkippedCycles_.reset();
     leapHist_.reset();
+    sleeps_.reset();
+    sleepSkippedCycles_.reset();
     if (profiler_)
         profiler_->reset();
 }
@@ -847,6 +903,11 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
         w.kv("skipped_cycles", leapSkippedCycles_.value());
         w.key("skipped_hist");
         leapHist_.dumpJson(w);
+        w.endObject();
+        w.key("sleep");
+        w.beginObject();
+        w.kv("sleeps", sleeps_.value());
+        w.kv("skipped_cycles", sleepSkippedCycles_.value());
         w.endObject();
         w.key("groups");
         w.beginObject();

@@ -258,7 +258,7 @@ class System
      *
      * When @p include_sim is true (the default) a top-level "sim"
      * object carries simulator telemetry — fast-path meta-stats
-     * (block cache, MRU way prediction, leap and walk-skip savings),
+     * (block cache, MRU way prediction, leap and sleep savings),
      * registered meta hooks (e.g. the SnapshotCache), and, when
      * profiling is enabled, the host-time profile. Differential
      * comparisons of *simulated* behaviour pass false: the "sim"
@@ -366,6 +366,23 @@ class System
     unsigned activeCores_ = 0;
     void noteCoreActivity(CoreId core);
 
+    /**
+     * Per-core sleep (DESIGN.md §10.2), live only inside
+     * runInternal(): a core whose last tick was quiet and self-timed
+     * skips its ticks until coreWake_[i] (0 = awake), and the stall
+     * signature of the skipped ticks is accounted lazily —
+     * coreSleptThrough_[i] is the last cycle already accounted. Every
+     * core is awake again when runInternal() returns.
+     */
+    std::vector<Cycle> coreWake_;
+    std::vector<Cycle> coreSleptThrough_;
+    unsigned sleepingCores_ = 0;
+    /** Account sleeping core @p i's skipped ticks through cycle
+     *  @p through; with @p wake, also wake it. */
+    void catchUpSleeper(std::size_t i, Cycle through, bool wake);
+    /** catchUpSleeper() for every sleeping core. */
+    void catchUpSleepers(Cycle through, bool wake);
+
     /** Thread -> current core (invalidCore when unmapped), so
      *  migration wake-ups resolve the source core in O(1). */
     std::vector<CoreId> threadCore_;
@@ -403,18 +420,21 @@ class System
 
     RunResult runInternal(Cycle max_cycles, bool warn_on_timeout);
 
-    /** Event-horizon leaps enabled (cleared by REMAP_NO_LEAP=1 for
-     *  the per-cycle differential reference; see DESIGN.md §10). */
+    /** Event-horizon leaps and per-core sleep enabled (cleared by
+     *  REMAP_NO_LEAP=1 for the per-cycle differential reference; see
+     *  DESIGN.md §10). */
     bool leapEnabled_ = true;
 
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<prof::Profiler> profiler_;
 
-    /** @{ @name Event-horizon leap telemetry (meta-stats: never
+    /** @{ @name Leap and sleep telemetry (meta-stats: never
      * serialized, reported in the stats "sim" subtree only). */
     StatCounter leaps_;
     StatCounter leapSkippedCycles_;
     Log2Histogram leapHist_; ///< skipped cycles per leap
+    StatCounter sleeps_;              ///< times a core fell asleep
+    StatCounter sleepSkippedCycles_;  ///< core ticks skipped asleep
     /** @} */
 
     /** @{ @name Sampled-mode state. The schedule is configuration

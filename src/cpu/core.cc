@@ -82,8 +82,16 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
       statGroup_("core" + std::to_string(id) + "." + params.name),
       metaGroup_("core" + std::to_string(id) + "." + params.name)
 {
-    fb_.reset(params_.fetchBufferEntries);
-    rob_.reset(params_.robEntries);
+    REMAP_ASSERT(params_.robEntries > 0 &&
+                     params_.fetchBufferEntries > 0,
+                 "core needs a ROB and a fetch buffer");
+    const std::size_t window = std::bit_ceil(
+        std::size_t{params_.robEntries} + params_.fetchBufferEntries);
+    win_.resize(window);
+    winMask_ = window - 1;
+    iq_.reserve(params_.intQueueEntries + params_.fpQueueEntries);
+    stores_.reserve(params_.robEntries);
+    inflight_.reserve(params_.robEntries);
     // Kill switches latched once per core (see sim/env.hh), so a
     // single process can construct reference and fast-path systems
     // side by side: the block cache governs pre-decode, fused fetch
@@ -119,8 +127,6 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     metaGroup_.addCounter("block_fused_insts", &blockFusedInsts);
     metaGroup_.addCounter("block_fused_runs", &blockFusedRuns);
     metaGroup_.addCounter("block_generic_insts", &blockGenericInsts);
-    metaGroup_.addCounter("rob_wb_skips", &robWbSkips);
-    metaGroup_.addCounter("rob_issue_skips", &robIssueSkips);
 }
 
 void
@@ -159,14 +165,11 @@ OooCore::traceEndStall(Cycle now, bool commit_side)
 void
 OooCore::bindThread(ThreadContext *ctx)
 {
-    REMAP_ASSERT(rob_.empty() && fb_.empty(),
-                 "binding a thread over a live pipeline");
+    REMAP_ASSERT(drained(), "binding a thread over a live pipeline");
     ctx_ = ctx;
     fetchHalted_ = ctx == nullptr || ctx->halted;
     fetchResumeCycle_ = 0;
     fetchBlockedOnSeq_ = 0;
-    wbSkip_ = 0;
-    issueSkip_ = 0;
     std::fill(std::begin(intProducer_), std::end(intProducer_), 0);
     std::fill(std::begin(fpProducer_), std::end(fpProducer_), 0);
     rebuildDecoded();
@@ -190,17 +193,19 @@ OooCore::rebuildDecoded()
 bool
 OooCore::done() const
 {
-    return !ctx_ || (ctx_->halted && rob_.empty() && fb_.empty());
+    return !ctx_ || (ctx_->halted && drained());
 }
 
-const OooCore::DynInst *
-OooCore::findBySeq(std::uint64_t seq) const
+bool
+OooCore::olderStoreIncomplete(std::uint64_t seq) const
 {
-    if (rob_.empty() || seq < rob_.front().seq ||
-        seq > rob_.back().seq)
-        return nullptr;
-    const DynInst &d = rob_[seq - rob_.front().seq];
-    return &d;
+    for (const std::uint64_t s : stores_) {
+        if (s >= seq)
+            break;
+        if (win_[s & winMask_].stage != Stage::Completed)
+            return true;
+    }
+    return false;
 }
 
 std::uint64_t
@@ -268,8 +273,8 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
     // No default: -Wswitch (an error under -Werror) flags any opcode
     // added to the enum without a body here.
     switch (inst.op) {
-      case Opcode::ADD: t.writeInt(inst.rd, a + b); break;
-      case Opcode::SUB: t.writeInt(inst.rd, a - b); break;
+      case Opcode::ADD: t.writeInt(inst.rd, isa::wrapAdd(a, b)); break;
+      case Opcode::SUB: t.writeInt(inst.rd, isa::wrapSub(a, b)); break;
       case Opcode::AND: t.writeInt(inst.rd, a & b); break;
       case Opcode::OR: t.writeInt(inst.rd, a | b); break;
       case Opcode::XOR: t.writeInt(inst.rd, a ^ b); break;
@@ -289,10 +294,12 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
         break;
       case Opcode::MIN: t.writeInt(inst.rd, std::min(a, b)); break;
       case Opcode::MAX: t.writeInt(inst.rd, std::max(a, b)); break;
-      case Opcode::MUL: t.writeInt(inst.rd, a * b); break;
+      case Opcode::MUL: t.writeInt(inst.rd, isa::wrapMul(a, b)); break;
       case Opcode::DIV: t.writeInt(inst.rd, b == 0 ? -1 : a / b); break;
       case Opcode::REM: t.writeInt(inst.rd, b == 0 ? a : a % b); break;
-      case Opcode::ADDI: t.writeInt(inst.rd, a + inst.imm); break;
+      case Opcode::ADDI:
+        t.writeInt(inst.rd, isa::wrapAdd(a, inst.imm));
+        break;
       case Opcode::ANDI: t.writeInt(inst.rd, a & inst.imm); break;
       case Opcode::ORI: t.writeInt(inst.rd, a | inst.imm); break;
       case Opcode::XORI: t.writeInt(inst.rd, a ^ inst.imm); break;
@@ -371,7 +378,7 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
         d.memAddr = static_cast<Addr>(a);
         d.memLen = 8;
         const std::int64_t old = image_->readI64(d.memAddr);
-        image_->writeI64(d.memAddr, old + b);
+        image_->writeI64(d.memAddr, isa::wrapAdd(old, b));
         t.writeInt(inst.rd, old);
         break;
       }
@@ -822,7 +829,7 @@ OooCore::fetch(Cycle now)
 
     unsigned n = 0;
     while (n < params_.fetchWidth) {
-        if (fb_.size() >= params_.fetchBufferEntries)
+        if (fbSize() >= params_.fetchBufferEntries)
             break;
         REMAP_ASSERT(ctx_->pc < ctx_->program->code.size(),
                      "pc fell off the end of program '%s'",
@@ -838,12 +845,13 @@ OooCore::fetch(Cycle now)
             const unsigned fused_before = n;
             const std::uint32_t term = decoded_.runEnd[ctx_->pc] - 1;
             while (ctx_->pc < term && n < params_.fetchWidth &&
-                   fb_.size() < params_.fetchBufferEntries) {
+                   fbSize() < params_.fetchBufferEntries) {
                 const std::uint32_t pc = ctx_->pc;
                 const isa::Instruction &inst = code[pc];
                 const isa::DecodedInst &dec = table[pc];
 
-                DynInst d;
+                DynInst &d = slot(nextSeq_);
+                d = DynInst{};
                 d.si = &inst;
                 d.cls = dec.cls;
                 d.flags = dec.flags;
@@ -872,7 +880,6 @@ OooCore::fetch(Cycle now)
                 d.fbReady = std::max(icache_ready, now + 1);
                 ++fetchedInsts;
                 tickProgress_ = true;
-                fb_.push_back(d);
                 ++n;
             }
             if (n > fused_before) {
@@ -880,7 +887,7 @@ OooCore::fetch(Cycle now)
                 blockFusedInsts += n - fused_before;
             }
             if (n >= params_.fetchWidth ||
-                fb_.size() >= params_.fetchBufferEntries)
+                fbSize() >= params_.fetchBufferEntries)
                 break;
         }
 
@@ -891,7 +898,10 @@ OooCore::fetch(Cycle now)
         const isa::DecodedInst dec =
             table ? table[fetch_pc] : isa::decodeOne(inst);
 
-        DynInst d;
+        // Construct the entry in its window slot; it joins the fetch
+        // buffer only when nextSeq_ advances past it below.
+        DynInst &d = slot(nextSeq_);
+        d = DynInst{};
         d.si = &inst;
         d.cls = dec.cls;
         d.flags = dec.flags;
@@ -929,7 +939,6 @@ OooCore::fetch(Cycle now)
         ++fetchedInsts;
         ++blockGenericInsts;
         tickProgress_ = true;
-        fb_.push_back(d);
         ++n;
 
         if (dec.flags & isa::kIsBranch) {
@@ -940,7 +949,7 @@ OooCore::fetch(Cycle now)
             const bool pred = bpred_.predict(d.pcAddr, &btb_hit);
             bpred_.update(d.pcAddr, taken, target);
             if (!(dec.flags & isa::kIsJump) && pred != taken) {
-                fb_.back().mispredicted = true;
+                d.mispredicted = true;
                 ++mispredicts;
                 fetchBlockedOnSeq_ = d.seq;
                 break;
@@ -961,12 +970,12 @@ OooCore::fetch(Cycle now)
 void
 OooCore::dispatch(Cycle now)
 {
-    for (unsigned n = 0; n < params_.renameWidth && !fb_.empty();
+    for (unsigned n = 0; n < params_.renameWidth && fbSize() != 0;
          ++n) {
-        DynInst &d = fb_.front();
+        DynInst &d = slot(dispSeq_);
         if (d.fbReady > now)
             break;
-        if (rob_.size() >= params_.robEntries) {
+        if (robSize() >= params_.robEntries) {
             ++robFullStalls;
             stallMask_ |= kStallRobFull;
             break;
@@ -1013,19 +1022,18 @@ OooCore::dispatch(Cycle now)
         if (is_store)
             ++storeQueueOcc_;
         tickProgress_ = true;
-        rob_.push_back(d);
-        recordProducer(rob_.back());
-        fb_.pop_front();
+        iq_.push_back(d.seq);
+        if (d.flags & isa::kStoreLike)
+            stores_.push_back(d.seq);
+        ++dispSeq_;
+        recordProducer(d);
     }
 }
 
 void
 OooCore::issue(Cycle now)
 {
-    // The queue occupancies count exactly the Dispatched-stage ROB
-    // entries; with none, the walk below is a no-op (its ordering
-    // flags are only consumed by issue attempts).
-    if (intQueueOcc_ + fpQueueOcc_ == 0)
+    if (iq_.empty())
         return;
     unsigned issued = 0;
     unsigned int_alus = params_.intAlus;
@@ -1033,51 +1041,22 @@ OooCore::issue(Cycle now)
     unsigned branch_units = params_.branchUnits;
     unsigned ldst_units = params_.ldStUnits;
     bool saw_unissued_spl_store = false;
-    bool saw_older_store_or_fence = false;
 
-    // Advance the skip hint over newly skippable entries (see the
-    // member comment for why skippability is monotone), then walk
-    // only while Dispatched entries remain ahead: `remaining` is
-    // exactly the queue occupancy, and once the last Dispatched entry
-    // has been visited the rest of the walk could only have updated
-    // ordering flags nothing reads.
-    const std::size_t sz = rob_.size();
-    std::size_t i = issueSkip_;
-    while (i < sz) {
-        const DynInst &s = rob_[i];
-        if (s.stage == Stage::Completed ||
-            (s.stage == Stage::Issued &&
-             !(s.flags & isa::kStoreLike)))
-            ++i;
-        else
-            break;
-    }
-    issueSkip_ = i;
-    robIssueSkips += issueSkip_;
-    unsigned remaining = intQueueOcc_ + fpQueueOcc_;
-
-    for (; i < sz && remaining != 0; ++i) {
-        DynInst &d = rob_[i];
+    // The issue queue holds exactly the Dispatched entries, oldest
+    // first, so this is the age-ordered select over the window.
+    for (std::size_t i = 0; i < iq_.size();) {
         if (issued >= params_.issueWidth)
             break;
+        DynInst &d = slot(iq_[i]);
         const isa::OpClass cls = d.cls;
-        const bool is_store_like = (d.flags & isa::kStoreLike) != 0;
         const bool is_spl_pop = (d.flags & isa::kSplPop) != 0;
 
-        if (d.stage != Stage::Dispatched) {
-            if (is_store_like && d.stage != Stage::Completed)
-                saw_older_store_or_fence = true;
-            if (is_spl_pop && d.stage == Stage::Dispatched)
-                saw_unissued_spl_store = true;
-            continue;
-        }
-        --remaining;
-
         if (!operandsReady(d, now)) {
-            if (is_store_like)
-                saw_older_store_or_fence = true;
-            if (is_spl_pop)
+            if (is_spl_pop) {
                 saw_unissued_spl_store = true;
+                stallMask_ |= kWaitSplPop;
+            }
+            ++i;
             continue;
         }
 
@@ -1139,9 +1118,10 @@ OooCore::issue(Cycle now)
             // Store-to-load: check older overlapping stores.
             bool forwarded = false;
             bool blocked = false;
-            for (const DynInst &s : rob_) {
-                if (s.seq >= d.seq)
+            for (const std::uint64_t seq : stores_) {
+                if (seq >= d.seq)
                     break;
+                const DynInst &s = slot(seq);
                 if (!(s.flags & isa::kMemWrite))
                     continue;
                 const bool overlap =
@@ -1169,7 +1149,7 @@ OooCore::issue(Cycle now)
           case isa::OpClass::Amo:
             // Atomics issue non-speculatively: wait for every older
             // store/fence to complete first.
-            if (ldst_units == 0 || saw_older_store_or_fence) {
+            if (ldst_units == 0 || olderStoreIncomplete(d.seq)) {
                 can_issue = false;
                 break;
             }
@@ -1198,16 +1178,19 @@ OooCore::issue(Cycle now)
           }
         }
 
-        if (is_store_like && d.stage != Stage::Completed)
-            saw_older_store_or_fence = true;
-        if (!can_issue)
+        if (!can_issue) {
+            if (is_spl_pop)
+                stallMask_ |= kWaitSplPop;
+            ++i;
             continue;
+        }
 
         d.stage = Stage::Issued;
         d.completeCycle = complete;
         minIssuedComplete_ = std::min(minIssuedComplete_, complete);
         tickProgress_ = true;
-        ++issuedOcc_;
+        inflight_.push_back(d.seq);
+        iq_.erase(iq_.begin() + static_cast<std::ptrdiff_t>(i));
         if (d.usesFpQueue)
             --fpQueueOcc_;
         else
@@ -1219,42 +1202,30 @@ OooCore::issue(Cycle now)
 void
 OooCore::writeback(Cycle now)
 {
-    // minIssuedComplete_ is the exact minimum completeCycle over
-    // Issued entries, so when it lies in the future the walk below
+    // minIssuedComplete_ is the exact minimum completeCycle over the
+    // in-flight list, so when it lies in the future the walk below
     // would transition nothing — skip it. The walk recomputes the
-    // minimum over the entries it leaves Issued.
-    if (issuedOcc_ == 0 || minIssuedComplete_ > now)
+    // minimum over the entries it leaves in flight.
+    if (minIssuedComplete_ > now)
         return;
     Cycle new_min = neverCycle;
-    // Leading Completed entries have nothing left to write back —
-    // skip them via the monotone hint, and stop as soon as the last
-    // Issued entry (counted exactly by issuedOcc_) has been seen.
-    const std::size_t sz = rob_.size();
-    std::size_t i = wbSkip_;
-    while (i < sz && rob_[i].stage == Stage::Completed)
-        ++i;
-    wbSkip_ = i;
-    robWbSkips += wbSkip_;
-    unsigned remaining = issuedOcc_;
-    for (; i < sz; ++i) {
-        DynInst &d = rob_[i];
-        if (d.stage != Stage::Issued)
-            continue;
-        if (d.completeCycle <= now) {
-            d.stage = Stage::Completed;
-            --issuedOcc_;
-            tickProgress_ = true;
-            if (d.seq == fetchBlockedOnSeq_) {
-                fetchBlockedOnSeq_ = 0;
-                fetchResumeCycle_ = std::max(
-                    fetchResumeCycle_,
-                    d.completeCycle + params_.redirectPenalty);
-            }
-        } else {
+    for (std::size_t i = 0; i < inflight_.size();) {
+        DynInst &d = slot(inflight_[i]);
+        if (d.completeCycle > now) {
             new_min = std::min(new_min, d.completeCycle);
+            ++i;
+            continue;
         }
-        if (--remaining == 0)
-            break;
+        d.stage = Stage::Completed;
+        tickProgress_ = true;
+        if (d.seq == fetchBlockedOnSeq_) {
+            fetchBlockedOnSeq_ = 0;
+            fetchResumeCycle_ = std::max(
+                fetchResumeCycle_,
+                d.completeCycle + params_.redirectPenalty);
+        }
+        inflight_[i] = inflight_.back();
+        inflight_.pop_back();
     }
     minIssuedComplete_ = new_min;
 }
@@ -1262,10 +1233,9 @@ OooCore::writeback(Cycle now)
 void
 OooCore::commit(Cycle now)
 {
-    std::size_t pops = 0;
-    for (unsigned n = 0; n < params_.retireWidth && !rob_.empty();
+    for (unsigned n = 0; n < params_.retireWidth && robSize() != 0;
          ++n) {
-        DynInst &d = rob_.front();
+        DynInst &d = slot(headSeq_);
         if (d.stage != Stage::Completed || d.completeCycle > now)
             break;
         const isa::OpClass cls = d.cls;
@@ -1282,7 +1252,7 @@ OooCore::commit(Cycle now)
           }
           case isa::OpClass::Fence:
             if (storeBufferDrainCycle_ > now)
-                goto commit_stalled;
+                return;
             ++committedIntOps;
             break;
           case isa::OpClass::Load:
@@ -1300,7 +1270,7 @@ OooCore::commit(Cycle now)
                 stallMask_ |= kStallSplCommit;
                 if (tracer_ && splCommitStallStart_ == 0)
                     splCommitStallStart_ = now;
-                goto commit_stalled;
+                return;
             }
             spl_->load(splSlot_,
                        static_cast<unsigned>(d.si->imm),
@@ -1313,7 +1283,7 @@ OooCore::commit(Cycle now)
                 stallMask_ |= kStallSplCommit;
                 if (tracer_ && splCommitStallStart_ == 0)
                     splCommitStallStart_ = now;
-                goto commit_stalled;
+                return;
             }
             spl_->load(splSlot_,
                        static_cast<unsigned>(d.si->imm2),
@@ -1339,7 +1309,7 @@ OooCore::commit(Cycle now)
                     stallMask_ |= kStallSplCommit;
                     if (tracer_ && splCommitStallStart_ == 0)
                         splCommitStallStart_ = now;
-                    goto commit_stalled;
+                    return;
                 }
                 spl_->bar(splSlot_,
                           static_cast<ConfigId>(d.si->imm),
@@ -1351,7 +1321,7 @@ OooCore::commit(Cycle now)
                     stallMask_ |= kStallSplCommit;
                     if (tracer_ && splCommitStallStart_ == 0)
                         splCommitStallStart_ = now;
-                    goto commit_stalled;
+                    return;
                 }
                 spl_->init(splSlot_,
                            static_cast<ConfigId>(d.si->imm),
@@ -1389,14 +1359,10 @@ OooCore::commit(Cycle now)
                     << isa::disassemble(*d.si) << '\n';
         }
         tickProgress_ = true;
-        rob_.pop_front();
-        ++pops;
+        if (d.flags & isa::kStoreLike)
+            stores_.erase(stores_.begin());
+        ++headSeq_;
     }
-  commit_stalled:
-    // Keep the walk-skip hints pointing at the same entries now that
-    // the ROB head has moved.
-    wbSkip_ -= std::min(wbSkip_, pops);
-    issueSkip_ -= std::min(issueSkip_, pops);
 }
 
 void
@@ -1466,8 +1432,8 @@ OooCore::nextEventCycle(Cycle now) const
     consider(divBusyUntil_);
     consider(fpDivBusyUntil_);
     consider(storeBufferDrainCycle_);
-    if (!fb_.empty())
-        consider(fb_.front().fbReady);
+    if (fbSize() != 0)
+        consider(win_[dispSeq_ & winMask_].fbReady);
     // Exact minimum over Issued completions (maintained by issue/
     // writeback), equal to what walking the ROB would find: after a
     // quiet tick every Issued completion is > now, so the minimum is
@@ -1559,12 +1525,13 @@ OooCore::save(snap::Serializer &s) const
         s.boolean(d.mispredicted);
         s.boolean(d.usesFpQueue);
     };
-    s.u32(static_cast<std::uint32_t>(fb_.size()));
-    for (const DynInst &d : fb_)
-        save_inst(d);
-    s.u32(static_cast<std::uint32_t>(rob_.size()));
-    for (const DynInst &d : rob_)
-        save_inst(d);
+    // The window is written as its two lists, fetch buffer first.
+    s.u32(static_cast<std::uint32_t>(fbSize()));
+    for (std::uint64_t seq = dispSeq_; seq != nextSeq_; ++seq)
+        save_inst(win_[seq & winMask_]);
+    s.u32(static_cast<std::uint32_t>(robSize()));
+    for (std::uint64_t seq = headSeq_; seq != dispSeq_; ++seq)
+        save_inst(win_[seq & winMask_]);
 
     s.u64(nextSeq_);
     for (std::uint64_t p : intProducer_)
@@ -1607,14 +1574,15 @@ OooCore::restore(snap::Deserializer &d)
         return;
     }
 
-    auto restore_insts = [&](BoundedRing<DynInst> &q,
+    auto restore_insts = [&](std::vector<DynInst> &q,
+                             std::size_t capacity,
                              std::size_t elem_bytes) {
-        q.clear();
         const std::uint32_t n = d.count(elem_bytes);
-        if (n > q.capacity()) {
+        if (n > capacity) {
             d.fail("pipeline queue exceeds configured capacity");
             return;
         }
+        q.reserve(n);
         for (std::uint32_t i = 0; i < n && d.ok(); ++i) {
             DynInst di;
             const std::uint32_t si_idx = d.u32();
@@ -1655,31 +1623,70 @@ OooCore::restore(snap::Deserializer &d)
         }
     };
     // 87 = serialized DynInst size (fixed-width fields above).
-    restore_insts(fb_, 87);
+    std::vector<DynInst> fb, rob;
+    restore_insts(fb, params_.fetchBufferEntries, 87);
     if (!d.ok())
         return;
-    restore_insts(rob_, 87);
+    restore_insts(rob, params_.robEntries, 87);
     if (!d.ok())
         return;
-    issuedOcc_ = 0;
+    const std::uint64_t next_seq = d.u64();
+    if (!d.ok())
+        return;
+
+    // The window needs dense sequence numbers: ROB then fetch buffer,
+    // ending just below nextSeq_, with every entry in its list's
+    // stages.
+    const std::uint64_t head_seq =
+        next_seq - fb.size() - rob.size();
+    if (next_seq < 1 + fb.size() + rob.size()) {
+        d.fail("pipeline sequence numbers out of range");
+        return;
+    }
+    for (std::size_t i = 0; i < rob.size() + fb.size(); ++i) {
+        const DynInst &di =
+            i < rob.size() ? rob[i] : fb[i - rob.size()];
+        if (di.seq != head_seq + i ||
+            (di.stage == Stage::InBuffer) != (i >= rob.size())) {
+            d.fail("pipeline window is not contiguous");
+            return;
+        }
+    }
+    headSeq_ = head_seq;
+    dispSeq_ = head_seq + rob.size();
+    nextSeq_ = next_seq;
+    for (const DynInst &di : rob)
+        slot(di.seq) = di;
+    for (const DynInst &di : fb)
+        slot(di.seq) = di;
+
+    // Rebuild the derived per-stage lists from the ROB.
+    iq_.clear();
+    stores_.clear();
+    inflight_.clear();
     minIssuedComplete_ = neverCycle;
-    wbSkip_ = 0;
-    issueSkip_ = 0;
-    for (const DynInst &di : rob_) {
+    for (const DynInst &di : rob) {
+        if (di.stage == Stage::Dispatched)
+            iq_.push_back(di.seq);
+        if (di.flags & isa::kStoreLike)
+            stores_.push_back(di.seq);
         if (di.stage == Stage::Issued) {
-            ++issuedOcc_;
+            inflight_.push_back(di.seq);
             minIssuedComplete_ =
                 std::min(minIssuedComplete_, di.completeCycle);
         }
     }
 
-    nextSeq_ = d.u64();
     for (std::uint64_t &p : intProducer_)
         p = d.u64();
     for (std::uint64_t &p : fpProducer_)
         p = d.u64();
     intQueueOcc_ = d.u32();
     fpQueueOcc_ = d.u32();
+    if (d.ok() && intQueueOcc_ + fpQueueOcc_ != iq_.size()) {
+        d.fail("issue-queue occupancy does not match the window");
+        return;
+    }
     loadQueueOcc_ = d.u32();
     storeQueueOcc_ = d.u32();
     fetchResumeCycle_ = d.u64();

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "cpu/bpred.hh"
 #include "cpu/thread.hh"
@@ -39,7 +40,6 @@
 #include "isa/isa.hh"
 #include "mem/mem_system.hh"
 #include "mem/memory_image.hh"
-#include "sim/bounded_ring.hh"
 #include "sim/profile.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -111,7 +111,7 @@ class OooCore
     bool
     drained() const
     {
-        return fb_.empty() && rob_.empty();
+        return headSeq_ == nextSeq_;
     }
 
     /** @{ @name Functional warming (sampled mode, DESIGN.md §14).
@@ -163,6 +163,21 @@ class OooCore
      * via accountSkippedStallCycles().
      */
     bool lastTickQuiet() const { return !tickProgress_; }
+
+    /**
+     * True when the most recent tick was quiet and *self-timed*: it
+     * read nothing another component can change — no SPL fetch or
+     * commit stall, no SPL pop waiting in the issue queue. Until
+     * nextEventCycle() every later tick of this core replays it, even
+     * while the rest of the chip makes progress, so the run loop may
+     * put the core to sleep and account the skipped ticks later
+     * through accountSkippedStallCycles() (DESIGN.md §10.2).
+     */
+    bool
+    lastTickSelfTimed() const
+    {
+        return !tickProgress_ && !(stallMask_ & kFabricBound);
+    }
 
     /**
      * Earliest cycle strictly after @p now at which this core's tick
@@ -223,16 +238,14 @@ class OooCore
     StatCounter blockFusedInsts;   ///< insts fetched via fused runs
     StatCounter blockFusedRuns;    ///< fused-run activations
     StatCounter blockGenericInsts; ///< insts fetched via generic path
-    StatCounter robWbSkips;        ///< ROB entries skipped by writeback
-    StatCounter robIssueSkips;     ///< ROB entries skipped by issue
     /** @} */
 
     /** Dump core + predictor stats. */
     void dumpStats(std::ostream &os);
     /** Emit core + predictor stats into an open JSON object scope. */
     void dumpStatsJson(json::Writer &w);
-    /** Emit this core's fast-path meta-stats (block cache, walk-skip
-     *  savings) into an open JSON object scope. */
+    /** Emit this core's fast-path meta-stats (block cache) into an
+     *  open JSON object scope. */
     void dumpMetaStatsJson(json::Writer &w);
     /** Reset all statistics. */
     void resetStats();
@@ -261,8 +274,9 @@ class OooCore
     void setTracer(trace::Tracer *t, std::uint32_t tid);
 
     /**
-     * Serialize the pipeline: fetch buffer and ROB (DynInst::si is
-     * written as an index into the bound thread's program), sequence
+     * Serialize the pipeline: fetch buffer and ROB, as two lists
+     * (DynInst::si is written as an index into the bound thread's
+     * program), sequence
      * and producer state, queue occupancies, fetch/drain flags, unit
      * busy cycles, the branch predictor and the stat group. The bound
      * thread's ThreadContext is serialized by the System (threads
@@ -339,8 +353,24 @@ class OooCore
     /** True when @p d's producers have completed by @p now; updates
      *  the notReadyUntil memo on @p d. */
     bool operandsReady(DynInst &d, Cycle now);
-    /** Find an in-flight instruction by sequence number. */
-    const DynInst *findBySeq(std::uint64_t seq) const;
+    /** The ROB entry with sequence number @p seq, or nullptr when
+     *  @p seq is not in the ROB. */
+    const DynInst *
+    findBySeq(std::uint64_t seq) const
+    {
+        if (seq < headSeq_ || seq >= dispSeq_)
+            return nullptr;
+        return &win_[seq & winMask_];
+    }
+    /** The window slot of sequence number @p seq. */
+    DynInst &slot(std::uint64_t seq) { return win_[seq & winMask_]; }
+    /** ROB occupancy. */
+    std::size_t robSize() const { return dispSeq_ - headSeq_; }
+    /** Fetch-buffer occupancy. */
+    std::size_t fbSize() const { return nextSeq_ - dispSeq_; }
+    /** True when a store-like entry older than @p seq has not
+     *  completed (atomics wait for that). */
+    bool olderStoreIncomplete(std::uint64_t seq) const;
 
     /** Rebuild the per-core decoded-program table for the bound
      *  thread's program (no-op when the block cache is disabled). */
@@ -360,11 +390,19 @@ class OooCore
     BranchPredictor bpred_;
     ThreadContext *ctx_ = nullptr;
 
-    /** Fetch buffer and ROB: fixed-capacity rings over slot pools
-     *  sized once from the Table II bounds (fetchBufferEntries /
-     *  robEntries), so the steady-state pipeline never allocates. */
-    BoundedRing<DynInst> fb_;
-    BoundedRing<DynInst> rob_;
+    /**
+     * The instruction window: one power-of-two slot array indexed by
+     * `seq & winMask_`, sized once to hold robEntries +
+     * fetchBufferEntries. Sequence numbers are dense, so the window
+     * is three cursors: the ROB is [headSeq_, dispSeq_) and the fetch
+     * buffer [dispSeq_, nextSeq_). Fetch constructs an entry in its
+     * slot, dispatch advances dispSeq_ and commit advances headSeq_;
+     * no stage copies an entry. Seq 0 means "no producer".
+     */
+    std::vector<DynInst> win_;
+    std::uint64_t winMask_ = 0;
+    std::uint64_t headSeq_ = 1;
+    std::uint64_t dispSeq_ = 1;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t intProducer_[isa::numIntRegs] = {};
     std::uint64_t fpProducer_[isa::numFpRegs] = {};
@@ -373,36 +411,23 @@ class OooCore
     unsigned fpQueueOcc_ = 0;
     unsigned loadQueueOcc_ = 0;
     unsigned storeQueueOcc_ = 0;
-    /** ROB entries in Stage::Issued (derived; recomputed on restore,
-     *  not serialized). Lets writeback() skip the ROB walk when no
-     *  completion is possible. */
-    unsigned issuedOcc_ = 0;
-    /** Exact minimum completeCycle over Stage::Issued ROB entries
-     *  (neverCycle when none). Maintained by issue()/writeback(),
+    /** @{ @name Per-stage lists over the window (derived: seqs only,
+     * rebuilt from the ROB on restore, never serialized). Capacity is
+     * reserved once, so the steady-state pipeline never allocates. */
+    /** Issue queue: Dispatched seqs, oldest first. Issue walks it. */
+    std::vector<std::uint64_t> iq_;
+    /** Store list: store-like (store/atomic/fence) ROB seqs, oldest
+     *  first; dispatch appends, commit pops the front. The
+     *  store-to-load and atomic-ordering checks walk it. */
+    std::vector<std::uint64_t> stores_;
+    /** In-flight list: Issued seqs, unordered. Writeback walks it. */
+    std::vector<std::uint64_t> inflight_;
+    /** @} */
+    /** Exact minimum completeCycle over the in-flight list
+     *  (neverCycle when empty). Maintained by issue()/writeback(),
      *  recomputed on restore; lets writeback() and nextEventCycle()
-     *  skip the ROB walk. Derived, not serialized. */
+     *  skip the walk. Derived, not serialized. */
     Cycle minIssuedComplete_ = neverCycle;
-    /**
-     * Monotone walk-skip hints: counts of leading rob_ entries each
-     * per-tick walk can provably ignore. Skippability never regresses
-     * (stages only advance Dispatched -> Issued -> Completed and an
-     * entry's flags are fixed), so the hints only need lazy forward
-     * advancement plus a saturating decrement when commit() pops.
-     * Behaviour-identical whether or not the hints have caught up —
-     * they are lower bounds, never assumptions. Derived, reset on
-     * restore, not serialized.
-     *
-     * wbSkip_:    leading entries with stage == Completed; writeback
-     *             has nothing to do with them.
-     * issueSkip_: leading entries that are Completed, or Issued and
-     *             not store-like. Such entries can no longer issue
-     *             and contribute nothing to issue()'s older-store /
-     *             unissued-spl ordering flags (a Completed store-like
-     *             entry never sets them; an Issued non-store-like
-     *             entry never did).
-     */
-    std::size_t wbSkip_ = 0;
-    std::size_t issueSkip_ = 0;
 
     /** @{ @name Decoded basic-block cache (derived, not snapshotted;
      * rebuilt by bindThread()/restore(). `decoded_` is a pure
@@ -456,6 +481,11 @@ class OooCore
         kStallRobFull = 1u << 3,   ///< robFullStalls
         kStallIqFull = 1u << 4,    ///< iqFullStalls
         kStallLsqFull = 1u << 5,   ///< lsqFullStalls
+        /** No counter: an SPL pop waited in the issue queue (it reads
+         *  the fabric's output queue). */
+        kWaitSplPop = 1u << 6,
+        /** Bits whose tick read state another component can change. */
+        kFabricBound = kStallSplFetch | kStallSplCommit | kWaitSplPop,
     };
     bool tickProgress_ = true; ///< last tick changed real state
     std::uint8_t stallMask_ = 0; ///< stall counters the tick bumped

@@ -42,8 +42,8 @@ interpret(const Program &prog, mem::MemoryImage &mem,
         // No default: -Wswitch (an error under -Werror) flags any
         // opcode added to the enum without a body here.
         switch (ip->op) {
-          case Opcode::ADD: wr_int(ip->rd, a + b); break;
-          case Opcode::SUB: wr_int(ip->rd, a - b); break;
+          case Opcode::ADD: wr_int(ip->rd, wrapAdd(a, b)); break;
+          case Opcode::SUB: wr_int(ip->rd, wrapSub(a, b)); break;
           case Opcode::AND: wr_int(ip->rd, a & b); break;
           case Opcode::OR: wr_int(ip->rd, a | b); break;
           case Opcode::XOR: wr_int(ip->rd, a ^ b); break;
@@ -60,10 +60,10 @@ interpret(const Program &prog, mem::MemoryImage &mem,
             break;
           case Opcode::MIN: wr_int(ip->rd, std::min(a, b)); break;
           case Opcode::MAX: wr_int(ip->rd, std::max(a, b)); break;
-          case Opcode::MUL: wr_int(ip->rd, a * b); break;
+          case Opcode::MUL: wr_int(ip->rd, wrapMul(a, b)); break;
           case Opcode::DIV: wr_int(ip->rd, b == 0 ? -1 : a / b); break;
           case Opcode::REM: wr_int(ip->rd, b == 0 ? a : a % b); break;
-          case Opcode::ADDI: wr_int(ip->rd, a + ip->imm); break;
+          case Opcode::ADDI: wr_int(ip->rd, wrapAdd(a, ip->imm)); break;
           case Opcode::ANDI: wr_int(ip->rd, a & ip->imm); break;
           case Opcode::ORI: wr_int(ip->rd, a | ip->imm); break;
           case Opcode::XORI: wr_int(ip->rd, a ^ ip->imm); break;
@@ -115,7 +115,7 @@ interpret(const Program &prog, mem::MemoryImage &mem,
           case Opcode::FSD: mem.writeF64(Addr(a + ip->imm), fb); break;
           case Opcode::AMOADD: {
             const std::int64_t old = mem.readI64(Addr(a));
-            mem.writeI64(Addr(a), old + b);
+            mem.writeI64(Addr(a), wrapAdd(old, b));
             wr_int(ip->rd, old);
             break;
           }

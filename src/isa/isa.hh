@@ -34,6 +34,29 @@ inline constexpr unsigned numFpRegs = 64;
 /** Register index within its file. */
 using RegIndex = std::uint8_t;
 
+/** @{ @name Integer ALU arithmetic: 64-bit two's complement, wrapping
+ * on overflow (computed unsigned, since signed overflow is undefined
+ * in C++). The core and the reference interpreter both use these. */
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+/** @} */
+
 /** Opcodes of the mini-ISA. */
 enum class Opcode : std::uint8_t
 {

@@ -15,6 +15,7 @@
  * Kill switches (unset = fast path on, "1" = off; any other value,
  * including "0" and the empty string, is a fatal error):
  *  - REMAP_NO_LEAP=1        disable the event-horizon leap scheduler
+ *                           and per-core sleep
  *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded basic-block cache
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
  *

@@ -9,111 +9,21 @@
 #include "cpu/core.hh"
 #include "isa/builder.hh"
 #include "isa/interp.hh"
-#include "sim/rng.hh"
+#include "random_program.hh"
 
 namespace remap
 {
 namespace
 {
 
-using isa::ProgramBuilder;
-using isa::RegIndex;
+using testprog::randomMemProgram;
+using testprog::randomProgram;
 
-/**
- * Generate a structured random program: an initialization block, a
- * bounded counted loop whose body mixes ALU ops, loads/stores into a
- * scratch region, data-dependent branches and FP work, then a store
- * of every live register so the comparison is thorough.
- */
-isa::Program
-randomProgram(std::uint64_t seed)
+/** Run @p prog on the interpreter and on single OOO1 and OOO2 cores;
+ *  every register and the scratch region must agree. */
+void
+expectCoreMatchesInterpreter(const isa::Program &prog)
 {
-    Rng rng(seed);
-    ProgramBuilder b("rand" + std::to_string(seed));
-    const Addr scratch = 0x10000;
-    const unsigned scratch_words = 64;
-
-    // Registers: x1 loop counter, x2 bound, x3 scratch base,
-    // x4..x15 data registers, f1..f7 FP registers.
-    b.li(1, 0);
-    b.li(2, 20 + std::int64_t(rng.below(40)));
-    b.li(3, static_cast<std::int64_t>(scratch));
-    for (RegIndex x = 4; x <= 15; ++x)
-        b.li(x, rng.range(-1000, 1000));
-    for (RegIndex f = 1; f <= 7; ++f)
-        b.li(20, rng.range(-50, 50)).fcvtI2F(f, 20);
-
-    b.label("loop").bge(1, 2, "done");
-    const unsigned body_len = 8 + unsigned(rng.below(16));
-    for (unsigned n = 0; n < body_len; ++n) {
-        const RegIndex dst = static_cast<RegIndex>(4 + rng.below(12));
-        const RegIndex s1 = static_cast<RegIndex>(4 + rng.below(12));
-        const RegIndex s2 = static_cast<RegIndex>(4 + rng.below(12));
-        switch (rng.below(14)) {
-          case 0: b.add(dst, s1, s2); break;
-          case 1: b.sub(dst, s1, s2); break;
-          case 2: b.mul(dst, s1, s2); break;
-          case 3: b.and_(dst, s1, s2); break;
-          case 4: b.xor_(dst, s1, s2); break;
-          case 5: b.min(dst, s1, s2); break;
-          case 6: b.max(dst, s1, s2); break;
-          case 7: b.srai(dst, s1, unsigned(rng.below(8))); break;
-          case 8: { // store then load through the scratch region
-            const std::int64_t off =
-                8 * std::int64_t(rng.below(scratch_words));
-            b.sd(s1, 3, off).ld(dst, 3, off);
-            break;
-          }
-          case 9: { // indexed scratch access off the loop counter
-            b.andi(16, 1, scratch_words - 1)
-                .slli(16, 16, 3)
-                .add(16, 16, 3)
-                .sd(s1, 16, 0)
-                .ld(dst, 16, 0);
-            break;
-          }
-          case 10: { // data-dependent branch over a small block
-            const std::string skip =
-                "skip_" + std::to_string(seed) + "_" +
-                std::to_string(n);
-            b.andi(16, s1, 3)
-                .beq(16, 0, skip)
-                .addi(dst, dst, 7)
-                .label(skip);
-            break;
-          }
-          case 11: { // FP mix
-            const RegIndex fd =
-                static_cast<RegIndex>(1 + rng.below(7));
-            const RegIndex fs =
-                static_cast<RegIndex>(1 + rng.below(7));
-            b.fadd(fd, fd, fs).fcvtF2I(17, fd).xor_(dst, dst, 17);
-            break;
-          }
-          case 12: b.div(dst, s1, s2); break;
-          default: b.addi(dst, s1, rng.range(-100, 100)); break;
-        }
-    }
-    b.addi(1, 1, 1).j("loop").label("done");
-
-    // Spill everything for the comparison.
-    for (RegIndex x = 4; x <= 15; ++x)
-        b.sd(x, 3, 512 + 8 * x);
-    for (RegIndex f = 1; f <= 7; ++f)
-        b.fsd(f, 3, 768 + 8 * f);
-    b.halt();
-    return b.build();
-}
-
-class Differential : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(Differential, CoreMatchesInterpreter)
-{
-    const std::uint64_t seed = 0xd1ff0000 + GetParam();
-    isa::Program prog = randomProgram(seed);
-
     mem::MemoryImage ref_mem;
     isa::InterpResult ref = isa::interpret(prog, ref_mem);
     ASSERT_TRUE(ref.halted);
@@ -156,6 +66,23 @@ TEST_P(Differential, CoreMatchesInterpreter)
     }
     for (unsigned x = 0; x < isa::numIntRegs; ++x)
         EXPECT_EQ(ctx2.intRegs[x], ref.intRegs[x]) << "x" << x;
+}
+
+class Differential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(Differential, CoreMatchesInterpreter)
+{
+    expectCoreMatchesInterpreter(randomProgram(0xd1ff0000 + GetParam()));
+}
+
+TEST_P(Differential, MemProgramsMatchInterpreter)
+{
+    // Sub-word and partially overlapping stores/loads, atomics and
+    // fences: the store-to-load forwarding and atomic-ordering paths.
+    expectCoreMatchesInterpreter(
+        randomMemProgram(0x3e3f0000 + GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, Differential,

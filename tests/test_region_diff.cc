@@ -39,6 +39,7 @@
 #include "harness/experiment.hh"
 #include "harness/paper.hh"
 #include "harness/snapshot_cache.hh"
+#include "sim/json_value.hh"
 #include "sim/snapshot.hh"
 
 namespace remap
@@ -330,19 +331,83 @@ tracedJob()
     return RegionJob{&workloads::byName("ll3"), spec};
 }
 
+/** The sleeping region: ll6 with software barriers on 16 OOO1
+ *  cores. It has no fabric, so every quiet core tick is self-timed
+ *  and the cores sleep through their cache misses (DESIGN.md
+ *  §10.2). */
+RegionJob
+sleepJob()
+{
+    RunSpec spec;
+    spec.variant = Variant::SwBarrier;
+    spec.problemSize = 32;
+    spec.threads = 16;
+    return RegionJob{&workloads::byName("ll6"), spec};
+}
+
+/** The "sim" telemetry subtree of @p r's statistics. */
+json::Value
+simTelemetry(workloads::PreparedRun &r)
+{
+    std::ostringstream os;
+    r.system->dumpStatsJson(os, /*include_sim=*/true);
+    json::Value v;
+    EXPECT_TRUE(json::parse(os.str(), v));
+    return v.has("sim") ? v.at("sim") : json::Value{};
+}
+
 TEST(LeapDifferential, TracedRunsAreByteIdentical)
 {
     // A counter sample period clamps every leap to the sample cycles,
     // and stall spans are emitted at their per-cycle start/length; the
-    // trace byte stream must not depend on leaping.
-    const RegionJob job = tracedJob();
+    // trace byte stream must not depend on leaping. In the sleeping
+    // region, samples are taken while cores sleep, so their counters
+    // must be caught up first.
     const std::string dir = testing::TempDir();
-    const Probe ref = runProbe(job, Leg::Default,
-                               dir + "remap_leapdiff_a.json", 500);
-    ASSERT_FALSE(ref.traceBytes.empty());
-    expectIdentical(runProbe(job, Leg::NoLeap,
-                             dir + "remap_leapdiff_b.json", 500),
-                    ref);
+    for (const RegionJob &job : {tracedJob(), sleepJob()}) {
+        SCOPED_TRACE(harness::jobKey(job));
+        const Probe ref = runProbe(job, Leg::Default,
+                                   dir + "remap_leapdiff_a.json", 500);
+        ASSERT_FALSE(ref.traceBytes.empty());
+        expectIdentical(runProbe(job, Leg::NoLeap,
+                                 dir + "remap_leapdiff_b.json", 500),
+                        ref);
+    }
+}
+
+TEST(LeapDifferential, TimeoutWhileCoresSleep)
+{
+    // A cycle limit that expires while cores sleep must still leave
+    // every statistic where the per-cycle loop leaves it: the run
+    // accounts the sleepers' skipped ticks before it returns. With 16
+    // cores sleeping through their misses, each of these limits lands
+    // while some core sleeps.
+    const RegionJob job = sleepJob();
+    for (const Cycle limit : {Cycle{2999}, Cycle{5003}, Cycle{8191},
+                              Cycle{12007}}) {
+        SCOPED_TRACE(testing::Message() << "limit " << limit);
+        Probe probes[2];
+        for (const Leg leg : {Leg::Default, Leg::NoLeap}) {
+            workloads::PreparedRun r = buildUnder(job, leg);
+            const sys::RunResult res = r.system->runSegment(limit);
+            EXPECT_TRUE(res.timedOut);
+            if (leg == Leg::Default) {
+                const json::Value sim = simTelemetry(r);
+                ASSERT_TRUE(sim.has("sleep"));
+                EXPECT_GT(sim.at("sleep").at("sleeps").num, 0.0);
+            }
+            Probe &p = probes[leg == Leg::Default ? 0 : 1];
+            p.cycles = res.cycles;
+            p.timedOut = res.timedOut;
+            std::ostringstream os;
+            r.system->dumpStatsJson(os, /*include_sim=*/false);
+            p.statsJson = os.str();
+            snap::Serializer sz;
+            r.system->save(sz);
+            p.snapshot = sz.buffer();
+        }
+        expectIdentical(probes[1], probes[0]);
+    }
 }
 
 TEST(FastPathDifferential, TracedRunsAreByteIdentical)
@@ -370,25 +435,32 @@ TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
     // therefore interchangeable across REMAP_NO_LEAP /
     // REMAP_NO_BLOCK_CACHE / REMAP_NO_MRU settings: a run restored
     // under any setting from a snapshot captured under any other
-    // must land on exactly the uninterrupted trajectory.
+    // must land on exactly the uninterrupted trajectory. In the
+    // sleeping region the boundary lands while cores sleep, and
+    // restore rebuilds the cores' issue, store and in-flight lists.
     RunSpec spec;
     spec.variant = Variant::HwBarrier;
     spec.problemSize = 64;
     spec.threads = 8;
-    const RegionJob job{&workloads::byName("ll2"), spec};
+    const RegionJob ll2{&workloads::byName("ll2"), spec};
 
-    const Probe ref = runProbe(job, Leg::Default);
-    const Cycle boundary = segmentBoundary(ref.cycles);
-    ASSERT_GT(boundary, 0u);
-    const Leg legs[] = {Leg::Default, Leg::NoLeap, Leg::ReferencePath};
-    for (Leg from : legs) {
-        for (Leg to : legs) {
-            if (from == to)
-                continue;
-            SCOPED_TRACE(testing::Message()
-                         << "capture leg " << int(from)
-                         << ", resume leg " << int(to));
-            expectIdentical(runRestored(job, boundary, from, to), ref);
+    for (const RegionJob &job : {ll2, sleepJob()}) {
+        SCOPED_TRACE(harness::jobKey(job));
+        const Probe ref = runProbe(job, Leg::Default);
+        const Cycle boundary = segmentBoundary(ref.cycles);
+        ASSERT_GT(boundary, 0u);
+        const Leg legs[] = {Leg::Default, Leg::NoLeap,
+                            Leg::ReferencePath};
+        for (Leg from : legs) {
+            for (Leg to : legs) {
+                if (from == to)
+                    continue;
+                SCOPED_TRACE(testing::Message()
+                             << "capture leg " << int(from)
+                             << ", resume leg " << int(to));
+                expectIdentical(runRestored(job, boundary, from, to),
+                                ref);
+            }
         }
     }
 }
