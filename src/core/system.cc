@@ -595,17 +595,19 @@ System::runSampled(Cycle max_cycles)
                           1, (next_boundary - insts) / liveCores()))
                 : kDrainChunk;
 
-        // Burst fast path: with every live core warming, the fabrics
+        // Burst fast path: with one live core, warming, the fabrics
         // idle and no barrier pending, nothing can interact across
-        // cores until someone reaches an SPL instruction — so each
-        // core runs a tight commit loop (warmBurst) instead of the
-        // cycle-interleaved tick loop, and the chip clock jumps by
-        // the longest burst. A core that parks at an SPL instruction
-        // idles the remainder of the jump, exactly as it would have
-        // spun at the gate under per-cycle ticking. When every core
-        // parks immediately (used == 0), fall through to the
-        // lock-step segment below to execute the SPL instructions.
-        if (all_warming && barrierUnit_.pendingBarriers() == 0) {
+        // cores until it reaches an SPL instruction — so it runs a
+        // tight commit loop (warmBurst) instead of the tick loop, and
+        // the chip clock jumps by the burst. With two or more live
+        // cores a burst would let each spin through a software
+        // barrier against memory no other core can change meanwhile:
+        // slower than the tick loop, and it distorts the warmed
+        // instruction mix. When the core parks immediately
+        // (used == 0), fall through to the lock-step segment below
+        // to execute the SPL instruction.
+        if (all_warming && liveCores() == 1 &&
+            barrierUnit_.pendingBarriers() == 0) {
             bool fabrics_idle = true;
             for (const auto &fabric : fabrics_)
                 fabrics_idle = fabrics_idle && fabric->idle();

@@ -497,7 +497,39 @@ OooCore::warmTick(Cycle now)
     if (done())
         return;
     ++activeCycles;
+    DynInst d;
+    warmStep(now, d, /*burst=*/false);
+}
 
+Cycle
+OooCore::warmBurst(Cycle now, Cycle max_cycles)
+{
+    // warmStep() in a tight loop, minus the chip tick loop between
+    // instructions. The caller (System::runSampled) only bursts when
+    // its one live core is warming, the fabrics are idle and no
+    // barrier is pending, and a burst step stops before any
+    // SPL-class instruction, so nothing a burst executes can observe
+    // another core.
+    tickProgress_ = true;
+    stallMask_ = 0;
+    if (done())
+        return 0;
+    // One DynInst reused across the burst: warmStep() rewrites the
+    // per-instruction fields, and the rest are only read where
+    // funcExecute just wrote them, so skipping the zero-initialization
+    // per instruction is safe.
+    DynInst d;
+    Cycle c = 0;
+    while (c < max_cycles && !ctx_->halted &&
+           warmStep(now + c, d, /*burst=*/true))
+        ++c;
+    activeCycles += c;
+    return c;
+}
+
+bool
+OooCore::warmStep(Cycle now, DynInst &d, bool burst)
+{
     using isa::OpClass;
     REMAP_ASSERT(ctx_->pc < ctx_->program->code.size(),
                  "pc fell off the end of program '%s'",
@@ -514,32 +546,30 @@ OooCore::warmTick(Cycle now)
     // the functional ones. This is what lets detailed and warming
     // cores coexist during the drain transition: a warming core's
     // timed bar()/load() calls are what eventually make a detailed
-    // core's outputReady() fire, and vice versa.
+    // core's outputReady() fire, and vice versa. A burst stops
+    // before every such instruction instead: cross-core interaction
+    // stays under the cycle-interleaved loop.
     switch (dec.cls) {
       case OpClass::SplLoad:
       case OpClass::SplLoadMem:
-        if (!spl_->canLoad(splSlot_))
-            return;
+        if (burst || !spl_->canLoad(splSlot_))
+            return false;
         break;
       case OpClass::SplInit:
-        if (inst.op == isa::Opcode::SPL_BAR) {
-            if (!spl_->canBar(splSlot_))
-                return;
-        } else {
-            if (!spl_->canInit(splSlot_, inst.imm2))
-                return;
-        }
+        if (burst || !(inst.op == isa::Opcode::SPL_BAR
+                           ? spl_->canBar(splSlot_)
+                           : spl_->canInit(splSlot_, inst.imm2)))
+            return false;
         break;
       case OpClass::SplStore:
       case OpClass::SplStoreMem:
-        if (!spl_->outputReady(splSlot_, now))
-            return;
+        if (burst || !spl_->outputReady(splSlot_, now))
+            return false;
         break;
       default:
         break;
     }
 
-    DynInst d;
     d.si = &inst;
     d.cls = dec.cls;
     d.flags = dec.flags;
@@ -550,7 +580,7 @@ OooCore::warmTick(Cycle now)
     // stall (spl_store pop with the timed queue ready) impossible,
     // but stay defensive and just retry next cycle.
     if (!funcExecute(inst, d))
-        return;
+        return false;
 
     // Warm the structures whose state outlives the fast-forward:
     // caches, the branch predictor, and the timed SPL fabric. Cache
@@ -674,131 +704,7 @@ OooCore::warmTick(Cycle now)
     ++committedInsts;
     ++fetchedInsts;
     ++warmedInsts_;
-}
-
-Cycle
-OooCore::warmBurst(Cycle now, Cycle max_cycles)
-{
-    // The tight-loop sibling of warmTick(): same per-instruction
-    // effects (funcExecute, line-deduplicated cache probes, predictor
-    // training, commit counters), minus the chip tick loop between
-    // instructions. The caller (System::runSampled) only bursts when
-    // every live core is warming, the fabrics are idle and no barrier
-    // is pending, and the loop below returns before any SPL-class
-    // instruction, so nothing a burst executes can observe another
-    // core mid-burst except through the memory hierarchy — whose
-    // warming content is order-insensitive at this granularity.
-    tickProgress_ = true;
-    stallMask_ = 0;
-    if (done() || !ctx_ || ctx_->halted)
-        return 0;
-
-    using isa::OpClass;
-    const auto &code = ctx_->program->code;
-    const bool use_table =
-        blockCacheEnabled_ && decodedFor_ == ctx_->program;
-    const std::uint64_t code_base = codeBase(ctx_->id);
-    const auto warmData = [&](Addr addr, mem::AccessKind kind,
-                              Cycle at) {
-        const std::uint64_t line = addr & warmDLineMask_;
-        const bool write = kind != mem::AccessKind::Read;
-        std::uint64_t &slot =
-            warmDataLine_[(line >> warmDLineShift_) % kWarmDataLines];
-        if (slot == (line | 1) || (!write && slot == line))
-            return;
-        mem_->access(id_, addr, kind, at);
-        slot = line | (write ? 1 : 0);
-    };
-
-    // One DynInst reused across the burst: the per-iteration fields
-    // (si/cls/flags/pcAddr) are rewritten every instruction, and the
-    // remaining fields are only read in cases where funcExecute just
-    // wrote them (memAddr for Load/Store/Amo), so skipping the ~2
-    // cache lines of zero-initialization per instruction is safe.
-    DynInst d;
-    Cycle c = 0;
-    while (c < max_cycles) {
-        REMAP_ASSERT(ctx_->pc < code.size(),
-                     "pc fell off the end of program '%s'",
-                     ctx_->program->name.c_str());
-        const std::uint32_t fetch_pc = ctx_->pc;
-        const isa::Instruction &inst = code[fetch_pc];
-        const isa::DecodedInst dec = use_table
-                                         ? decoded_.insts[fetch_pc]
-                                         : isa::decodeOne(inst);
-        switch (dec.cls) {
-          case OpClass::SplLoad:
-          case OpClass::SplLoadMem:
-          case OpClass::SplInit:
-          case OpClass::SplStore:
-          case OpClass::SplStoreMem:
-            return c; // cross-core interaction: lock-step only
-          default:
-            break;
-        }
-
-        d.si = &inst;
-        d.cls = dec.cls;
-        d.flags = dec.flags;
-        d.pcAddr = code_base + std::uint64_t(fetch_pc) * 8;
-        if (!funcExecute(inst, d))
-            return c; // defensive; non-SPL execution cannot stall
-        ++activeCycles;
-
-        const std::uint64_t ifetch_line = d.pcAddr & warmILineMask_;
-        if (ifetch_line != warmIFetchLine_) {
-            mem_->access(id_, d.pcAddr, mem::AccessKind::IFetch,
-                         now + c);
-            warmIFetchLine_ = ifetch_line;
-        }
-        switch (dec.cls) {
-          case OpClass::Load:
-            warmData(d.memAddr, mem::AccessKind::Read, now + c);
-            ++committedLoads;
-            break;
-          case OpClass::Store:
-            warmData(d.memAddr, mem::AccessKind::Write, now + c);
-            ++committedStores;
-            break;
-          case OpClass::Amo:
-            warmData(d.memAddr, mem::AccessKind::Amo, now + c);
-            ++committedLoads;
-            ++committedStores;
-            break;
-          case OpClass::Branch:
-            ++committedBranches;
-            break;
-          case OpClass::FpAlu:
-          case OpClass::FpMult:
-          case OpClass::FpDiv:
-            ++committedFpOps;
-            break;
-          case OpClass::SplCfg:
-            ++committedSplOps;
-            break;
-          case OpClass::Halt:
-            ctx_->halted = true;
-            fetchHalted_ = true;
-            ++committedIntOps;
-            break;
-          default:
-            ++committedIntOps;
-            break;
-        }
-        if (dec.flags & isa::kIsBranch) {
-            const bool taken = (ctx_->pc != fetch_pc + 1);
-            const std::uint64_t target =
-                code_base + std::uint64_t(ctx_->pc) * 8;
-            bpred_.update(d.pcAddr, taken, target);
-        }
-        ++committedInsts;
-        ++fetchedInsts;
-        ++warmedInsts_;
-        ++c;
-        if (ctx_->halted)
-            break;
-    }
-    return c;
+    return true;
 }
 
 void

@@ -342,9 +342,16 @@ class OooCore
     void tickProfiled(Cycle now);
 
     /** tick() body while functionally warming (warming_ == true):
-     *  one instruction per cycle, exact architectural semantics plus
-     *  cache / predictor / timed-SPL side effects, no pipeline. */
+     *  one warmStep() per cycle. */
     void warmTick(Cycle now);
+
+    /** Functionally warm one instruction at @p now: exact
+     *  architectural semantics plus cache / predictor / timed-SPL
+     *  side effects and commit counters, no pipeline. @p d is
+     *  scratch. @return false when it could not execute this cycle:
+     *  its timed SPL gate is closed, or @p burst and it is an
+     *  SPL-class instruction that interacts with another core. */
+    bool warmStep(Cycle now, DynInst &d, bool burst);
 
     /** Functionally execute @p inst; fills @p d; returns false when
      *  fetch must stall (spl_store with no functional value yet). */

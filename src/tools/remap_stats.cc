@@ -1,18 +1,18 @@
 /**
  * @file
  * remap-stats — query, diff and aggregate the JSON files the
- * simulator writes (System::dumpStatsJson dumps, run manifests,
- * BENCH_*.json baselines).
+ * simulator writes (System::dumpStatsJson dumps and run
+ * manifests).
  *
  *   remap-stats show FILE [--only SUB]...
- *   remap-stats diff A B [--tolerance T] [--one-sided]
+ *   remap-stats diff A B [--tolerance T]
  *                        [--only SUB]... [--ignore SUB]...
- *                        [--warn-only] [--quiet]
+ *                        [--quiet] [--json]
  *   remap-stats aggregate FILE... [--only SUB]...
  *
  * Exit codes (machine-readable, for CI gates):
  *   0  success; for diff: no tolerance violation
- *   1  diff found at least one violation (unless --warn-only)
+ *   1  diff found at least one violation
  *   2  usage or I/O error
  */
 
@@ -44,17 +44,16 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s show FILE [--only SUB]...\n"
-        "       %s diff A B [--tolerance T] [--one-sided]\n"
+        "       %s diff A B [--tolerance T]\n"
         "                   [--only SUB]... [--ignore SUB]...\n"
-        "                   [--warn-only] [--quiet] [--json]\n"
+        "                   [--quiet] [--json]\n"
         "       %s aggregate FILE... [--only SUB]... [--json]\n"
         "\n"
         "Operates on the JSON files the simulator writes: stats\n"
-        "dumps, run manifests and BENCH baselines.\n"
+        "dumps and run manifests.\n"
         "\n"
         "diff exit codes: 0 = within tolerance, 1 = violation,\n"
-        "2 = usage/IO error. Default tolerance 0.05 (5%% relative);\n"
-        "--one-sided only flags B > A (larger-is-worse metrics).\n"
+        "2 = usage/IO error. Default tolerance 0.05 (5%% relative).\n"
         "--json replaces the text report with one machine-readable\n"
         "JSON object on stdout (exit codes unchanged).\n",
         argv0, argv0, argv0);
@@ -107,7 +106,7 @@ cmdShow(const std::vector<std::string> &files,
 
 int
 cmdDiff(const std::vector<std::string> &files, const DiffOptions &opt,
-        bool warn_only, bool quiet, bool as_json)
+        bool quiet, bool as_json)
 {
     if (files.size() != 2)
         return 2;
@@ -136,16 +135,13 @@ cmdDiff(const std::vector<std::string> &files, const DiffOptions &opt,
                         d.path.c_str(), d.a, d.b, d.rel * 100.0);
         }
         std::printf("%zu paths compared, %zu violation%s "
-                    "(tolerance %.2f%%%s), %zu note%s\n",
+                    "(tolerance %.2f%%), %zu note%s\n",
                     res.compared, res.violations,
                     res.violations == 1 ? "" : "s",
                     opt.tolerance * 100.0,
-                    opt.oneSided ? ", one-sided" : "",
                     res.notes, res.notes == 1 ? "" : "s");
     }
-    if (res.violations > 0)
-        return warn_only ? 0 : 1;
-    return 0;
+    return res.violations > 0 ? 1 : 0;
 }
 
 int
@@ -191,7 +187,6 @@ main(int argc, char **argv)
     const std::string cmd = argv[1];
 
     DiffOptions opt;
-    bool warn_only = false;
     bool quiet = false;
     bool as_json = false;
     std::vector<std::string> files;
@@ -228,10 +223,6 @@ main(int argc, char **argv)
             if (!v)
                 return 2;
             opt.ignore.push_back(v);
-        } else if (arg == "--one-sided") {
-            opt.oneSided = true;
-        } else if (arg == "--warn-only") {
-            warn_only = true;
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--json") {
@@ -249,7 +240,7 @@ main(int argc, char **argv)
     if (cmd == "show")
         rc = cmdShow(files, opt.only);
     else if (cmd == "diff")
-        rc = cmdDiff(files, opt, warn_only, quiet, as_json);
+        rc = cmdDiff(files, opt, quiet, as_json);
     else if (cmd == "aggregate")
         rc = cmdAggregate(files, opt.only, as_json);
     else

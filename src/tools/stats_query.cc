@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "sim/json.hh"
@@ -13,8 +15,29 @@ namespace remap::tools
 namespace
 {
 
+/** A scalar leaf as it reads inside an element name. */
+std::string
+scalarText(const json::Value &v)
+{
+    switch (v.kind) {
+      case json::Value::Kind::Number: {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", v.num);
+        return buf;
+      }
+      case json::Value::Kind::String:
+        return v.str;
+      case json::Value::Kind::Bool:
+        return v.boolean ? "true" : "false";
+      default:
+        return "null";
+    }
+}
+
 /** A stable identity for an array-of-objects element, so job arrays
- *  from two runs align by content rather than position. */
+ *  from two runs align by content rather than position: the
+ *  workload and variant, plus every scalar of the element's "spec"
+ *  (jobs of one variant differ only there). */
 std::string
 elementName(const json::Value &v)
 {
@@ -25,6 +48,17 @@ elementName(const json::Value &v)
         name = v.at("workload").str;
     if (v.has("variant") && v.at("variant").isString())
         name += (name.empty() ? "" : ":") + v.at("variant").str;
+    if (!name.empty() && v.has("spec") && v.at("spec").isObject()) {
+        std::string spec;
+        for (const auto &[key, child] : v.at("spec").obj) {
+            if (child.isObject() || child.isArray())
+                continue;
+            spec += (spec.empty() ? "" : ",") + key + "=" +
+                    scalarText(child);
+        }
+        if (!spec.empty())
+            name += "(" + spec + ")";
+    }
     if (name.empty() && v.has("name") && v.at("name").isString())
         name = v.at("name").str;
     return name;
@@ -43,10 +77,15 @@ flattenInto(const json::Value &v, const std::string &prefix,
         }
         return;
       case json::Value::Kind::Array: {
+        // A name two elements share would make the later one
+        // overwrite the earlier; the repeat takes "#index" instead.
+        std::set<std::string> taken;
         for (std::size_t i = 0; i < v.arr.size(); ++i) {
             std::string name = elementName(v.arr[i]);
             if (name.empty())
                 name = std::to_string(i);
+            else if (!taken.insert(name).second)
+                name += "#" + std::to_string(i);
             flattenInto(v.arr[i], prefix + "[" + name + "]", out);
         }
         return;
@@ -163,8 +202,7 @@ diff(const std::map<std::string, FlatEntry> &a,
         const double scale = std::max(
             {std::fabs(ea.num), std::fabs(eb.num), 1e-12});
         d.rel = (eb.num - ea.num) / scale;
-        const double excess = opt.oneSided ? d.rel : std::fabs(d.rel);
-        d.violation = excess > opt.tolerance;
+        d.violation = std::fabs(d.rel) > opt.tolerance;
         if (d.violation)
             ++res.violations;
         res.entries.push_back(std::move(d));
@@ -252,7 +290,6 @@ dumpDiffJson(const DiffResult &res, const DiffOptions &opt,
 {
     w.beginObject();
     w.kvExact("tolerance", opt.tolerance);
-    w.kv("one_sided", opt.oneSided);
     w.kv("compared", static_cast<std::uint64_t>(res.compared));
     w.kv("violations", static_cast<std::uint64_t>(res.violations));
     w.kv("notes", static_cast<std::uint64_t>(res.notes));

@@ -1,8 +1,8 @@
 /**
  * @file
  * Query/diff engine behind the `remap-stats` CLI: flattens the JSON
- * the simulator writes (stats dumps, run manifests, BENCH files)
- * into dotted-path -> value maps and compares two runs numerically
+ * the simulator writes (stats dumps, run manifests) into
+ * dotted-path -> value maps and compares two runs numerically
  * under a relative tolerance. Library, not binary, so the golden
  * tests in tests/test_profile.cc can drive it directly.
  */
@@ -42,8 +42,10 @@ struct FlatEntry
 /**
  * Flatten @p root into dotted paths: object members join with '.',
  * array elements append "[i]" — except arrays of objects that carry a
- * recognizable name ("workload"+"variant", "name"), which index by
- * that name so two runs align even if job order differs.
+ * recognizable name ("workload"+"variant" plus the "spec" scalars,
+ * or "name"), which index by that name so two runs align even if job
+ * order differs. An element whose name an earlier one already took
+ * appends "#i" (its index), so no element overwrites another.
  */
 std::map<std::string, FlatEntry> flatten(const json::Value &root);
 
@@ -55,8 +57,8 @@ struct DiffEntry
     double b = 0.0;
     /** (b - a) / max(|a|, |b|, epsilon); 0 when equal. */
     double rel = 0.0;
-    /** |rel| exceeded the tolerance (or rel > tolerance when
-     *  one-sided) — counts toward the exit code. */
+    /** |rel| exceeded the tolerance — counts toward the exit
+     *  code. */
     bool violation = false;
     /** Non-numeric/missing difference — reported, never a
      *  violation. */
@@ -66,12 +68,8 @@ struct DiffEntry
 /** Knobs for diff(). */
 struct DiffOptions
 {
-    /** Relative tolerance; |rel| (or rel, one-sided) above this is a
-     *  violation. */
+    /** Relative tolerance; |rel| above this is a violation. */
     double tolerance = 0.05;
-    /** Only flag b > a regressions (for larger-is-worse metrics like
-     *  wall time). */
-    bool oneSided = false;
     /** When non-empty, only paths containing one of these substrings
      *  are compared. */
     std::vector<std::string> only;
@@ -114,7 +112,7 @@ bool loadJsonFile(const std::string &path, json::Value &out,
 
 /**
  * Emit @p res as one JSON object — the `remap-stats diff --json`
- * payload: {"tolerance":..,"one_sided":..,"compared":..,
+ * payload: {"tolerance":..,"compared":..,
  * "violations":..,"notes":..,"entries":[{"path":..,"a":..,"b":..,
  * "rel":..,"violation":..}|{"path":..,"note":..}, ...]}. Doubles are
  * round-trip exact so a consumer recomputing rel sees our bits.

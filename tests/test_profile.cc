@@ -263,7 +263,12 @@ TEST(StatsQuery, FlattenNamesJobArraysByContent)
         "jobs": [
             {"workload": "ll2", "variant": "seq", "cycles": 10},
             {"workload": "ll2", "variant": "comp", "cycles": 20},
-            [7]
+            [7],
+            {"workload": "ll2", "variant": "SW", "cycles": 30,
+             "spec": {"problem_size": 8, "threads": 8}},
+            {"workload": "ll2", "variant": "SW", "cycles": 40,
+             "spec": {"problem_size": 64, "threads": 8}},
+            {"workload": "ll2", "variant": "comp", "cycles": 50}
         ]
     })");
     EXPECT_EQ(flat.at("cycle").num, 100.0);
@@ -271,6 +276,19 @@ TEST(StatsQuery, FlattenNamesJobArraysByContent)
     EXPECT_EQ(flat.at("jobs[ll2:seq].cycles").num, 10.0);
     EXPECT_EQ(flat.at("jobs[ll2:comp].cycles").num, 20.0);
     EXPECT_EQ(flat.at("jobs[2][0]").num, 7.0); // unnamed -> index
+    // Jobs of one variant are told apart by their spec scalars...
+    EXPECT_EQ(flat.at("jobs[ll2:SW(problem_size=8,threads=8)].cycles")
+                  .num,
+              30.0);
+    EXPECT_EQ(flat.at("jobs[ll2:SW(problem_size=64,threads=8)].cycles")
+                  .num,
+              40.0);
+    // ...and a name an earlier element took gets the index appended.
+    EXPECT_EQ(flat.at("jobs[ll2:comp#5].cycles").num, 50.0);
+    std::size_t cycle_leaves = 0;
+    for (const auto &[path, e] : flat)
+        cycle_leaves += path.ends_with("].cycles");
+    EXPECT_EQ(cycle_leaves, 5u); // no element overwrote another
 }
 
 TEST(StatsQuery, DiffIdenticalRunsHasNoViolations)
@@ -299,20 +317,6 @@ TEST(StatsQuery, DiffFlagsRegressionsBeyondTolerance)
     EXPECT_NEAR(res.entries[0].rel, 20.0 / 120.0, 1e-12);
     EXPECT_EQ(res.entries[1].path, "fast");
     EXPECT_FALSE(res.entries[1].violation); // drift under tolerance
-}
-
-TEST(StatsQuery, OneSidedIgnoresImprovements)
-{
-    const auto a = flattenText(R"({"wall_ms": 100})");
-    const auto faster = flattenText(R"({"wall_ms": 50})");
-    const auto slower = flattenText(R"({"wall_ms": 200})");
-    DiffOptions opt;
-    opt.tolerance = 0.10;
-    opt.oneSided = true;
-    EXPECT_EQ(tools::diff(a, faster, opt).violations, 0u);
-    EXPECT_EQ(tools::diff(a, slower, opt).violations, 1u);
-    opt.oneSided = false;
-    EXPECT_EQ(tools::diff(a, faster, opt).violations, 1u);
 }
 
 TEST(StatsQuery, MissingAndTypeDiffsAreNotesNotViolations)
@@ -372,7 +376,6 @@ TEST(StatsQuery, DiffJsonDumpRoundTrips)
     std::string error;
     ASSERT_TRUE(json::parse(os.str(), root, &error)) << error;
     EXPECT_EQ(root.at("tolerance").num, 0.05);
-    EXPECT_FALSE(root.at("one_sided").boolean);
     EXPECT_EQ(root.at("compared").num, 2);
     EXPECT_EQ(root.at("violations").num, 1);
     EXPECT_EQ(root.at("notes").num, 0);
