@@ -76,8 +76,12 @@ run(unsigned partitions, unsigned rows, unsigned iters)
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: abl_partitioning (takes no arguments)\n";
+        return 2;
+    }
     remap::harness::setExperimentLabel("abl_partitioning");
     std::cout << "Ablation: spatial partitioning vs virtualization "
                  "(4 threads, 2000\ninitiations each, function row "

@@ -73,8 +73,12 @@ run(unsigned pending, unsigned out_words)
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: abl_queue_depth (takes no arguments)\n";
+        return 2;
+    }
     remap::harness::setExperimentLabel("abl_queue_depth");
     std::cout << "Ablation: SPL queue sizing under a bursty "
                  "consumer (3000 messages)\n\n";

@@ -17,8 +17,12 @@
 #include "harness/snapshot_cache.hh"
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: abl_sharing_degree (takes no arguments)\n";
+        return 2;
+    }
     remap::harness::setExperimentLabel("abl_sharing_degree");
     using namespace remap;
     using workloads::Variant;

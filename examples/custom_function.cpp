@@ -37,8 +37,12 @@ madClamp()
 } // namespace
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: custom_function (takes no arguments)\n";
+        return 2;
+    }
     // Fig. 1(a): a thread using the fabric as a functional unit.
     {
         sys::System system(sys::SystemConfig::splCluster());

@@ -16,8 +16,12 @@
 #include "workloads/workload.hh"
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: pipeline_hmmer (takes no arguments)\n";
+        return 2;
+    }
     using namespace remap;
     using workloads::RunSpec;
     using workloads::Variant;

@@ -14,8 +14,12 @@
 #include "isa/builder.hh"
 
 int
-main()
+main(int argc, char **)
 {
+    if (argc > 1) {
+        std::cerr << "usage: quickstart (takes no arguments)\n";
+        return 2;
+    }
     using namespace remap;
 
     // A chip with a single OOO1 core and its cache hierarchy.

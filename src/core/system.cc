@@ -461,194 +461,6 @@ System::runSegment(Cycle max_cycles)
     return runInternal(max_cycles, /*warn_on_timeout=*/false);
 }
 
-std::uint64_t
-System::warmedInsts() const
-{
-    std::uint64_t total = 0;
-    for (const auto &c : cores_)
-        total += c->warmedInsts();
-    return total;
-}
-
-sampling::Estimate
-System::sampleEstimate() const
-{
-    return sampling::estimate(sampleWindows_, totalCommittedInsts(),
-                              cycle_, warmedInsts());
-}
-
-namespace
-{
-
-// Segment granularities for sampled execution. The schedule is a
-// pure function of the committed-instruction count, checked at
-// segment boundaries, so phase transitions overshoot by at most one
-// segment — the overshoot is deterministic (same chunks every run)
-// and simply becomes part of the measured/warmed span it lands in.
-// Chunks are sized so detailed phases re-check often (windows are
-// short), warming phases run long (they are cheap), and the drain
-// transition stays fine-grained (cores flip to warming as they
-// empty, bounding mixed-mode spans).
-constexpr Cycle kDetailChunk = 64;
-constexpr Cycle kDrainChunk = 16;
-constexpr Cycle kWarmChunk = 1024;
-
-} // namespace
-
-RunResult
-System::runSampled(Cycle max_cycles)
-{
-    if (!sampleParams_.enabled())
-        return runInternal(max_cycles, /*warn_on_timeout=*/true);
-    REMAP_ASSERT(migrations_.empty(),
-                 "sampled mode does not support scheduled "
-                 "migrations");
-
-    const std::uint64_t P = sampleParams_.period;
-    const std::uint64_t W = std::min(sampleParams_.warm, P);
-    const std::uint64_t M = std::min(sampleParams_.window, P - W);
-    REMAP_ASSERT(M > 0, "sampling window must be non-empty");
-
-    RunResult result;
-    const Cycle start = cycle_;
-
-    const auto remaining = [&]() -> Cycle {
-        const Cycle used = cycle_ - start;
-        return used >= max_cycles ? 0 : max_cycles - used;
-    };
-    const auto liveCores = [&]() -> std::uint64_t {
-        std::uint64_t live = 0;
-        for (const auto &c : cores_)
-            if (c->thread() && !c->done())
-                ++live;
-        return live > 0 ? live : 1;
-    };
-
-    bool measuring = false;
-    std::uint64_t window_start_insts = 0;
-    Cycle window_start_cycle = 0;
-    bool finished = false;
-
-    while (!finished) {
-        if (remaining() == 0) {
-            result.timedOut = true;
-            break;
-        }
-        const std::uint64_t insts = totalCommittedInsts();
-        const std::uint64_t k = insts / P;
-        const std::uint64_t off = insts - k * P;
-
-        if (off < W + M) {
-            // Detailed phase: warm-up [kP, kP+W), then the measured
-            // window [kP+W, kP+W+M).
-            for (auto &c : cores_)
-                c->endWarming();
-            if (!measuring && off >= W) {
-                measuring = true;
-                window_start_insts = insts;
-                window_start_cycle = cycle_;
-            }
-            const std::uint64_t target =
-                k * P + (off < W ? W : W + M);
-            const Cycle chunk = std::min<Cycle>(
-                kDetailChunk,
-                std::max<Cycle>(1, (target - insts) / liveCores()));
-            const RunResult seg =
-                runSegment(std::min(chunk, remaining()));
-            finished = !seg.timedOut;
-            const std::uint64_t after = totalCommittedInsts();
-            if (measuring &&
-                (after >= k * P + W + M ||
-                 (finished && after > window_start_insts))) {
-                // Close the window (a run that quiesces mid-window
-                // contributes its real partial measurement).
-                sampleWindows_.push_back(
-                    {cycle_ - window_start_cycle,
-                     after - window_start_insts});
-                measuring = false;
-            }
-            continue;
-        }
-
-        // Fast-forward phase: drain each core's pipeline and flip it
-        // to functional warming as it empties — asynchronously, so
-        // cross-core SPL/barrier dependencies keep making progress
-        // through the cores still detailed — then warm until the
-        // next period boundary.
-        bool all_warming = true;
-        for (auto &c : cores_) {
-            if (!c->thread() || c->done() || c->warming())
-                continue;
-            if (c->drained()) {
-                c->beginWarming();
-            } else {
-                c->requestDrain();
-                all_warming = false;
-            }
-        }
-        const std::uint64_t next_boundary = (k + 1) * P;
-        const Cycle chunk =
-            all_warming
-                ? std::min<Cycle>(
-                      kWarmChunk,
-                      std::max<Cycle>(
-                          1, (next_boundary - insts) / liveCores()))
-                : kDrainChunk;
-
-        // Burst fast path: with one live core, warming, the fabrics
-        // idle and no barrier pending, nothing can interact across
-        // cores until it reaches an SPL instruction — so it runs a
-        // tight commit loop (warmBurst) instead of the tick loop, and
-        // the chip clock jumps by the burst. With two or more live
-        // cores a burst would let each spin through a software
-        // barrier against memory no other core can change meanwhile:
-        // slower than the tick loop, and it distorts the warmed
-        // instruction mix. When the core parks immediately
-        // (used == 0), fall through to the lock-step segment below
-        // to execute the SPL instruction.
-        if (all_warming && liveCores() == 1 &&
-            barrierUnit_.pendingBarriers() == 0) {
-            bool fabrics_idle = true;
-            for (const auto &fabric : fabrics_)
-                fabrics_idle = fabrics_idle && fabric->idle();
-            if (fabrics_idle) {
-                Cycle burst = std::min(chunk, remaining());
-                if (nextSample_ > cycle_)
-                    burst = std::min<Cycle>(burst,
-                                            nextSample_ - cycle_);
-                Cycle used = 0;
-                for (auto &c : cores_) {
-                    if (c->thread() && !c->done() && c->warming())
-                        used = std::max(
-                            used, c->warmBurst(cycle_, burst));
-                }
-                if (used > 0) {
-                    cycle_ += used;
-                    if (cycle_ >= nextSample_) {
-                        sampler_.sample(*tracer_, cycle_);
-                        nextSample_ = cycle_ + samplePeriod_;
-                    }
-                    continue;
-                }
-            }
-        }
-        const RunResult seg = runSegment(std::min(chunk, remaining()));
-        finished = !seg.timedOut;
-    }
-
-    // Leave every core in detailed mode (drain flags included) so a
-    // caller can keep using the system normally afterwards.
-    for (auto &c : cores_) {
-        c->endWarming();
-        c->cancelDrain();
-    }
-    if (result.timedOut)
-        REMAP_WARN("runSampled() hit the %llu-cycle limit",
-                   static_cast<unsigned long long>(max_cycles));
-    result.cycles = cycle_ - start;
-    return result;
-}
-
 void
 System::catchUpSleeper(std::size_t i, Cycle through, bool wake)
 {
@@ -918,29 +730,6 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
         mem_->dumpMetaStatsJson(w);
         w.endObject();
         prof::dumpMetaHooks(w);
-        // Sampled-mode estimate (DESIGN.md §14). Lives under "sim"
-        // because it describes how the simulator measured, and exact
-        // runs must stay byte-identical to pre-sampling output.
-        if (sampleParams_.enabled()) {
-            const sampling::Estimate e = sampleEstimate();
-            w.key("sampling");
-            w.beginObject();
-            w.kv("period_insts", sampleParams_.period);
-            w.kv("window_insts", sampleParams_.window);
-            w.kv("warm_insts", sampleParams_.warm);
-            w.kv("sampled", e.sampled ? 1 : 0);
-            w.kv("windows", e.windows);
-            w.kv("warmed_insts", warmedInsts());
-            w.kv("measured_cycles", e.measuredCycles);
-            w.kv("insts", e.insts);
-            w.kvExact("cpi_mean", e.cpiMean);
-            w.kvExact("cpi_stderr", e.cpiStderr);
-            w.kvExact("est_cycles", e.estCycles);
-            w.kvExact("ci_half_width_cycles", e.ciHalfWidthCycles);
-            w.kvExact("ci_low_cycles", e.ciLowCycles());
-            w.kvExact("ci_high_cycles", e.ciHighCycles());
-            w.endObject();
-        }
         if (profiler_) {
             w.key("profile");
             profiler_->dumpJson(w);
@@ -1088,29 +877,6 @@ System::configHash() const
         hashProgram(h, *t.program);
     }
 
-    // Sampled-mode schedule (DESIGN.md §14): folded in only when
-    // enabled, so every exact-run hash is unchanged, while sampled
-    // and exact runs of the same workload — or two different
-    // schedules — can never alias in the snapshot cache or result
-    // store. Adaptive runs (DESIGN.md §15) additionally fold the
-    // resolved CI target and period clamps, so an adaptive run can
-    // never alias a fixed-schedule run even at its converged period
-    // (fixed-schedule hashes stay byte-identical to the pre-adaptive
-    // format).
-    if (sampleParams_.enabled() || sampleParams_.adaptive()) {
-        h.u32(0x5A3D11E5u); // domain tag: "sampled"
-        h.u64(sampleParams_.period);
-        h.u64(sampleParams_.window);
-        h.u64(sampleParams_.warm);
-        if (sampleParams_.adaptive()) {
-            const sampling::SampleParams r =
-                sampleParams_.resolvedAdaptive();
-            h.u32(0xAD5C4ED5u); // domain tag: "adaptive schedule"
-            h.f64(r.ciTarget);
-            h.u64(r.minPeriod);
-            h.u64(r.maxPeriod);
-        }
-    }
     return h.value();
 }
 
@@ -1158,13 +924,6 @@ System::save(snap::Serializer &s) const
         s.u64(m.drainStart);
     }
 
-    // Sampled-mode windows recorded so far, so a restored sampled
-    // run resumes its estimate where the snapshot left off.
-    s.u32(static_cast<std::uint32_t>(sampleWindows_.size()));
-    for (const sampling::WindowSample &ws : sampleWindows_) {
-        s.u64(ws.cycles);
-        s.u64(ws.insts);
-    }
 }
 
 void
@@ -1266,15 +1025,6 @@ System::restore(snap::Deserializer &d)
         m.flowId = d.u64();
         m.drainStart = d.u64();
         migrations_.push_back(m);
-    }
-
-    sampleWindows_.clear();
-    const std::uint32_t n_windows = d.count(16);
-    for (std::uint32_t i = 0; i < n_windows && d.ok(); ++i) {
-        sampling::WindowSample ws;
-        ws.cycles = d.u64();
-        ws.insts = d.u64();
-        sampleWindows_.push_back(ws);
     }
 
     // The activity cache is re-derived at run() entry; nothing else

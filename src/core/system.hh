@@ -33,7 +33,6 @@
 #include "mem/memory_image.hh"
 #include "power/energy.hh"
 #include "sim/profile.hh"
-#include "sim/sampling.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 #include "spl/fabric.hh"
@@ -145,51 +144,14 @@ class System
      */
     RunResult runSegment(Cycle max_cycles);
 
-    /** @{ @name SMARTS-style sampled execution (DESIGN.md §14).
-     *
-     * runSampled() alternates detailed simulation with functional
-     * warming on an instruction-count schedule: each period of
-     * SampleParams::period committed instructions opens with
-     * `warm` detailed warm-up instructions, then a measured window of
-     * `window` instructions whose CPI is recorded, then fast-forwards
-     * the rest of the period with per-core functional warming (exact
-     * architectural semantics plus cache/predictor/timed-SPL side
-     * effects, no pipeline model). The estimator extrapolates total
-     * cycles from the window CPIs with a 95% confidence interval
-     * (sim/sampling.hh). Runs that finish before any fast-forward
-     * phase collapse to the exact result (Estimate::sampled false).
-     *
-     * Sampled cycles/stats are approximate and deterministic:
-     * identical params on an identical system reproduce bit-identical
-     * results, and the schedule is folded into configHash() (only
-     * when enabled) so sampled and exact runs never share snapshot or
-     * result-store keys.
-     */
-    /** Set the sampling schedule; call before runSampled(). */
-    void setSampleParams(const sampling::SampleParams &p)
+    /** The argument type of setSampleParams(). */
+    struct NoSampling
     {
-        sampleParams_ = p;
-    }
-    const sampling::SampleParams &sampleParams() const
-    {
-        return sampleParams_;
-    }
-    /**
-     * Run to completion (or @p max_cycles) under the configured
-     * sampling schedule; falls back to an exact runInternal() when
-     * sampling is disabled.
-     */
-    RunResult runSampled(Cycle max_cycles = 2'000'000'000ULL);
-    /** Extrapolated-cycle estimate from the recorded windows. */
-    sampling::Estimate sampleEstimate() const;
-    /** Measured windows recorded so far (serialized in snapshots). */
-    const std::vector<sampling::WindowSample> &sampleWindows() const
-    {
-        return sampleWindows_;
-    }
-    /** Instructions executed under functional warming, chip-wide. */
-    std::uint64_t warmedInsts() const;
-    /** @} */
+    };
+    /** A no-op: every run is exact. It exists only because
+     *  perfbench/traced.cc still calls it, and goes when that file is
+     *  rewritten (ROADMAP item 3). */
+    void setSampleParams(NoSampling) {}
 
     /** Number of cores on the chip. */
     unsigned numCores() const
@@ -435,14 +397,6 @@ class System
     Log2Histogram leapHist_; ///< skipped cycles per leap
     StatCounter sleeps_;              ///< times a core fell asleep
     StatCounter sleepSkippedCycles_;  ///< core ticks skipped asleep
-    /** @} */
-
-    /** @{ @name Sampled-mode state. The schedule is configuration
-     * (hashed when enabled); the recorded windows are dynamic state
-     * (serialized, so a restored sampled run resumes its
-     * estimate). */
-    sampling::SampleParams sampleParams_{};
-    std::vector<sampling::WindowSample> sampleWindows_;
     /** @} */
 
     trace::CounterSampler sampler_;

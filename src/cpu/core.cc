@@ -97,14 +97,6 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     // side by side: the block cache governs pre-decode, fused fetch
     // runs and the operand-readiness memo.
     blockCacheEnabled_ = !env::noBlockCache();
-    if (mem_) {
-        warmILineMask_ =
-            ~std::uint64_t{mem_->l1i(id_).lineBytes() - 1};
-        const std::uint64_t dlb = mem_->l1d(id_).lineBytes();
-        warmDLineMask_ = ~(dlb - 1);
-        warmDLineShift_ =
-            static_cast<unsigned>(std::countr_zero(dlb));
-    }
     statGroup_.addCounter("committed_insts", &committedInsts);
     statGroup_.addCounter("committed_int", &committedIntOps);
     statGroup_.addCounter("committed_fp", &committedFpOps);
@@ -472,239 +464,6 @@ OooCore::unbindThread()
     ctx_ = nullptr;
     draining_ = false;
     fetchHalted_ = true;
-}
-
-void
-OooCore::beginWarming()
-{
-    REMAP_ASSERT(drained(),
-                 "functional warming entered with instructions in "
-                 "flight");
-    draining_ = false;
-    warming_ = true;
-    warmIFetchLine_ = ~std::uint64_t{0};
-    for (std::uint64_t &l : warmDataLine_)
-        l = ~std::uint64_t{0};
-}
-
-void
-OooCore::warmTick(Cycle now)
-{
-    // Warming ticks always count as progress: the run loop must not
-    // leap while cores are in a mode nextEventCycle() does not model.
-    tickProgress_ = true;
-    stallMask_ = 0;
-    if (done())
-        return;
-    ++activeCycles;
-    DynInst d;
-    warmStep(now, d, /*burst=*/false);
-}
-
-Cycle
-OooCore::warmBurst(Cycle now, Cycle max_cycles)
-{
-    // warmStep() in a tight loop, minus the chip tick loop between
-    // instructions. The caller (System::runSampled) only bursts when
-    // its one live core is warming, the fabrics are idle and no
-    // barrier is pending, and a burst step stops before any
-    // SPL-class instruction, so nothing a burst executes can observe
-    // another core.
-    tickProgress_ = true;
-    stallMask_ = 0;
-    if (done())
-        return 0;
-    // One DynInst reused across the burst: warmStep() rewrites the
-    // per-instruction fields, and the rest are only read where
-    // funcExecute just wrote them, so skipping the zero-initialization
-    // per instruction is safe.
-    DynInst d;
-    Cycle c = 0;
-    while (c < max_cycles && !ctx_->halted &&
-           warmStep(now + c, d, /*burst=*/true))
-        ++c;
-    activeCycles += c;
-    return c;
-}
-
-bool
-OooCore::warmStep(Cycle now, DynInst &d, bool burst)
-{
-    using isa::OpClass;
-    REMAP_ASSERT(ctx_->pc < ctx_->program->code.size(),
-                 "pc fell off the end of program '%s'",
-                 ctx_->program->name.c_str());
-    const std::uint32_t fetch_pc = ctx_->pc;
-    const isa::Instruction &inst = ctx_->program->code[fetch_pc];
-    const isa::DecodedInst dec =
-        (blockCacheEnabled_ && decodedFor_ == ctx_->program)
-            ? decoded_.insts[fetch_pc]
-            : isa::decodeOne(inst);
-
-    // Gate on the *timed* SPL side before touching the functional
-    // side, so the fabric's timed queues advance in lock-step with
-    // the functional ones. This is what lets detailed and warming
-    // cores coexist during the drain transition: a warming core's
-    // timed bar()/load() calls are what eventually make a detailed
-    // core's outputReady() fire, and vice versa. A burst stops
-    // before every such instruction instead: cross-core interaction
-    // stays under the cycle-interleaved loop.
-    switch (dec.cls) {
-      case OpClass::SplLoad:
-      case OpClass::SplLoadMem:
-        if (burst || !spl_->canLoad(splSlot_))
-            return false;
-        break;
-      case OpClass::SplInit:
-        if (burst || !(inst.op == isa::Opcode::SPL_BAR
-                           ? spl_->canBar(splSlot_)
-                           : spl_->canInit(splSlot_, inst.imm2)))
-            return false;
-        break;
-      case OpClass::SplStore:
-      case OpClass::SplStoreMem:
-        if (burst || !spl_->outputReady(splSlot_, now))
-            return false;
-        break;
-      default:
-        break;
-    }
-
-    d.si = &inst;
-    d.cls = dec.cls;
-    d.flags = dec.flags;
-    d.pcAddr = codeBase(ctx_->id) + std::uint64_t(fetch_pc) * 8;
-
-    // Exact architectural semantics via the same funcExecute the
-    // detailed fetch uses. The timed gate above makes a functional
-    // stall (spl_store pop with the timed queue ready) impossible,
-    // but stay defensive and just retry next cycle.
-    if (!funcExecute(inst, d))
-        return false;
-
-    // Warm the structures whose state outlives the fast-forward:
-    // caches, the branch predictor, and the timed SPL fabric. Cache
-    // probes are line-deduplicated: consecutive instructions share an
-    // icache line, and strided data walks touch each line several
-    // times, so re-probing per access buys no extra warm state (tag
-    // content and first-touch recency are what survive into the next
-    // detailed window) yet dominates the warming budget. The data
-    // memo is MESI-kind-aware — a Write probe covers later reads and
-    // writes of its line, a Read probe covers only reads, so every
-    // state-upgrading access still reaches the hierarchy.
-    const std::uint64_t ifetch_line = d.pcAddr & warmILineMask_;
-    if (ifetch_line != warmIFetchLine_) {
-        mem_->access(id_, d.pcAddr, mem::AccessKind::IFetch, now);
-        warmIFetchLine_ = ifetch_line;
-    }
-    const auto warmData = [&](mem::AccessKind kind) {
-        const std::uint64_t line = d.memAddr & warmDLineMask_;
-        const bool write = kind != mem::AccessKind::Read;
-        // Tag = line address | written-bit (line addresses have the
-        // offset bits free).
-        std::uint64_t &slot =
-            warmDataLine_[(line >> warmDLineShift_) % kWarmDataLines];
-        if (slot == (line | 1) || (!write && slot == line))
-            return;
-        mem_->access(id_, d.memAddr, kind, now);
-        slot = line | (write ? 1 : 0);
-    };
-    switch (dec.cls) {
-      case OpClass::Load:
-      case OpClass::SplLoadMem:
-        warmData(mem::AccessKind::Read);
-        break;
-      case OpClass::Store:
-      case OpClass::SplStoreMem:
-        warmData(mem::AccessKind::Write);
-        break;
-      case OpClass::Amo:
-        warmData(mem::AccessKind::Amo);
-        break;
-      default:
-        break;
-    }
-
-    if (dec.flags & isa::kIsBranch) {
-        // Train direction tables, history and BTB; no predict() call
-        // — its tables are read-only at lookup, so warming state
-        // gains nothing from paying for a discarded prediction.
-        const bool taken = (ctx_->pc != fetch_pc + 1);
-        const std::uint64_t target =
-            codeBase(ctx_->id) + std::uint64_t(ctx_->pc) * 8;
-        bpred_.update(d.pcAddr, taken, target);
-    }
-
-    // Timed SPL actions, mirroring what commit/issue would have done
-    // (gated above, so none of these can stall here), plus the same
-    // per-class commit counters the detailed pipeline maintains.
-    switch (dec.cls) {
-      case OpClass::SplLoad:
-        spl_->load(splSlot_, static_cast<unsigned>(inst.imm),
-                   static_cast<std::int32_t>(d.splLoadValue));
-        ++committedSplOps;
-        break;
-      case OpClass::SplLoadMem:
-        spl_->load(splSlot_, static_cast<unsigned>(inst.imm2),
-                   static_cast<std::int32_t>(d.splLoadValue));
-        ++committedSplOps;
-        ++committedLoads;
-        break;
-      case OpClass::SplInit:
-        if (inst.op == isa::Opcode::SPL_BAR) {
-            spl_->bar(splSlot_, static_cast<ConfigId>(inst.imm),
-                      static_cast<std::uint32_t>(inst.imm2), now);
-        } else {
-            spl_->init(splSlot_, static_cast<ConfigId>(inst.imm),
-                       inst.imm2, now);
-        }
-        ++committedSplOps;
-        break;
-      case OpClass::SplStore:
-      case OpClass::SplStoreMem: {
-        const std::int32_t timed = spl_->popOutput(splSlot_, now);
-        REMAP_ASSERT(timed == d.splValue,
-                     "timed/functional SPL value mismatch "
-                     "(%d vs %d)", timed, d.splValue);
-        ++committedSplOps;
-        if (dec.cls == OpClass::SplStoreMem)
-            ++committedStores;
-        break;
-      }
-      case OpClass::SplCfg:
-        ++committedSplOps;
-        break;
-      case OpClass::Load:
-        ++committedLoads;
-        break;
-      case OpClass::Store:
-        ++committedStores;
-        break;
-      case OpClass::Amo:
-        ++committedLoads;
-        ++committedStores;
-        break;
-      case OpClass::Branch:
-        ++committedBranches;
-        break;
-      case OpClass::FpAlu:
-      case OpClass::FpMult:
-      case OpClass::FpDiv:
-        ++committedFpOps;
-        break;
-      case OpClass::Halt:
-        ctx_->halted = true;
-        fetchHalted_ = true;
-        ++committedIntOps;
-        break;
-      default:
-        ++committedIntOps;
-        break;
-    }
-    ++committedInsts;
-    ++fetchedInsts;
-    ++warmedInsts_;
-    return true;
 }
 
 void
@@ -1276,10 +1035,6 @@ OooCore::tick(Cycle now)
 {
     if (!ctx_)
         return;
-    if (warming_) {
-        warmTick(now);
-        return;
-    }
     if (profiler_) {
         tickProfiled(now);
         return;
@@ -1455,11 +1210,6 @@ OooCore::save(snap::Serializer &s) const
     s.u64(divBusyUntil_);
     s.u64(fpDivBusyUntil_);
     s.u64(storeBufferDrainCycle_);
-    s.boolean(warming_);
-    s.u64(warmedInsts_);
-    s.u64(warmIFetchLine_);
-    for (const std::uint64_t l : warmDataLine_)
-        s.u64(l);
 
     bpred_.save(s);
     statGroup_.save(s);
@@ -1602,11 +1352,6 @@ OooCore::restore(snap::Deserializer &d)
     divBusyUntil_ = d.u64();
     fpDivBusyUntil_ = d.u64();
     storeBufferDrainCycle_ = d.u64();
-    warming_ = d.boolean();
-    warmedInsts_ = d.u64();
-    warmIFetchLine_ = d.u64();
-    for (std::uint64_t &l : warmDataLine_)
-        l = d.u64();
 
     bpred_.restore(d);
     statGroup_.restore(d);

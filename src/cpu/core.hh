@@ -114,36 +114,6 @@ class OooCore
         return headSeq_ == nextSeq_;
     }
 
-    /** @{ @name Functional warming (sampled mode, DESIGN.md §14).
-     * While warming, tick() executes at most one instruction per
-     * cycle with exact architectural semantics (the same funcExecute
-     * the detailed fetch uses) plus cache, branch-predictor and
-     * *timed* SPL-fabric side effects — the fabric's timed queues are
-     * kept in lock-step with the functional ones so a later detailed
-     * window sees consistent state — but no OOO pipeline modelling.
-     * Entry requires a drained pipeline; exit is instantaneous (the
-     * next detailed warm-up phase refills the pipeline). */
-    bool warming() const { return warming_; }
-    /** Switch to functional warming (pipeline must be drained). */
-    void beginWarming();
-    /** Resume detailed execution. */
-    void endWarming() { warming_ = false; }
-    /** Instructions executed under functional warming (serialized —
-     *  the sampled-mode estimator needs it across a restore). */
-    std::uint64_t warmedInsts() const { return warmedInsts_; }
-    /**
-     * Burst-mode functional warming: commit up to @p max_cycles
-     * instructions (one per cycle, the first at @p now) in a tight
-     * loop without returning to the chip tick loop, stopping *before*
-     * any SPL-class instruction — everything that can interact with
-     * another core stays under the cycle-interleaved loop, so bursts
-     * only cover private compute (ALU/branch/memory) stretches.
-     * Only valid while warming. @return instructions committed
-     * (== core cycles consumed; 0 means the core is parked at an SPL
-     * instruction, halted, or done).
-     */
-    Cycle warmBurst(Cycle now, Cycle max_cycles);
-    /** @} */
     /** Detach the thread (must be drained); the core goes idle. */
     void unbindThread();
     /** Local SPL slot of this core (valid when a fabric is attached). */
@@ -341,18 +311,6 @@ class OooCore
     /** tick() body with host-time attribution (profiler_ != null). */
     void tickProfiled(Cycle now);
 
-    /** tick() body while functionally warming (warming_ == true):
-     *  one warmStep() per cycle. */
-    void warmTick(Cycle now);
-
-    /** Functionally warm one instruction at @p now: exact
-     *  architectural semantics plus cache / predictor / timed-SPL
-     *  side effects and commit counters, no pipeline. @p d is
-     *  scratch. @return false when it could not execute this cycle:
-     *  its timed SPL gate is closed, or @p burst and it is an
-     *  SPL-class instruction that interacts with another core. */
-    bool warmStep(Cycle now, DynInst &d, bool burst);
-
     /** Functionally execute @p inst; fills @p d; returns false when
      *  fetch must stall (spl_store with no functional value yet). */
     bool funcExecute(const isa::Instruction &inst, DynInst &d);
@@ -443,30 +401,6 @@ class OooCore
     bool blockCacheEnabled_ = true; ///< !REMAP_NO_BLOCK_CACHE
     const isa::Program *decodedFor_ = nullptr;
     isa::DecodedProgram decoded_;
-    /** @} */
-
-    /** @{ @name Functional-warming state (sampled mode). */
-    bool warming_ = false;
-    std::uint64_t warmedInsts_ = 0;
-    /** Last icache line probed by warmTick() (line address, i.e.
-     *  pcAddr with the offset bits cleared; ~0 = none). Warming
-     *  probes the L1I once per line, not once per instruction —
-     *  serialized so a warm start resumes the same probe pattern. */
-    std::uint64_t warmIFetchLine_ = ~std::uint64_t{0};
-    /** Recently probed data lines (direct-mapped by line index; tag
-     *  is the line address with bit 0 = last probe was a write).
-     *  Serialized for the same warm-start reason. */
-    static constexpr std::size_t kWarmDataLines = 4;
-    std::uint64_t warmDataLine_[kWarmDataLines] = {
-        ~std::uint64_t{0}, ~std::uint64_t{0}, ~std::uint64_t{0},
-        ~std::uint64_t{0}};
-    /** @{ @name Cache-line geometry, hoisted out of the warm loop
-     *  (derived from the fixed MemSystem parameters at construction,
-     *  never serialized). */
-    std::uint64_t warmILineMask_ = ~std::uint64_t{63};
-    std::uint64_t warmDLineMask_ = ~std::uint64_t{63};
-    unsigned warmDLineShift_ = 6;
-    /** @} */
     /** @} */
 
     Cycle fetchResumeCycle_ = 0;

@@ -5,7 +5,6 @@
 
 #include "harness/parallel.hh"
 #include "harness/snapshot_cache.hh"
-#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
 #include "sim/snapshot.hh"
@@ -45,18 +44,6 @@ serveStoredResult(SnapshotCache &cache, const std::string &key,
     r.energyJ = d.f64();
     r.work = d.f64();
     r.configHash = d.u64();
-    r.sampled = d.boolean();
-    r.sampleWindows = d.u64();
-    r.measuredCycles = d.u64();
-    r.warmedInsts = d.u64();
-    r.ciLowCycles = d.f64();
-    r.ciHighCycles = d.f64();
-    r.ciTarget = d.f64();
-    r.achievedRelHw = d.f64();
-    r.adaptiveIterations = d.u32();
-    r.convergedPeriod = d.u64();
-    r.convergedWindow = d.u64();
-    r.convergedWarm = d.u64();
     if (!d.ok() || !d.atEnd()) {
         REMAP_WARN("ignoring bad result entry '%s' (%s); simulating",
                    key.c_str(), d.ok() ? "trailing bytes" : d.error());
@@ -82,93 +69,7 @@ storeResult(SnapshotCache &cache, const std::string &key,
     s.f64(res.energyJ);
     s.f64(res.work);
     s.u64(res.configHash);
-    s.boolean(res.sampled);
-    s.u64(res.sampleWindows);
-    s.u64(res.measuredCycles);
-    s.u64(res.warmedInsts);
-    s.f64(res.ciLowCycles);
-    s.f64(res.ciHighCycles);
-    s.f64(res.ciTarget);
-    s.f64(res.achievedRelHw);
-    s.u32(res.adaptiveIterations);
-    s.u64(res.convergedPeriod);
-    s.u64(res.convergedWindow);
-    s.u64(res.convergedWarm);
     cache.store(key, hash, res.cycles, s.take());
-}
-
-/**
- * Drive @p run under the SMARTS sampling schedule already set on its
- * System (DESIGN.md §14). Fills the sampled-mode fields of @p res and
- * sets res.cycles to the extrapolated estimate.
- */
-void
-runSampledRegion(workloads::PreparedRun &run, RegionResult &res)
-{
-    constexpr Cycle max_cycles = 400'000'000ULL;
-    res.configHash = run.system->configHash();
-    if (run.system->runSampled(max_cycles).timedOut)
-        REMAP_FATAL("workload '%s' did not quiesce in %llu cycles",
-                    run.name.c_str(),
-                    static_cast<unsigned long long>(max_cycles));
-
-    const sampling::Estimate e = run.system->sampleEstimate();
-    res.sampled = e.sampled;
-    res.sampleWindows = e.windows;
-    res.measuredCycles = run.system->now();
-    res.warmedInsts = run.system->warmedInsts();
-    res.ciLowCycles = e.ciLowCycles();
-    res.ciHighCycles = e.ciHighCycles();
-    res.achievedRelHw = sampling::relativeHalfWidth(e);
-    res.cycles = e.sampled ? static_cast<Cycle>(e.estCycles + 0.5)
-                           : run.system->now();
-}
-
-/** Schedules the matched-pair controller tries before accepting the
- *  best clamped answer. */
-constexpr unsigned kMaxAdaptiveIters = 6;
-
-/**
- * Adaptive sampled execution (DESIGN.md §15): run the region at a
- * coarse schedule, then re-run with the period scaled by the
- * matched-pair controller (sampling::nextAdaptivePeriod) until the
- * relative 95% CI half-width of the CPI estimate reaches
- * spec.sample.ciTarget — or the period clamps bind. @p res reports
- * the final iteration plus the controller provenance (converged
- * schedule, achieved half-width, iterations).
- */
-void
-runAdaptiveSampledRegion(const workloads::WorkloadInfo &info,
-                         const RunSpec &spec,
-                         workloads::PreparedRun &run,
-                         RegionResult &res)
-{
-    sampling::SampleParams cur = spec.sample.resolvedAdaptive();
-    unsigned iters = 0;
-    for (;;) {
-        ++iters;
-        if (iters > 1)
-            run = info.make(spec);
-        run.system->setSampleParams(cur);
-        runSampledRegion(run, res);
-
-        if (!res.sampled)
-            break; // collapsed to exact: nothing to tune
-        if (res.achievedRelHw > 0.0 &&
-            res.achievedRelHw <= cur.ciTarget)
-            break; // converged
-        const std::uint64_t next =
-            sampling::nextAdaptivePeriod(cur, res.achievedRelHw);
-        if (next == cur.period || iters >= kMaxAdaptiveIters)
-            break; // clamped or out of budget: accept the best
-        cur.period = next;
-    }
-
-    res.ciTarget = cur.ciTarget;
-    res.adaptiveIterations = iters;
-    res.convergedPeriod = cur.period;
-    res.convergedWindow = cur.window;
-    res.convergedWarm = cur.warm;
 }
 
 } // namespace
@@ -179,38 +80,21 @@ runRegion(const workloads::WorkloadInfo &info, const RunSpec &spec,
 {
     workloads::PreparedRun run = info.make(spec);
     RegionResult res;
-    // Sampled mode: an explicit spec schedule wins; otherwise the
-    // REMAP_SAMPLE environment default applies. Traced runs force
-    // exact execution — functional warming commits instructions the
-    // trace would silently miss.
-    workloads::RunSpec effective = spec;
-    if (!effective.sample.active())
-        effective.sample = env::sampleParams();
-    if (run.system->tracer())
-        effective.sample = {};
-    run.system->setSampleParams(effective.sample);
-    // Every untraced run goes through its final-result entry, keyed
-    // by the effective spec: a repeat is served without simulating.
-    // A served result has no trace, so tracing bypasses the cache.
+    // Every untraced run goes through its final-result entry: a
+    // repeat is served without simulating. A served result has no
+    // trace, so tracing bypasses the cache.
     SnapshotCache &cache = SnapshotCache::instance();
     std::string result_key;
     std::uint64_t hash = 0;
     if (cache.enabled() && !run.system->tracer()) {
         hash = run.system->configHash();
-        result_key =
-            SnapshotCache::makeKey(info.name, effective, hash) +
-            "/result";
+        result_key = SnapshotCache::makeKey(info.name, spec, hash) +
+                     "/result";
         if (serveStoredResult(cache, result_key, hash, res))
             return res;
     }
-    if (effective.sample.adaptive()) {
-        runAdaptiveSampledRegion(info, effective, run, res);
-    } else if (effective.sample.enabled()) {
-        runSampledRegion(run, res);
-    } else {
-        res.configHash = hash;
-        res.cycles = run.run().cycles;
-    }
+    res.configHash = hash;
+    res.cycles = run.run().cycles;
     if (run.verify && !run.verify())
         REMAP_FATAL("workload '%s' (%s) failed golden verification",
                     info.name.c_str(),

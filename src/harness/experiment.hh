@@ -46,33 +46,6 @@ struct RegionResult
      *  run manifests for per-job host-time attribution. */
     std::vector<std::pair<std::string, double>> hostPhaseMs;
 
-    /** @{ @name Sampled-mode results (DESIGN.md §14). When `sampled`
-     * is true, `cycles` above is the SMARTS extrapolation (so every
-     * downstream metric — cycles/unit, ED — uses it transparently),
-     * `measuredCycles` is what the mixed detailed/warming run
-     * actually simulated, and [ciLowCycles, ciHighCycles] is the 95%
-     * confidence interval on the extrapolation. Runs that finish
-     * before any fast-forward phase report sampled=false with exact
-     * cycles. */
-    bool sampled = false;
-    std::uint64_t sampleWindows = 0; ///< measured windows recorded
-    Cycle measuredCycles = 0;        ///< simulated (not extrapolated)
-    std::uint64_t warmedInsts = 0;   ///< insts fast-forwarded
-    double ciLowCycles = 0.0;
-    double ciHighCycles = 0.0;
-    /** @} */
-
-    /** @{ @name Adaptive-schedule provenance (DESIGN.md §15).
-     * Adaptive runs record the schedule the matched-pair controller
-     * converged to and the relative CI half-width it achieved. */
-    double ciTarget = 0.0;       ///< requested rel. half-width (0 = fixed)
-    double achievedRelHw = 0.0;  ///< measured relative CI half-width
-    unsigned adaptiveIterations = 0;   ///< schedules the controller tried
-    std::uint64_t convergedPeriod = 0; ///< converged schedule (adaptive)
-    std::uint64_t convergedWindow = 0;
-    std::uint64_t convergedWarm = 0;
-    /** @} */
-
     /** Cycles per work unit (Fig. 12's y-axis). */
     double
     cyclesPerUnit() const
@@ -92,13 +65,11 @@ struct RegionResult
  * output (REMAP_FATAL on mismatch), and measure energy. Energy is
  * divided by RunSpec::copies so results are per program.
  *
- * With the SnapshotCache on, an untraced run — exact, sampled or
- * adaptive — is looked up by its final-result entry (key: workload,
- * the effective RunSpec including a REMAP_SAMPLE schedule, and
- * configHash(); see snapshot_cache.hh) after the system is built. A
- * hit returns every stored result field without simulating; a miss
- * simulates in the run's own mode and stores the entry only after
- * verification and energy measurement.
+ * With the SnapshotCache on, an untraced run is looked up by its
+ * final-result entry (key: workload, RunSpec and configHash(); see
+ * snapshot_cache.hh) after the system is built. A hit returns every
+ * stored result field without simulating; a miss simulates and
+ * stores the entry only after verification and energy measurement.
  */
 RegionResult runRegion(const workloads::WorkloadInfo &info,
                        const workloads::RunSpec &spec,

@@ -150,33 +150,6 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
                 w.kv("config_hash", hex64(results[i].configHash));
             w.kv("warm_started", results[i].warmStarted);
             w.kv("snapshot_boundary", results[i].snapshotBoundary);
-            // Sampled runs (DESIGN.md §14): `cycles` above is the
-            // SMARTS extrapolation; record the schedule's footprint
-            // and confidence interval alongside it.
-            if (results[i].sampled) {
-                w.key("sampling");
-                w.beginObject();
-                w.kv("windows", results[i].sampleWindows);
-                w.kv("measured_cycles", results[i].measuredCycles);
-                w.kv("warmed_insts", results[i].warmedInsts);
-                w.kv("ci_low_cycles", results[i].ciLowCycles);
-                w.kv("ci_high_cycles", results[i].ciHighCycles);
-                // Adaptive provenance (DESIGN.md §15): the schedule
-                // the controller converged to and the half-width it
-                // hit.
-                if (results[i].ciTarget > 0.0) {
-                    w.key("adaptive");
-                    w.beginObject();
-                    w.kv("ci_target", results[i].ciTarget);
-                    w.kv("achieved_rel_hw", results[i].achievedRelHw);
-                    w.kv("iterations", results[i].adaptiveIterations);
-                    w.kv("period", results[i].convergedPeriod);
-                    w.kv("window", results[i].convergedWindow);
-                    w.kv("warm", results[i].convergedWarm);
-                    w.endObject();
-                }
-                w.endObject();
-            }
             // Per-job host-time attribution (REMAP_PROFILE runs).
             if (!results[i].hostPhaseMs.empty()) {
                 w.key("host_ms");

@@ -104,32 +104,12 @@ SnapshotCache::makeKey(const std::string &workload,
     // structural parameter, but the spec fields keep distinct sweep
     // points distinct even if a hash collision ever occurred.
     char buf[224];
-    int len =
+    const int len =
         std::snprintf(buf, sizeof(buf), "%s/%s/n%u/t%u/c%u/i%u",
                       workload.c_str(),
                       workloads::variantName(spec.variant),
                       spec.problemSize, spec.threads, spec.copies,
                       spec.iterations);
-    // Sampled runs get an explicit schedule segment: exact-run keys
-    // stay byte-identical to the pre-sampling format, and a sampled
-    // run can never alias an exact one even under a hash collision.
-    if (spec.sample.enabled() && len > 0 &&
-        len < static_cast<int>(sizeof(buf))) {
-        len += std::snprintf(
-            buf + len, sizeof(buf) - len, "/sP%llu_M%llu_W%llu",
-            static_cast<unsigned long long>(spec.sample.period),
-            static_cast<unsigned long long>(spec.sample.window),
-            static_cast<unsigned long long>(spec.sample.warm));
-    }
-    // Adaptive requests carry their CI target as a further segment:
-    // an adaptive run can never alias a fixed-schedule run even at
-    // the period the controller converged to (the config-hash also
-    // separates them; the key keeps the distinction debuggable).
-    if (spec.sample.adaptive() && len > 0 &&
-        len < static_cast<int>(sizeof(buf))) {
-        len += std::snprintf(buf + len, sizeof(buf) - len,
-                             "/auto%.6g", spec.sample.ciTarget);
-    }
     if (len > 0 && len < static_cast<int>(sizeof(buf))) {
         std::snprintf(buf + len, sizeof(buf) - len, "/%016llx",
                       static_cast<unsigned long long>(config_hash));

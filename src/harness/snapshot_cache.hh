@@ -7,17 +7,17 @@
  * per-figure batches (Figs. 8-11 share one region set, Fig. 14
  * repeats Fig. 12's sweeps). Every entry is a blob behind a
  * snap::writeHeader() container header. runRegion() keeps one entry
- * per run, "<key>/result": the verified RegionResult of an exact,
- * sampled or adaptive run, which serves a repeat without simulating.
+ * per run, "<key>/result": the verified RegionResult of a run, which
+ * serves a repeat without simulating.
  * Nothing in the simulator writes any other entry; the "<key>"
  * warm-start snapshots perfbench's traced path stores at
  * firstBoundary(), 2x, 4x, ... cycles use the same lookup()/store().
  *
  * Keys are workload name + the full RunSpec + System::configHash()
  * (which covers every simulated parameter: core/mem/SPL
- * configuration, sampling schedule, registered SPL functions and
- * thread programs), and every header carries snap::buildId(), a hash
- * of the simulator sources. So an entry is never applied to a
+ * configuration, registered SPL functions and thread programs), and
+ * every header carries snap::buildId(), a hash of the simulator
+ * sources. So an entry is never applied to a
  * changed configuration or served to a build whose model differs
  * from the one that wrote it.
  *

@@ -23,8 +23,6 @@
  *  - REMAP_PROFILE=1        host-time profiling (env::profile())
  *
  * Mode overrides:
- *  - REMAP_SAMPLE=...       default sampled-mode schedule (see
- *                           env::sampleParams())
  *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
  *                           env::tracePeriod())
  *
@@ -45,8 +43,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "sim/sampling.hh"
 
 namespace remap::env
 {
@@ -73,34 +69,6 @@ bool noBlockCache();
 
 /** True when REMAP_NO_MRU=1: cache MRU-way fast path off. */
 bool noMru();
-
-/**
- * Strict REMAP_SAMPLE-value parser. Accepted forms:
- *
- *   "1"                    the built-in default schedule
- *   "P" / "P,M" / "P,M,W"  explicit period / measured-window /
- *                          detailed-warm-up lengths in committed
- *                          instructions (decimal, no signs)
- *   "auto"                 adaptive schedule, default 2% relative
- *                          CI half-width target
- *   "auto,H"               adaptive with target H in (0, 1)
- *
- * Anything else — sign characters, empty fields, trailing garbage,
- * a zero period or window, a window or warm+window that does not fit
- * the period, a target outside (0, 1) — fails: @p out is left
- * disabled and @p error receives a one-line description. Exposed so
- * each malformed form is unit-testable without a fatal exit.
- */
-bool parseSampleSpec(const char *text, sampling::SampleParams *out,
-                     std::string *error);
-
-/**
- * The sampled-mode schedule requested via REMAP_SAMPLE, or a
- * disabled default when the variable is unset. Malformed values are
- * a fatal error (one clear line, via parseSampleSpec()) — a mistyped
- * schedule must never silently fall back to exact simulation.
- */
-sampling::SampleParams sampleParams();
 
 /**
  * Strict parser for a decimal count held by the variable @p name:

@@ -70,15 +70,6 @@ struct RunSpec
     unsigned copies = 1;
     /** Iteration-count override (0 = kernel default). */
     unsigned iterations = 0;
-    /**
-     * SMARTS-style sampling schedule (disabled by default = exact
-     * execution). When enabled the harness drives the run through
-     * System::runSampled() and reports extrapolated cycles with a
-     * confidence interval; the schedule participates in configHash()
-     * so sampled results never alias exact ones in the snapshot
-     * cache (DESIGN.md §14).
-     */
-    sampling::SampleParams sample{};
 };
 
 /**

@@ -23,18 +23,6 @@ expectSameResult(const harness::RegionResult &a,
     EXPECT_EQ(a.work, b.work);
     EXPECT_EQ(a.insts, b.insts);
     EXPECT_EQ(a.configHash, b.configHash);
-    EXPECT_EQ(a.sampled, b.sampled);
-    EXPECT_EQ(a.sampleWindows, b.sampleWindows);
-    EXPECT_EQ(a.measuredCycles, b.measuredCycles);
-    EXPECT_EQ(a.warmedInsts, b.warmedInsts);
-    EXPECT_EQ(a.ciLowCycles, b.ciLowCycles);
-    EXPECT_EQ(a.ciHighCycles, b.ciHighCycles);
-    EXPECT_EQ(a.ciTarget, b.ciTarget);
-    EXPECT_EQ(a.achievedRelHw, b.achievedRelHw);
-    EXPECT_EQ(a.adaptiveIterations, b.adaptiveIterations);
-    EXPECT_EQ(a.convergedPeriod, b.convergedPeriod);
-    EXPECT_EQ(a.convergedWindow, b.convergedWindow);
-    EXPECT_EQ(a.convergedWarm, b.convergedWarm);
 }
 
 } // namespace remap

@@ -554,16 +554,6 @@ resultEntrySpec()
     return spec;
 }
 
-/** The same region under a schedule short enough to fast-forward,
- *  so every sampled-mode field of its result is filled. */
-workloads::RunSpec
-sampledResultEntrySpec()
-{
-    workloads::RunSpec spec = resultEntrySpec();
-    spec.sample = sampling::SampleParams{2000, 200, 100};
-    return spec;
-}
-
 TEST(RunRegionResultEntry, SecondRunIsServedAndBitIdentical)
 {
     CacheGuard guard;
@@ -620,24 +610,19 @@ TEST(RunRegionResultEntry, RoundTripsThroughDiskDir)
     auto &c = SnapshotCache::instance();
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+    DiskDir dir("remap_result_entry_disk");
+    const auto cold = harness::runRegion(info, spec, model);
+    ASSERT_FALSE(cold.warmStarted);
+    ASSERT_FALSE(dir.onlyFile().empty());
 
-    for (const auto &spec : {resultEntrySpec(), sampledResultEntrySpec()}) {
-        SCOPED_TRACE(SnapshotCache::makeKey(info.name, spec, 0));
-        DiskDir dir("remap_result_entry_disk");
-        const auto cold = harness::runRegion(info, spec, model);
-        ASSERT_FALSE(cold.warmStarted);
-        ASSERT_EQ(cold.sampled, spec.sample.enabled());
-        ASSERT_FALSE(dir.onlyFile().empty());
-
-        // A fresh in-memory cache (another process) is served from
-        // disk.
-        c.clear();
-        const std::uint64_t loads = c.stats().diskLoads;
-        const auto served = harness::runRegion(info, spec, model);
-        EXPECT_TRUE(served.warmStarted);
-        EXPECT_EQ(c.stats().diskLoads, loads + 1);
-        expectSameResult(served, cold);
-    }
+    // A fresh in-memory cache (another process) is served from disk.
+    c.clear();
+    const std::uint64_t loads = c.stats().diskLoads;
+    const auto served = harness::runRegion(info, spec, model);
+    EXPECT_TRUE(served.warmStarted);
+    EXPECT_EQ(c.stats().diskLoads, loads + 1);
+    expectSameResult(served, cold);
 }
 
 TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
@@ -646,35 +631,32 @@ TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
     auto &c = SnapshotCache::instance();
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
+    const auto spec = resultEntrySpec();
+    DiskDir dir("remap_result_entry_truncated");
+    c.clear();
+    const auto cold = harness::runRegion(info, spec, model);
+    const std::filesystem::path file = dir.onlyFile();
+    // Cut into the last field: the header still validates, the
+    // payload does not parse.
+    std::filesystem::resize_file(file,
+                                 std::filesystem::file_size(file) - 4);
+    c.clear();
+    const std::uint64_t rejected = c.stats().rejected;
+    testing::internal::CaptureStderr();
+    const auto rerun = harness::runRegion(info, spec, model);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("ignoring bad result entry"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(c.stats().rejected, rejected + 1);
+    EXPECT_FALSE(rerun.warmStarted);
+    expectSameResult(rerun, cold);
 
-    for (const auto &spec : {resultEntrySpec(), sampledResultEntrySpec()}) {
-        SCOPED_TRACE(SnapshotCache::makeKey(info.name, spec, 0));
-        DiskDir dir("remap_result_entry_truncated");
-        c.clear();
-        const auto cold = harness::runRegion(info, spec, model);
-        const std::filesystem::path file = dir.onlyFile();
-        // Cut into the last field: the header still validates, the
-        // payload does not parse.
-        std::filesystem::resize_file(
-            file, std::filesystem::file_size(file) - 4);
-        c.clear();
-        const std::uint64_t rejected = c.stats().rejected;
-        testing::internal::CaptureStderr();
-        const auto rerun = harness::runRegion(info, spec, model);
-        const std::string err = testing::internal::GetCapturedStderr();
-        EXPECT_NE(err.find("ignoring bad result entry"),
-                  std::string::npos)
-            << err;
-        EXPECT_EQ(c.stats().rejected, rejected + 1);
-        EXPECT_FALSE(rerun.warmStarted);
-        expectSameResult(rerun, cold);
-
-        // The re-simulated run replaced the file with a good entry.
-        c.clear();
-        const auto served = harness::runRegion(info, spec, model);
-        EXPECT_TRUE(served.warmStarted);
-        expectSameResult(served, cold);
-    }
+    // The re-simulated run replaced the file with a good entry.
+    c.clear();
+    const auto served = harness::runRegion(info, spec, model);
+    EXPECT_TRUE(served.warmStarted);
+    expectSameResult(served, cold);
 }
 
 TEST(RunRegionResultEntry, OtherBuildIdentityIsRejected)
