@@ -17,6 +17,7 @@
 #include "spl/function.hh"
 #include "harness/manifest.hh"
 #include "harness/snapshot_cache.hh"
+#include "sim/logging.hh"
 
 using namespace remap;
 
@@ -66,10 +67,9 @@ run(unsigned partitions, unsigned rows, unsigned iters)
         sys.mapThread(th.id, t);
     }
     auto r = sys.run(200'000'000);
-    if (r.timedOut) {
-        std::cerr << "ablation run timed out\n";
-        std::exit(1);
-    }
+    if (r.timedOut)
+        REMAP_FATAL("partitioning run (%u partitions, %u rows) timed out",
+                    partitions, rows);
     return r.cycles;
 }
 
@@ -83,13 +83,6 @@ main(int argc, char **)
         return 2;
     }
     remap::harness::setExperimentLabel("abl_partitioning");
-    std::cout << "Ablation: spatial partitioning vs virtualization "
-                 "(4 threads, 2000\ninitiations each, function row "
-                 "counts vs partition row budgets)\n\n";
-    harness::Table t;
-    t.header({"Function rows", "1 partition (24 rows)",
-              "2 partitions (12 rows)", "4 partitions (6 rows)"});
-
     const std::vector<unsigned> row_counts = {4u, 8u, 12u, 16u, 24u};
     const std::vector<unsigned> part_counts = {1u, 2u, 4u};
     std::vector<Cycle> cycles(row_counts.size() *
@@ -104,6 +97,13 @@ main(int argc, char **)
             });
     harness::JobPool::shared().run(std::move(jobs));
 
+    // Nothing reaches stdout until every run has finished.
+    std::cout << "Ablation: spatial partitioning vs virtualization "
+                 "(4 threads, 2000\ninitiations each, function row "
+                 "counts vs partition row budgets)\n\n";
+    harness::Table t;
+    t.header({"Function rows", "1 partition (24 rows)",
+              "2 partitions (12 rows)", "4 partitions (6 rows)"});
     std::size_t idx = 0;
     for (unsigned rows : row_counts) {
         std::vector<std::string> row = {std::to_string(rows)};

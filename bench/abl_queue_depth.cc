@@ -16,6 +16,7 @@
 #include "spl/function.hh"
 #include "harness/manifest.hh"
 #include "harness/snapshot_cache.hh"
+#include "sim/logging.hh"
 
 using namespace remap;
 
@@ -63,10 +64,9 @@ run(unsigned pending, unsigned out_words)
     sys.mapThread(t0.id, 0);
     sys.mapThread(t1.id, 1);
     auto r = sys.run(200'000'000);
-    if (r.timedOut) {
-        std::cerr << "queue-depth run timed out\n";
-        std::exit(1);
-    }
+    if (r.timedOut)
+        REMAP_FATAL("queue-depth run (%u pending, %u words) timed out",
+                    pending, out_words);
     return r.cycles;
 }
 
@@ -80,12 +80,6 @@ main(int argc, char **)
         return 2;
     }
     remap::harness::setExperimentLabel("abl_queue_depth");
-    std::cout << "Ablation: SPL queue sizing under a bursty "
-                 "consumer (3000 messages)\n\n";
-    harness::Table t;
-    t.header({"Pending inits/core", "Output queue words",
-              "Cycles"});
-
     const std::vector<unsigned> pendings = {1u, 2u, 4u, 8u};
     const std::vector<unsigned> word_counts = {4u, 8u, 32u, 64u};
     std::vector<Cycle> cycles(pendings.size() * word_counts.size());
@@ -98,6 +92,12 @@ main(int argc, char **)
             });
     harness::JobPool::shared().run(std::move(jobs));
 
+    // Nothing reaches stdout until every run has finished.
+    std::cout << "Ablation: SPL queue sizing under a bursty "
+                 "consumer (3000 messages)\n\n";
+    harness::Table t;
+    t.header({"Pending inits/core", "Output queue words",
+              "Cycles"});
     std::size_t idx = 0;
     for (unsigned pending : pendings)
         for (unsigned words : word_counts)

@@ -15,6 +15,7 @@
 #include "harness/table.hh"
 #include "harness/manifest.hh"
 #include "harness/snapshot_cache.hh"
+#include "sim/logging.hh"
 
 int
 main(int argc, char **)
@@ -27,18 +28,11 @@ main(int argc, char **)
     using namespace remap;
     using workloads::Variant;
 
-    std::cout << "Ablation: SPL temporal-sharing degree "
-                 "(g721enc, 1Th+Comp copies)\n\n";
-    harness::Table t;
-    t.header({"Copies", "Cycles", "Slowdown vs alone",
-              "RR conflicts", "Fabric initiations"});
-
     struct Point
     {
         Cycle cycles = 0;
         std::uint64_t rrConflicts = 0;
         std::uint64_t initiations = 0;
-        bool ok = true;
     };
     std::vector<Point> points(4);
     std::vector<std::function<void()>> jobs;
@@ -49,8 +43,11 @@ main(int argc, char **)
             spec.copies = copies;
             auto run = workloads::makeG721(spec, true);
             auto rr = run.run();
+            if (run.verify && !run.verify())
+                REMAP_FATAL("g721enc with %u copies failed golden "
+                            "verification",
+                            copies);
             Point &p = points[copies - 1];
-            p.ok = !run.verify || run.verify();
             p.cycles = rr.cycles;
             p.rrConflicts =
                 run.system->fabric(0).rrConflicts.value();
@@ -59,13 +56,16 @@ main(int argc, char **)
         });
     harness::JobPool::shared().run(std::move(jobs));
 
+    // Nothing reaches stdout until every run has finished and
+    // verified.
+    std::cout << "Ablation: SPL temporal-sharing degree "
+                 "(g721enc, 1Th+Comp copies)\n\n";
+    harness::Table t;
+    t.header({"Copies", "Cycles", "Slowdown vs alone",
+              "RR conflicts", "Fabric initiations"});
     const double alone = static_cast<double>(points[0].cycles);
     for (unsigned copies = 1; copies <= 4; ++copies) {
         const Point &p = points[copies - 1];
-        if (!p.ok) {
-            std::cerr << "verification failed\n";
-            return 1;
-        }
         t.row({std::to_string(copies), std::to_string(p.cycles),
                harness::fmt(p.cycles / alone) + "x",
                std::to_string(p.rrConflicts),

@@ -7,6 +7,7 @@
 #include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/profile.hh"
 
 namespace remap::sys
 {
@@ -136,28 +137,6 @@ System::System(const SystemConfig &config)
         // call uses its path verbatim.
         enableTracing(trace::uniqueTracePath(base), period);
     }
-
-    // Read directly (not via prof::envEnabled's cache) so tests can
-    // toggle REMAP_PROFILE between System constructions.
-    if (env::profile())
-        enableProfiling();
-}
-
-void
-System::enableProfiling()
-{
-    if (profiler_)
-        return;
-    profiler_ = std::make_unique<prof::Profiler>();
-    prof::Profiler *p = profiler_.get();
-    for (auto &core : cores_)
-        core->setProfiler(p);
-    mem_->setProfiler(p);
-    barrierUnit_.setProfiler(p);
-    // Pick up the Host counter tracks when sampling is already live
-    // (tracing enabled before profiling, e.g. both via environment).
-    if (tracer_ && samplePeriod_ > 0)
-        registerSamplers();
 }
 
 ConfigId
@@ -301,19 +280,6 @@ System::registerSamplers()
         sampler_.add(trace::Category::Fabric, track + ".rr_conflicts",
                      fabric_base + f, "count",
                      &fabrics_[f]->rrConflicts);
-    }
-    // Host-time counter tracks: cumulative per-phase nanoseconds from
-    // the profiler, one track past the barrier unit's.
-    if (profiler_) {
-        const std::uint32_t host_tid =
-            fabric_base + numFabrics() + 1;
-        for (unsigned i = 0; i < prof::kNumPhases; ++i) {
-            const auto phase = static_cast<prof::Phase>(i);
-            sampler_.add(trace::Category::Host,
-                         std::string("host.") +
-                             prof::phaseName(phase),
-                         host_tid, "ns", &profiler_->totalNs(phase));
-        }
     }
 }
 
@@ -546,9 +512,7 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
         }
         bool fabrics_idle = true;
         {
-            prof::ScopedTimer timer(
-                fabrics_.empty() ? nullptr : profiler_.get(),
-                prof::Phase::FabricTick);
+            prof::PhaseScope phase(prof::Phase::FabricTick);
             for (auto &fabric : fabrics_) {
                 if (!fabric->idle()) {
                     fabric->tick(cycle_);
@@ -590,8 +554,7 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
         // per-cycle loop (REMAP_NO_LEAP=1) would fire them on; see
         // DESIGN.md §10 for the bit-identity argument.
         if (all_quiet) {
-            prof::ScopedTimer timer(profiler_.get(),
-                                    prof::Phase::LeapScan);
+            prof::PhaseScope phase(prof::Phase::LeapScan);
             const Cycle now = cycle_ - 1; // the cycle just ticked
             Cycle target = neverCycle;
             for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -675,8 +638,6 @@ System::resetStats()
     leapHist_.reset();
     sleeps_.reset();
     sleepSkippedCycles_.reset();
-    if (profiler_)
-        profiler_->reset();
 }
 
 void
@@ -706,8 +667,8 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
     w.endObject();
     // Simulator telemetry: how the run executed on the host, not what
     // the simulated chip did. Everything under "sim" may legitimately
-    // differ across fast-path kill switches or profiling on/off, so
-    // differential bit-identity tests compare with include_sim=false.
+    // differ across fast-path kill switches, so differential
+    // bit-identity tests compare with include_sim=false.
     if (include_sim) {
         w.key("sim");
         w.beginObject();
@@ -730,10 +691,6 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
         mem_->dumpMetaStatsJson(w);
         w.endObject();
         prof::dumpMetaHooks(w);
-        if (profiler_) {
-            w.key("profile");
-            profiler_->dumpJson(w);
-        }
         w.endObject();
     }
     w.endObject();
@@ -883,8 +840,6 @@ System::configHash() const
 void
 System::save(snap::Serializer &s) const
 {
-    prof::ScopedTimer timer(profiler_.get(),
-                            prof::Phase::SnapshotSave);
     s.section("system");
     s.u64(cycle_);
     migrationsCompleted.save(s);
@@ -929,8 +884,6 @@ System::save(snap::Serializer &s) const
 void
 System::restore(snap::Deserializer &d)
 {
-    prof::ScopedTimer timer(profiler_.get(),
-                            prof::Phase::SnapshotRestore);
     if (!d.section("system"))
         return;
     cycle_ = d.u64();

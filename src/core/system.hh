@@ -32,7 +32,6 @@
 #include "mem/mem_system.hh"
 #include "mem/memory_image.hh"
 #include "power/energy.hh"
-#include "sim/profile.hh"
 #include "sim/trace.hh"
 #include "sim/types.hh"
 #include "spl/fabric.hh"
@@ -221,12 +220,11 @@ class System
      * When @p include_sim is true (the default) a top-level "sim"
      * object carries simulator telemetry — fast-path meta-stats
      * (block cache, MRU way prediction, leap and sleep savings),
-     * registered meta hooks (e.g. the SnapshotCache), and, when
-     * profiling is enabled, the host-time profile. Differential
-     * comparisons of *simulated* behaviour pass false: the "sim"
-     * subtree describes how the simulator ran, and is the only part
-     * of the dump allowed to differ across fast-path kill switches
-     * or profiling on/off.
+     * and registered meta hooks (e.g. the SnapshotCache).
+     * Differential comparisons of *simulated* behaviour pass false:
+     * the "sim" subtree describes how the simulator ran, and is the
+     * only part of the dump allowed to differ across fast-path kill
+     * switches.
      */
     void dumpStatsJson(std::ostream &os, bool include_sim = true);
 
@@ -255,20 +253,6 @@ class System
 
     /** The active tracer, or nullptr when tracing is off. */
     trace::Tracer *tracer() { return tracer_.get(); }
-
-    /**
-     * Start host-time profiling: every core, the memory hierarchy,
-     * the barrier unit and the run loop attribute wall-clock time to
-     * their phases (see sim/profile.hh). Also enabled automatically
-     * at construction when REMAP_PROFILE=1 (env::profile(), read
-     * per construction, not cached, so tests can toggle it between
-     * constructions). Pure observation: simulated cycles, statistics
-     * and energy are bit-identical with profiling on or off.
-     */
-    void enableProfiling();
-
-    /** The active profiler, or nullptr when profiling is off. */
-    prof::Profiler *profiler() { return profiler_.get(); }
 
     /**
      * Hash of everything that determines this system's execution up
@@ -388,7 +372,6 @@ class System
     bool leapEnabled_ = true;
 
     std::unique_ptr<trace::Tracer> tracer_;
-    std::unique_ptr<prof::Profiler> profiler_;
 
     /** @{ @name Leap and sleep telemetry (meta-stats: never
      * serialized, reported in the stats "sim" subtree only). */

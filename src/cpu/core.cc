@@ -5,6 +5,7 @@
 
 #include "sim/env.hh"
 #include "sim/logging.hh"
+#include "sim/profile.hh"
 #include "sim/trace.hh"
 
 namespace remap::cpu
@@ -1035,45 +1036,20 @@ OooCore::tick(Cycle now)
 {
     if (!ctx_)
         return;
-    if (profiler_) {
-        tickProfiled(now);
-        return;
-    }
     tickProgress_ = false;
     stallMask_ = 0;
     if (!done())
         ++activeCycles;
+    // Host-time attribution: commit and writeback walk the same ROB
+    // tail, issue and dispatch share the window, fetch stands alone.
+    prof::PhaseScope phase(prof::Phase::WritebackCommit);
     commit(now);
     writeback(now);
+    phase.set(prof::Phase::IssueExecute);
     issue(now);
     dispatch(now);
+    phase.set(prof::Phase::FetchDecode);
     fetch(now);
-}
-
-void
-OooCore::tickProfiled(Cycle now)
-{
-    // Same stage sequence as tick(), bracketed by host-clock reads.
-    // Three chained timestamps cover the five stages: commit and
-    // writeback walk the same ROB tail, issue and dispatch share the
-    // window, fetch stands alone — matching the profiler's
-    // WritebackCommit / IssueExecute / FetchDecode taxonomy.
-    tickProgress_ = false;
-    stallMask_ = 0;
-    if (!done())
-        ++activeCycles;
-    const std::uint64_t t0 = prof::nowNs();
-    commit(now);
-    writeback(now);
-    const std::uint64_t t1 = prof::nowNs();
-    issue(now);
-    dispatch(now);
-    const std::uint64_t t2 = prof::nowNs();
-    fetch(now);
-    const std::uint64_t t3 = prof::nowNs();
-    profiler_->record(prof::Phase::WritebackCommit, t1 - t0);
-    profiler_->record(prof::Phase::IssueExecute, t2 - t1);
-    profiler_->record(prof::Phase::FetchDecode, t3 - t2);
 }
 
 Cycle

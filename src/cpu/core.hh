@@ -40,7 +40,6 @@
 #include "isa/isa.hh"
 #include "mem/mem_system.hh"
 #include "mem/memory_image.hh"
-#include "sim/profile.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "spl/fabric.hh"
@@ -221,14 +220,6 @@ class OooCore
     void resetStats();
 
     /**
-     * Attribute this core's tick phases to @p p (null disables).
-     * Observation only — the profiled tick path executes the same
-     * stage sequence as the plain one, it just brackets the stages
-     * with host-clock reads.
-     */
-    void setProfiler(prof::Profiler *p) { profiler_ = p; }
-
-    /**
      * Stream committed instructions as text ("cycle core pc: disasm"
      * per line) to @p os; pass nullptr to stop tracing. Intended for
      * debugging kernels, not for measurement runs.
@@ -307,9 +298,6 @@ class OooCore
     void issue(Cycle now);
     void dispatch(Cycle now);
     void fetch(Cycle now);
-
-    /** tick() body with host-time attribution (profiler_ != null). */
-    void tickProfiled(Cycle now);
 
     /** Functionally execute @p inst; fills @p d; returns false when
      *  fetch must stall (spl_store with no functional value yet). */
@@ -442,8 +430,6 @@ class OooCore
     Cycle splCommitStallStart_ = 0;
     /** Start cycle of an open fetch-side SPL stall span, or 0. */
     Cycle splFetchStallStart_ = 0;
-
-    prof::Profiler *profiler_ = nullptr;
 
     StatGroup statGroup_;
     /** Fast-path telemetry group: reported via dumpMetaStatsJson but

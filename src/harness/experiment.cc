@@ -6,7 +6,6 @@
 #include "harness/parallel.hh"
 #include "harness/snapshot_cache.hh"
 #include "sim/logging.hh"
-#include "sim/profile.hh"
 #include "sim/snapshot.hh"
 
 namespace remap::harness
@@ -110,20 +109,6 @@ runRegion(const workloads::WorkloadInfo &info, const RunSpec &spec,
     // Stored only now, so every served result passed verification.
     if (!result_key.empty())
         storeResult(cache, result_key, hash, res);
-    // Harvest host-time attribution: the per-System profile feeds the
-    // process-wide aggregate (reported by bench drivers and the
-    // manifest rollup) and the per-job manifest attribution.
-    if (const prof::Profiler *p = run.system->profiler()) {
-        prof::mergeIntoProcess(*p);
-        res.hostPhaseMs.reserve(prof::kNumPhases);
-        for (unsigned i = 0; i < prof::kNumPhases; ++i) {
-            const auto phase = static_cast<prof::Phase>(i);
-            if (p->count(phase).value() == 0)
-                continue;
-            res.hostPhaseMs.emplace_back(prof::phaseName(phase),
-                                         p->totalMs(phase));
-        }
-    }
     return res;
 }
 

@@ -35,16 +35,11 @@ struct RegionResult
     /** True when the run was served from its final-result entry
      *  instead of simulating (snapshotBoundary then holds the stored
      *  entry's boundary, its `cycles`). A served result equals the
-     *  simulated one in every other field but hostPhaseMs; this
-     *  records provenance for manifests/logs. */
+     *  simulated one in every other field; this records provenance
+     *  for manifests/logs. */
     bool warmStarted = false;
     /** Boundary cycle the run restored from (0 = simulated). */
     Cycle snapshotBoundary = 0;
-    /** Host milliseconds per profiler phase for this run, in Phase
-     *  order (empty when REMAP_PROFILE is off, and for a served
-     *  result, which simulates nothing). Pure provenance: flows into
-     *  run manifests for per-job host-time attribution. */
-    std::vector<std::pair<std::string, double>> hostPhaseMs;
 
     /** Cycles per work unit (Fig. 12's y-axis). */
     double

@@ -111,11 +111,11 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
     // singleton registers its hook).
     SnapshotCache::instance();
     prof::dumpMetaHooks(w);
-    // Process-wide host-time attribution (only populated when
-    // REMAP_PROFILE was set for the run).
+    // Process-wide host-time attribution by exclusive phase (only
+    // when REMAP_PROFILE was set for the run).
     if (prof::envEnabled()) {
         w.key("host_phases");
-        prof::processSnapshot().dumpJson(w);
+        prof::dumpSamplesJson(w, prof::processSamples());
     }
     // Workload inputs are synthetic and fully deterministic; the
     // RunSpec below (plus the fixed RNG seed all input synthesis
@@ -150,19 +150,23 @@ writeRunManifest(const std::vector<RegionJob> &jobs,
                 w.kv("config_hash", hex64(results[i].configHash));
             w.kv("warm_started", results[i].warmStarted);
             w.kv("snapshot_boundary", results[i].snapshotBoundary);
-            // Per-job host-time attribution (REMAP_PROFILE runs).
-            if (!results[i].hostPhaseMs.empty()) {
-                w.key("host_ms");
-                w.beginObject();
-                for (const auto &[phase, ms] : results[i].hostPhaseMs)
-                    w.kv(phase, ms);
-                w.endObject();
-            }
             w.endObject();
         }
         if (i < timings.size()) {
             w.kv("wall_ms", timings[i].wallMs);
             w.kv("worker", timings[i].worker);
+            // Per-job host CPU milliseconds by exclusive phase
+            // (REMAP_PROFILE runs; phases with no samples omitted).
+            if (prof::envEnabled()) {
+                w.key("host_ms");
+                w.beginObject();
+                for (unsigned p = 0; p < prof::kNumPhases; ++p) {
+                    if (const std::uint64_t n = timings[i].samples[p])
+                        w.kv(prof::phaseName(static_cast<prof::Phase>(p)),
+                             static_cast<double>(n) * prof::kSampleMs);
+                }
+                w.endObject();
+            }
         }
         w.endObject();
     }

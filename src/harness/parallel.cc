@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "harness/manifest.hh"
@@ -24,12 +25,23 @@ namespace
  *  execution instead of deadlocking on their own pool. */
 thread_local bool in_pool_worker = false;
 
-double
-elapsedMs(std::chrono::steady_clock::time_point t0)
+/** Run @p job on the calling thread and fill in @p timing; with
+ *  REMAP_PROFILE=1 the job's CPU time is sampled by phase. */
+void
+runTimed(const std::function<void()> &job, JobTiming &timing,
+         unsigned worker)
 {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    const auto t0 = std::chrono::steady_clock::now();
+    std::optional<prof::ThreadSampler> sampler;
+    if (prof::envEnabled())
+        sampler.emplace();
+    job();
+    if (sampler)
+        timing.samples = sampler->samples();
+    timing.wallMs = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    timing.worker = worker;
 }
 
 } // namespace
@@ -113,15 +125,8 @@ struct JobPool::Impl
     {
         ScopedLogContext ctx("worker" + std::to_string(self) +
                              ".job" + std::to_string(t.index));
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::uint64_t ns0 =
-            prof::envEnabled() ? prof::nowNs() : 0;
-        t.batch->jobs[t.index]();
-        if (ns0)
-            prof::recordProcess(prof::Phase::JobDispatch,
-                                prof::nowNs() - ns0);
-        t.batch->timings[t.index].wallMs = elapsedMs(t0);
-        t.batch->timings[t.index].worker = self;
+        runTimed(t.batch->jobs[t.index], t.batch->timings[t.index],
+                 self);
         jobsExecuted.fetch_add(1, std::memory_order_relaxed);
         pendingTasks.fetch_sub(1, std::memory_order_release);
         if (t.batch->remaining.fetch_sub(
@@ -245,15 +250,7 @@ JobPool::run(std::vector<std::function<void()>> jobs)
                 logContext().empty()
                     ? "job" + std::to_string(i)
                     : logContext() + ".job" + std::to_string(i));
-            const auto t0 = std::chrono::steady_clock::now();
-            const std::uint64_t ns0 =
-                prof::envEnabled() ? prof::nowNs() : 0;
-            jobs[i]();
-            if (ns0)
-                prof::recordProcess(prof::Phase::JobDispatch,
-                                    prof::nowNs() - ns0);
-            timings[i].wallMs = elapsedMs(t0);
-            timings[i].worker = 0;
+            runTimed(jobs[i], timings[i], 0);
         }
         impl_->jobsExecuted.fetch_add(n, std::memory_order_relaxed);
         return timings;

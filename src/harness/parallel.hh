@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "harness/experiment.hh"
+#include "sim/profile.hh"
 
 namespace remap::harness
 {
@@ -33,6 +34,9 @@ struct JobTiming
 {
     double wallMs = 0.0; ///< host milliseconds the job ran for
     unsigned worker = 0; ///< index of the worker that executed it
+    /** The job's host-time samples by phase (all zero unless
+     *  REMAP_PROFILE=1). */
+    prof::Samples samples{};
 };
 
 /**

@@ -80,12 +80,9 @@ class MemSystem
     Cycle
     access(CoreId core, Addr addr, AccessKind kind, Cycle now)
     {
-        prof::ScopedTimer timer(profiler_, prof::Phase::CacheAccess);
+        prof::PhaseScope phase(prof::Phase::CacheAccess);
         return accessTimed(core, addr, kind, now);
     }
-
-    /** Attribute hierarchy access host time to @p p (null disables). */
-    void setProfiler(prof::Profiler *p) { profiler_ = p; }
 
     /** Invalidate all caches of @p core (thread migration). */
     void flushCore(CoreId core);
@@ -163,7 +160,6 @@ class MemSystem
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Cache>> l2_;
     Cycle busBusyUntil_ = 0;
-    prof::Profiler *profiler_ = nullptr;
     StatGroup statGroup_;
 };
 

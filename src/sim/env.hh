@@ -20,7 +20,8 @@
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
  *
  * Switches (same strict form: unset = off, "1" = on):
- *  - REMAP_PROFILE=1        host-time profiling (env::profile())
+ *  - REMAP_PROFILE=1        sample every pool job's host CPU time by
+ *                           phase (env::profile(), sim/profile.hh)
  *
  * Mode overrides:
  *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
@@ -57,8 +58,9 @@ namespace remap::env
 bool parseKillSwitch(const char *name, const char *text, bool *off,
                      std::string *error);
 
-/** True when REMAP_PROFILE=1: host-time profiling on. Parsed like a
- *  kill switch, so "0" is a fatal error, never "on". */
+/** True when REMAP_PROFILE=1: each JobPool job arms a
+ *  prof::ThreadSampler. Parsed like a kill switch, so "0" is a fatal
+ *  error, never "on". */
 bool profile();
 
 /** True when REMAP_NO_LEAP=1: event-horizon leap disabled. */

@@ -1,12 +1,19 @@
 #include "sim/profile.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <csignal>
+#include <cstring>
+#include <ctime>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
+
+#include <unistd.h>
 
 #include "sim/env.hh"
 #include "sim/json.hh"
+#include "sim/logging.hh"
 
 namespace remap::prof
 {
@@ -15,6 +22,8 @@ const char *
 phaseName(Phase p)
 {
     switch (p) {
+      case Phase::Other:
+        return "other";
       case Phase::FetchDecode:
         return "fetch_decode";
       case Phase::IssueExecute:
@@ -29,12 +38,6 @@ phaseName(Phase p)
         return "barrier";
       case Phase::LeapScan:
         return "leap_scan";
-      case Phase::SnapshotSave:
-        return "snapshot_save";
-      case Phase::SnapshotRestore:
-        return "snapshot_restore";
-      case Phase::JobDispatch:
-        return "job_dispatch";
     }
     return "unknown";
 }
@@ -46,78 +49,129 @@ envEnabled()
     return enabled;
 }
 
-void
-Profiler::merge(const Profiler &other)
+namespace
 {
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        phases_[i].count += other.phases_[i].count.value();
-        phases_[i].totalNs += other.phases_[i].totalNs.value();
-        phases_[i].hist.merge(other.phases_[i].hist);
-    }
+
+/** This thread's samples since it started, per phase. Written only
+ *  by the signal handler running on this thread. */
+constinit thread_local std::atomic<std::uint64_t>
+    threadSamples[kNumPhases];
+/** The calling thread's sampling timer, valid while threadArmed. */
+constinit thread_local timer_t threadTimer{};
+constinit thread_local bool threadArmed = false;
+
+std::atomic<std::uint64_t> processTotals[kNumPhases];
+
+Samples
+threadSnapshot()
+{
+    Samples s{};
+    for (unsigned i = 0; i < kNumPhases; ++i)
+        s[i] = threadSamples[i].load(std::memory_order_relaxed);
+    return s;
 }
 
 void
-Profiler::reset()
+onSample(int, siginfo_t *info, void *)
 {
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        phases_[i].count.reset();
-        phases_[i].totalNs.reset();
-        phases_[i].hist.reset();
-    }
+    const auto p = static_cast<unsigned>(currentPhase());
+    threadSamples[p].fetch_add(
+        1 + static_cast<std::uint64_t>(std::max(info->si_overrun, 0)),
+        std::memory_order_relaxed);
+}
+
+int
+sampleSignal()
+{
+    static const int signo = [] {
+        const int s = SIGRTMIN;
+        struct sigaction sa;
+        std::memset(&sa, 0, sizeof sa);
+        sa.sa_sigaction = onSample;
+        sa.sa_flags = SA_SIGINFO | SA_RESTART;
+        sigemptyset(&sa.sa_mask);
+        if (sigaction(s, &sa, nullptr) != 0)
+            REMAP_FATAL("REMAP_PROFILE: sigaction: %s",
+                        std::strerror(errno));
+        return s;
+    }();
+    return signo;
+}
+
+} // namespace
+
+ThreadSampler::ThreadSampler() : start_(threadSnapshot())
+{
+    if (threadArmed)
+        return;
+    sigevent sev;
+    std::memset(&sev, 0, sizeof sev);
+    sev.sigev_notify = SIGEV_THREAD_ID;
+    sev.sigev_signo = sampleSignal();
+    sev._sigev_un._tid = gettid();
+    const itimerspec period{{0, kSamplePeriodNs}, {0, kSamplePeriodNs}};
+    if (timer_create(CLOCK_THREAD_CPUTIME_ID, &sev, &threadTimer) != 0 ||
+        timer_settime(threadTimer, 0, &period, nullptr) != 0)
+        REMAP_FATAL("REMAP_PROFILE: cannot arm the sampling timer: %s",
+                    std::strerror(errno));
+    owner_ = threadArmed = true;
+}
+
+ThreadSampler::~ThreadSampler()
+{
+    if (!owner_)
+        return;
+    timer_delete(threadTimer);
+    threadArmed = false;
+    const Samples s = samples();
+    for (unsigned i = 0; i < kNumPhases; ++i)
+        processTotals[i].fetch_add(s[i], std::memory_order_relaxed);
+}
+
+bool
+ThreadSampler::armed()
+{
+    return threadArmed;
+}
+
+Samples
+ThreadSampler::samples() const
+{
+    Samples s = threadSnapshot();
+    for (unsigned i = 0; i < kNumPhases; ++i)
+        s[i] -= start_[i];
+    return s;
+}
+
+Samples
+processSamples()
+{
+    Samples s{};
+    for (unsigned i = 0; i < kNumPhases; ++i)
+        s[i] = processTotals[i].load(std::memory_order_relaxed);
+    return s;
 }
 
 void
-Profiler::dumpJson(json::Writer &w) const
+dumpSamplesJson(json::Writer &w, const Samples &s)
 {
+    std::uint64_t total = 0;
+    for (std::uint64_t n : s)
+        total += n;
     w.beginObject();
     for (unsigned i = 0; i < kNumPhases; ++i) {
-        const PhaseStats &ps = phases_[i];
-        if (ps.count.value() == 0)
-            continue;
         w.key(phaseName(static_cast<Phase>(i)));
         w.beginObject();
-        w.kv("count", ps.count.value());
-        w.kv("total_ns", ps.totalNs.value());
-        w.kv("p50_ns", ps.hist.p50());
-        w.kv("p95_ns", ps.hist.p95());
-        w.kv("p99_ns", ps.hist.p99());
-        w.key("hist");
-        ps.hist.dumpJson(w);
+        w.kv("samples", s[i]);
+        w.kv("ms", static_cast<double>(s[i]) * kSampleMs);
+        w.kv("fraction", total ? static_cast<double>(s[i]) / total : 0.0);
         w.endObject();
     }
     w.endObject();
 }
 
-void
-Profiler::dump(std::ostream &os) const
-{
-    for (unsigned i = 0; i < kNumPhases; ++i) {
-        const PhaseStats &ps = phases_[i];
-        if (ps.count.value() == 0)
-            continue;
-        os << "profile." << phaseName(static_cast<Phase>(i)) << " n="
-           << ps.count.value() << " total_ms=" << totalMs(static_cast<Phase>(i))
-           << " p50_ns=" << ps.hist.p50() << " p95_ns=" << ps.hist.p95()
-           << " p99_ns=" << ps.hist.p99() << '\n';
-    }
-}
-
 namespace
 {
-
-std::mutex &
-processMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-Profiler &
-processProfiler()
-{
-    static Profiler p;
-    return p;
-}
 
 std::map<std::string, void (*)(json::Writer &)> &
 metaHooks()
@@ -134,27 +188,6 @@ hookMutex()
 }
 
 } // namespace
-
-void
-mergeIntoProcess(const Profiler &p)
-{
-    std::lock_guard<std::mutex> lock(processMutex());
-    processProfiler().merge(p);
-}
-
-void
-recordProcess(Phase p, std::uint64_t ns)
-{
-    std::lock_guard<std::mutex> lock(processMutex());
-    processProfiler().record(p, ns);
-}
-
-Profiler
-processSnapshot()
-{
-    std::lock_guard<std::mutex> lock(processMutex());
-    return processProfiler();
-}
 
 void
 setMetaJsonHook(const char *key, void (*fn)(json::Writer &))

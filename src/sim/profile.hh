@@ -1,186 +1,149 @@
 /**
  * @file
- * Host-time profiling: RAII scoped timers that attribute wall-clock
- * nanoseconds to the simulator's major phases, aggregated into
- * per-phase log2 histograms with percentile accessors.
+ * Host-time profiling by sampling: each thread keeps a "current
+ * phase" byte that the simulator's major stages set, and a per-thread
+ * CPU-time timer counts one sample for whichever phase is current
+ * when it fires.
  *
- * Design constraints (mirroring the Tracer, DESIGN.md §12):
- *  - Pure observation: the profiler reads the host clock only, never
+ * Design constraints (DESIGN.md §12.1):
+ *  - Pure observation: the sampler reads the phase byte only, never
  *    simulator state, so simulated cycles, statistics and energy are
- *    bit-identical with profiling on or off (enforced by
- *    tests/test_profile.cc).
- *  - Near-zero cost when disabled: every instrumentation site guards
- *    on a raw `Profiler *` that is null unless REMAP_PROFILE=1
- *    (or System::enableProfiling() called), so the off path is one
- *    predictable branch — the same pattern the Tracer uses.
- *  - One Profiler per System: the parallel harness runs many Systems
- *    concurrently; each owns its own Profiler, so the per-tick record
- *    path needs no synchronization. Per-System profiles are merged
- *    into the process-wide aggregate (mutex-guarded, batch-scale)
- *    when a region run finishes.
+ *    bit-identical with profiling on or off (enforced per region by
+ *    tests/test_region_diff.cc).
+ *  - Exclusive attribution: a PhaseScope replaces the current phase
+ *    and restores the one it displaced, so a sample belongs to exactly
+ *    one phase and the phases of a run add up to its CPU time.
+ *  - Cheap both ways: a phase change is a byte store with no clock
+ *    read; with profiling on, the only extra work is one signal per
+ *    sample period of CPU time.
  */
 
 #ifndef REMAP_SIM_PROFILE_HH
 #define REMAP_SIM_PROFILE_HH
 
-#include <chrono>
+#include <array>
+#include <atomic>
 #include <cstdint>
 
-#include "sim/stats.hh"
+namespace remap::json
+{
+class Writer;
+}
 
 namespace remap::prof
 {
 
-/** The instrumented simulation phases. Phases may nest: CacheAccess
- *  time is also inside the pipeline phase that issued the access, and
- *  Barrier time is inside FabricTick — each phase answers "where does
- *  host time go" for its own layer, they are not disjoint. */
+/** The attributed simulation phases. Exactly one is current on a
+ *  thread at any time. */
 enum class Phase : std::uint8_t
 {
-    FetchDecode,     ///< Core fetch (incl. fused-run stepping)
-    IssueExecute,    ///< Core issue + dispatch walks
-    WritebackCommit, ///< Core writeback + commit walks
+    Other,           ///< job time outside every named phase
+    FetchDecode,     ///< core fetch (incl. fused-run stepping)
+    IssueExecute,    ///< core issue + dispatch
+    WritebackCommit, ///< core commit + writeback
     CacheAccess,     ///< MemSystem::access (timed hierarchy)
     FabricTick,      ///< SPL fabric ticks in the run loop
     Barrier,         ///< BarrierUnit arrivals/releases
     LeapScan,        ///< event-horizon computation in the run loop
-    SnapshotSave,    ///< System::save
-    SnapshotRestore, ///< System::restore
-    JobDispatch,     ///< JobPool job bodies (whole region runs)
 };
 
 /** Number of Phase values. */
-inline constexpr unsigned kNumPhases = 10;
+inline constexpr unsigned kNumPhases = 8;
 
-/** Stable lower_snake name of @p p (JSON keys, trace series). */
+/** Host CPU nanoseconds one sample stands for. */
+inline constexpr long kSamplePeriodNs = 1'000'000;
+/** The same period in milliseconds (reports). */
+inline constexpr double kSampleMs = kSamplePeriodNs / 1e6;
+
+/** Per-phase sample counts, indexed by Phase. */
+using Samples = std::array<std::uint64_t, kNumPhases>;
+
+/** Stable lower_snake name of @p p (JSON keys). */
 const char *phaseName(Phase p);
 
 /** True when REMAP_PROFILE=1 (env::profile(), cached after the
- *  first call; per-System enabling re-reads it so tests can toggle
- *  it between constructions). */
+ *  first call). */
 bool envEnabled();
 
-/** Monotonic host clock reading in nanoseconds. */
-inline std::uint64_t
-nowNs()
+namespace detail
 {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
+/** The calling thread's current phase (read by the sample handler,
+ *  hence atomic: a relaxed byte store, never elided). */
+inline constinit thread_local std::atomic<Phase> currentPhase{
+    Phase::Other};
+} // namespace detail
+
+/** The calling thread's current phase. */
+inline Phase
+currentPhase()
+{
+    return detail::currentPhase.load(std::memory_order_relaxed);
 }
 
 /**
- * Per-phase host-time aggregation: event count, total nanoseconds
- * (both StatCounters, so the CounterSampler can plot them as Chrome
- * trace counter tracks) and a log2 histogram of per-event durations
- * with p50/p95/p99 accessors.
+ * RAII phase: makes @p p the calling thread's current phase and
+ * restores the displaced one on exit, so a nested scope takes its
+ * time away from the enclosing one instead of sharing it.
  */
-class Profiler
+class PhaseScope
 {
   public:
-    /** Attribute @p ns nanoseconds to @p p. */
+    explicit PhaseScope(Phase p) : saved_(currentPhase()) { set(p); }
+    ~PhaseScope() { set(saved_); }
+    PhaseScope(const PhaseScope &) = delete;
+    PhaseScope &operator=(const PhaseScope &) = delete;
+
+    /** Move this scope on to phase @p p (stage boundaries). */
     void
-    record(Phase p, std::uint64_t ns)
+    set(Phase p)
     {
-        PhaseStats &ps = phases_[static_cast<unsigned>(p)];
-        ++ps.count;
-        ps.totalNs += ns;
-        ps.hist.sample(ns);
+        detail::currentPhase.store(p, std::memory_order_relaxed);
     }
-
-    /** Events recorded for @p p. */
-    const StatCounter &
-    count(Phase p) const
-    {
-        return phases_[static_cast<unsigned>(p)].count;
-    }
-    /** Total nanoseconds attributed to @p p (sampler-friendly). */
-    const StatCounter &
-    totalNs(Phase p) const
-    {
-        return phases_[static_cast<unsigned>(p)].totalNs;
-    }
-    /** Duration distribution of @p p. */
-    const Log2Histogram &
-    histogram(Phase p) const
-    {
-        return phases_[static_cast<unsigned>(p)].hist;
-    }
-
-    /** Total nanoseconds in @p p as milliseconds. */
-    double
-    totalMs(Phase p) const
-    {
-        return static_cast<double>(totalNs(p).value()) / 1e6;
-    }
-
-    /** Accumulate @p other into this profiler. */
-    void merge(const Profiler &other);
-
-    /** Discard everything. */
-    void reset();
-
-    /**
-     * Emit as a JSON value: one sub-object per phase with recorded
-     * events — {"count", "total_ns", "p50_ns", "p95_ns", "p99_ns",
-     * "hist": {...}}. The caller has already emitted the key.
-     */
-    void dumpJson(json::Writer &w) const;
-
-    /** One "phase count total_ms p50/p95/p99" line per active phase
-     *  (human-readable summaries for bench drivers). */
-    void dump(std::ostream &os) const;
 
   private:
-    struct PhaseStats
-    {
-        StatCounter count;
-        StatCounter totalNs;
-        Log2Histogram hist;
-    };
-    PhaseStats phases_[kNumPhases];
+    Phase saved_;
 };
 
 /**
- * The process-wide aggregate profiler: per-System profiles are merged
- * in when region runs finish, and the JobPool records whole-job
- * dispatch spans directly. All access is mutex-guarded — callers are
- * batch-scale (per region run / per job), never per-tick.
+ * RAII sampler for the calling thread: while alive, a
+ * CLOCK_THREAD_CPUTIME_ID timer (timer_create + SIGEV_THREAD_ID, a
+ * real-time signal, not SIGPROF, which gprof builds use) fires every
+ * kSamplePeriodNs of this thread's CPU time, and its handler counts
+ * one sample (plus timer overruns) for the current phase. On
+ * destruction the samples are added to the process totals.
+ *
+ * A sampler constructed while another is alive on the same thread
+ * shares the outer one's timer: it reports its own scope's samples,
+ * and only the outermost one adds to the process totals.
  */
-void mergeIntoProcess(const Profiler &p);
-/** Record one span directly into the process aggregate. */
-void recordProcess(Phase p, std::uint64_t ns);
-/** Copy the current process aggregate (for reporting). */
-Profiler processSnapshot();
-
-/**
- * RAII span: records the scope's wall time into @p p under @p phase.
- * A null profiler makes construction and destruction a single
- * predictable branch each — the instrumentation sites stay in the
- * hot loops unconditionally.
- */
-class ScopedTimer
+class ThreadSampler
 {
   public:
-    ScopedTimer(Profiler *p, Phase phase) : p_(p), phase_(phase)
-    {
-        if (p_)
-            start_ = nowNs();
-    }
-    ~ScopedTimer()
-    {
-        if (p_)
-            p_->record(phase_, nowNs() - start_);
-    }
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
+    ThreadSampler();
+    ~ThreadSampler();
+    ThreadSampler(const ThreadSampler &) = delete;
+    ThreadSampler &operator=(const ThreadSampler &) = delete;
+
+    /** True while a sampling timer is armed on the calling thread. */
+    static bool armed();
+
+    /** Samples counted on this thread since construction. */
+    Samples samples() const;
 
   private:
-    Profiler *p_;
-    Phase phase_;
-    std::uint64_t start_ = 0;
+    Samples start_;
+    bool owner_ = false;
 };
+
+/** Samples of every finished outermost ThreadSampler so far. */
+Samples processSamples();
+
+/**
+ * Emit @p s as one JSON object with a sub-object per phase:
+ * {"samples", "ms", "fraction"}, the fraction of all samples (0 when
+ * there are none). The caller has already emitted the key.
+ */
+void dumpSamplesJson(json::Writer &w, const Samples &s);
 
 /**
  * Meta-stats JSON hooks: process-wide singletons living above the

@@ -18,7 +18,6 @@ categoryName(Category c)
       case Category::Queue:     return "queue";
       case Category::Barrier:   return "barrier";
       case Category::Migration: return "migration";
-      case Category::Host:      return "host";
     }
     return "unknown";
 }

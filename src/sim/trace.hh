@@ -44,7 +44,6 @@ enum class Category : std::uint8_t
     Queue,     ///< per-core input/output queue depths
     Barrier,   ///< barrier arrive -> release activity
     Migration, ///< thread migrations between cores
-    Host,      ///< host-time profiling counter tracks
 };
 
 /** The `cat` string for @p c. */

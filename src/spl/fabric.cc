@@ -133,7 +133,7 @@ BarrierUnit::arrive(std::uint32_t id, ThreadId thread,
                     ConfigId cfg, std::vector<std::int32_t> inputs,
                     Cycle now)
 {
-    prof::ScopedTimer timer(profiler_, prof::Phase::Barrier);
+    prof::PhaseScope phase(prof::Phase::Barrier);
     auto it = barriers_.find(id);
     REMAP_ASSERT(it != barriers_.end(), "arrival at undeclared barrier");
     BarrierState &b = it->second;

@@ -38,11 +38,6 @@ namespace remap::trace
 class Tracer;
 }
 
-namespace remap::prof
-{
-class Profiler;
-}
-
 namespace remap::spl
 {
 
@@ -212,9 +207,6 @@ class BarrierUnit
         traceTid_ = tid;
     }
 
-    /** Attribute arrival/release host time to @p p (null disables). */
-    void setProfiler(prof::Profiler *p) { profiler_ = p; }
-
     /** Serialize declared barriers, outstanding arrivals (timed and
      *  functional) and the completion counters. Canonical: barrier
      *  instances are written in ascending id order. */
@@ -250,7 +242,6 @@ class BarrierUnit
     std::size_t pending_ = 0;
     trace::Tracer *tracer_ = nullptr;
     std::uint32_t traceTid_ = 0;
-    prof::Profiler *profiler_ = nullptr;
 };
 
 /**

@@ -12,8 +12,7 @@ namespace remap
 {
 
 /** Expect @p a and @p b to agree in every simulated field, i.e. all
- *  but the provenance fields warmStarted, snapshotBoundary and
- *  hostPhaseMs. */
+ *  but the provenance fields warmStarted and snapshotBoundary. */
 inline void
 expectSameResult(const harness::RegionResult &a,
                  const harness::RegionResult &b)

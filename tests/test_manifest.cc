@@ -96,9 +96,24 @@ TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
         EXPECT_TRUE(root.at("snapshot_cache").at(k).isNumber()) << k;
 
     // REMAP_PROFILE=1 is set by this binary's main(), so host-phase
-    // attribution must be present.
+    // attribution must be present: every phase, exclusive fractions
+    // that add up to one, and no phase that nests the others.
     ASSERT_TRUE(root.has("host_phases"));
-    EXPECT_TRUE(root.at("host_phases").isObject());
+    const json::Value &phases = root.at("host_phases");
+    ASSERT_TRUE(phases.isObject());
+    EXPECT_FALSE(phases.has("job_dispatch"));
+    double samples = 0.0, fractions = 0.0;
+    for (const char *p : {"other", "fetch_decode", "issue_execute",
+                          "writeback_commit", "cache_access",
+                          "fabric_tick", "barrier", "leap_scan"}) {
+        ASSERT_TRUE(phases.has(p)) << p;
+        samples += phases.at(p).at("samples").num;
+        EXPECT_TRUE(phases.at(p).at("ms").isNumber()) << p;
+        fractions += phases.at(p).at("fraction").num;
+    }
+    if (samples > 0) {
+        EXPECT_NEAR(fractions, 1.0, 1e-9);
+    }
 
     ASSERT_TRUE(root.at("jobs").isArray());
     ASSERT_EQ(root.at("jobs").arr.size(), jobs.size());
@@ -114,6 +129,7 @@ TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
     EXPECT_TRUE(j0.at("result").at("config_hash").isString());
     EXPECT_TRUE(j0.has("wall_ms"));
     EXPECT_TRUE(j0.has("worker"));
+    EXPECT_TRUE(j0.at("host_ms").isObject());
 
     std::remove(path.c_str());
 }
@@ -123,9 +139,9 @@ TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
 int
 main(int argc, char **argv)
 {
-    // Host-phase profiling is read once per process, so it must be on
-    // before the first simulation. Profiling is pure observation
-    // (test_profile proves runs stay bit-identical).
+    // REMAP_PROFILE is read once per process, so it must be on before
+    // the first pool job. Profiling is pure observation
+    // (test_region_diff proves runs stay bit-identical).
     setenv("REMAP_PROFILE", "1", 1);
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();

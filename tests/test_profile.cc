@@ -1,18 +1,24 @@
 /** @file The observability layer's guarantees, enforced end-to-end:
- *  log2 histogram bucketing/percentiles, the host-time Profiler and
- *  its JSON shape, the json::Value parser, the stats-query
- *  flatten/diff engine behind remap-stats, and the profiled run's
- *  "sim" subtree. That profiling is pure observation — a run with
- *  REMAP_PROFILE=1 is bit-identical to the same run without — is
- *  proven per region in test_region_diff.cc. */
+ *  log2 histogram bucketing/percentiles, exclusive phase attribution
+ *  and the thread sampler behind REMAP_PROFILE, the json::Value
+ *  parser, the stats-query flatten/diff engine behind remap-stats,
+ *  and the run's "sim" subtree. That profiling is pure observation —
+ *  a run with the sampler armed is bit-identical to the same run
+ *  without — is proven per region in test_region_diff.cc. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <ctime>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "harness/experiment.hh"
+#include "harness/snapshot_cache.hh"
+#include "power/energy.hh"
 #include "sim/json.hh"
 #include "sim/json_value.hh"
 #include "sim/profile.hh"
@@ -26,8 +32,6 @@ namespace
 {
 
 using prof::Phase;
-using prof::Profiler;
-using prof::ScopedTimer;
 using tools::DiffOptions;
 using tools::DiffResult;
 using tools::FlatEntry;
@@ -107,8 +111,40 @@ TEST(Log2Histogram, MergeAndReset)
 }
 
 // ---------------------------------------------------------------
-// Profiler
+// Profiler: phase scopes and the thread sampler
 // ---------------------------------------------------------------
+
+/** The calling thread's CPU time in milliseconds. */
+double
+threadCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/** The CPU milliseconds @p s stands for. */
+double
+sampledMs(const prof::Samples &s)
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t n : s)
+        total += n;
+    return static_cast<double>(total) * prof::kSampleMs;
+}
+
+/** Burn @p ms of this thread's CPU time. */
+void
+spinCpuMs(double ms)
+{
+    const double end = threadCpuMs() + ms;
+    volatile std::uint64_t sink = 0;
+    while (threadCpuMs() < end) {
+        for (int i = 0; i < 1000; ++i)
+            sink = sink + i;
+    }
+}
 
 TEST(Profiler, PhaseNamesAreStableAndDistinct)
 {
@@ -120,88 +156,98 @@ TEST(Profiler, PhaseNamesAreStableAndDistinct)
     }
     EXPECT_EQ(names.size(), prof::kNumPhases);
     EXPECT_EQ(names.count("fetch_decode"), 1u);
-    EXPECT_EQ(names.count("job_dispatch"), 1u);
+    EXPECT_EQ(names.count("other"), 1u);
+    EXPECT_EQ(names.count("job_dispatch"), 0u); // no nesting phase
 }
 
-TEST(Profiler, RecordMergeAndTotals)
+TEST(Profiler, PhaseScopeNestingIsExclusive)
 {
-    Profiler p;
-    p.record(Phase::FetchDecode, 1000);
-    p.record(Phase::FetchDecode, 3000);
-    p.record(Phase::Barrier, 500);
-
-    EXPECT_EQ(p.count(Phase::FetchDecode).value(), 2u);
-    EXPECT_EQ(p.totalNs(Phase::FetchDecode).value(), 4000u);
-    EXPECT_DOUBLE_EQ(p.totalMs(Phase::FetchDecode), 0.004);
-    EXPECT_EQ(p.histogram(Phase::FetchDecode).count(), 2u);
-    EXPECT_EQ(p.count(Phase::LeapScan).value(), 0u);
-
-    Profiler q;
-    q.record(Phase::FetchDecode, 1000);
-    q.merge(p);
-    EXPECT_EQ(q.count(Phase::FetchDecode).value(), 3u);
-    EXPECT_EQ(q.totalNs(Phase::FetchDecode).value(), 5000u);
-    EXPECT_EQ(q.count(Phase::Barrier).value(), 1u);
-
-    q.reset();
-    EXPECT_EQ(q.count(Phase::FetchDecode).value(), 0u);
-    EXPECT_EQ(q.histogram(Phase::FetchDecode).count(), 0u);
-}
-
-TEST(Profiler, ScopedTimerNullIsInertAndLiveRecords)
-{
-    // Null profiler: the disabled fast path must be a no-op.
-    { ScopedTimer t(nullptr, Phase::CacheAccess); }
-
-    Profiler p;
+    using prof::PhaseScope;
+    EXPECT_EQ(prof::currentPhase(), Phase::Other);
+    prof::ThreadSampler sampler;
+    ASSERT_TRUE(prof::ThreadSampler::armed());
     {
-        ScopedTimer t(&p, Phase::CacheAccess);
+        PhaseScope outer(Phase::FetchDecode);
+        EXPECT_EQ(prof::currentPhase(), Phase::FetchDecode);
+        {
+            // Every sample taken while the inner scope is open goes
+            // to the inner phase alone.
+            PhaseScope inner(Phase::CacheAccess);
+            EXPECT_EQ(prof::currentPhase(), Phase::CacheAccess);
+            spinCpuMs(30);
+        }
+        EXPECT_EQ(prof::currentPhase(), Phase::FetchDecode);
+        outer.set(Phase::IssueExecute);
+        EXPECT_EQ(prof::currentPhase(), Phase::IssueExecute);
     }
-    EXPECT_EQ(p.count(Phase::CacheAccess).value(), 1u);
-    EXPECT_EQ(p.histogram(Phase::CacheAccess).count(), 1u);
+    EXPECT_EQ(prof::currentPhase(), Phase::Other);
+
+    const prof::Samples s = sampler.samples();
+    EXPECT_GT(s[static_cast<unsigned>(Phase::CacheAccess)], 0u);
+    EXPECT_EQ(s[static_cast<unsigned>(Phase::FetchDecode)], 0u);
 }
 
-TEST(Profiler, DumpJsonShapeSkipsIdlePhases)
+TEST(Profiler, NestedSamplerSharesTheOuterTimer)
 {
-    Profiler p;
-    p.record(Phase::Barrier, 100);
-    p.record(Phase::Barrier, 200);
+    prof::ThreadSampler outer;
+    {
+        prof::ThreadSampler inner;
+        const double cpu0 = threadCpuMs();
+        spinCpuMs(50);
+        // One timer, not two: the CPU time is counted once.
+        EXPECT_NEAR(sampledMs(inner.samples()), threadCpuMs() - cpu0,
+                    15.0);
+    }
+    // The inner sampler left the outer one's timer running.
+    EXPECT_TRUE(prof::ThreadSampler::armed());
+}
 
+TEST(Profiler, SamplerAttributesARegionJob)
+{
+    // ll6 Barrier n128 t8 simulates for a few hundred ms of CPU time
+    // through every phase but leap_scan's rarer paths.
+    harness::SnapshotCache &cache = harness::SnapshotCache::instance();
+    const bool was_enabled = cache.enabled();
+    cache.setEnabled(false); // simulate, never serve
+    workloads::RunSpec spec;
+    spec.variant = workloads::Variant::HwBarrier;
+    spec.problemSize = 128;
+    spec.threads = 8;
+
+    const double cpu0 = threadCpuMs();
+    prof::Samples s{};
+    {
+        prof::ThreadSampler sampler;
+        harness::runRegion(workloads::byName("ll6"), spec,
+                           power::EnergyModel{});
+        s = sampler.samples();
+    }
+    const double cpu_ms = threadCpuMs() - cpu0;
+    cache.setEnabled(was_enabled);
+
+    EXPECT_GT(s[static_cast<unsigned>(Phase::FetchDecode)], 0u);
+    // One sample per period of this thread's CPU time, give or take
+    // the sample in flight at either end and a scheduler tick.
+    EXPECT_NEAR(sampledMs(s), cpu_ms, std::max(10.0, 0.2 * cpu_ms));
+
+    // The manifest form: exclusive fractions that add up to one.
     std::ostringstream os;
     {
         json::Writer w(os);
-        p.dumpJson(w);
+        prof::dumpSamplesJson(w, s);
     }
-
     json::Value root;
     std::string error;
     ASSERT_TRUE(json::parse(os.str(), root, &error)) << error;
-    ASSERT_TRUE(root.isObject());
-    ASSERT_TRUE(root.has("barrier"));
-    EXPECT_FALSE(root.has("fetch_decode")); // zero events -> omitted
-    const json::Value &b = root.at("barrier");
-    EXPECT_EQ(b.at("count").num, 2.0);
-    EXPECT_EQ(b.at("total_ns").num, 300.0);
-    EXPECT_TRUE(b.has("p50_ns"));
-    EXPECT_TRUE(b.has("p95_ns"));
-    EXPECT_TRUE(b.has("p99_ns"));
-    EXPECT_TRUE(b.has("hist"));
-    EXPECT_EQ(b.at("hist").at("count").num, 2.0);
+    double fractions = 0.0;
+    for (unsigned i = 0; i < prof::kNumPhases; ++i) {
+        const json::Value &ph =
+            root.at(prof::phaseName(static_cast<Phase>(i)));
+        EXPECT_EQ(ph.at("samples").num, static_cast<double>(s[i]));
+        fractions += ph.at("fraction").num;
+    }
+    EXPECT_NEAR(fractions, 1.0, 1e-9);
 }
-
-TEST(Profiler, ProcessAggregateAccumulates)
-{
-    const std::uint64_t before =
-        prof::processSnapshot().count(Phase::SnapshotSave).value();
-    Profiler p;
-    p.record(Phase::SnapshotSave, 42);
-    prof::mergeIntoProcess(p);
-    prof::recordProcess(Phase::SnapshotSave, 58);
-    EXPECT_EQ(
-        prof::processSnapshot().count(Phase::SnapshotSave).value(),
-        before + 2);
-}
-
 // ---------------------------------------------------------------
 // json::Value parser
 // ---------------------------------------------------------------
@@ -440,17 +486,10 @@ Probe
 runProbe(const workloads::WorkloadInfo &info,
          const workloads::RunSpec &spec, bool profiled)
 {
-    // REMAP_PROFILE is read at System construction, so toggling the
-    // environment around make() selects the mode per run.
-    if (profiled) {
-        EXPECT_EQ(setenv("REMAP_PROFILE", "1", 1), 0);
-    }
+    std::optional<prof::ThreadSampler> sampler;
+    if (profiled)
+        sampler.emplace();
     workloads::PreparedRun r = info.make(spec);
-    if (profiled) {
-        EXPECT_EQ(unsetenv("REMAP_PROFILE"), 0);
-    }
-    EXPECT_EQ(r.system->profiler() != nullptr, profiled);
-
     r.run();
     if (r.verify) {
         EXPECT_TRUE(r.verify()) << "golden mismatch: " << r.name;
@@ -514,30 +553,17 @@ TEST(ProfileDifferential, SimSubtreeShapeAndGating)
     ASSERT_TRUE(sim.has("leap"));
     EXPECT_TRUE(sim.at("leap").has("leaps"));
 
-    // The profiler section reports the instrumented phases.
-    ASSERT_TRUE(sim.has("profile"));
-    const json::Value &prof_json = sim.at("profile");
-    ASSERT_TRUE(prof_json.has("fetch_decode"));
-    EXPECT_GT(prof_json.at("fetch_decode").at("count").num, 0.0);
-    EXPECT_GT(prof_json.at("fetch_decode").at("total_ns").num, 0.0);
-    ASSERT_TRUE(prof_json.has("cache_access"));
-    ASSERT_TRUE(prof_json.has("barrier"));
-
-    // A run without profiling still carries the sim meta counters but
-    // no profile section.
-    const Probe off = runProbe(info, spec, /*profiled=*/false);
-    json::Value off_root;
-    ASSERT_TRUE(json::parse(off.fullJson, off_root, &error)) << error;
-    ASSERT_TRUE(off_root.has("sim"));
-    EXPECT_FALSE(off_root.at("sim").has("profile"));
+    // Host time is a per-job manifest report, never a System stat:
+    // a sampled run's stats carry no profile section.
+    EXPECT_FALSE(sim.has("profile"));
 }
 
 TEST(ProfileDifferential, StatsDiffGatesFastPathKillSwitch)
 {
-    // The CI perf gate's contract, exercised through the library the
-    // CLI wraps: diffing a run against itself passes; diffing against
-    // a REMAP_NO_BLOCK_CACHE=1 run trips on the sim fast-path
-    // counters while the simulated machine stays identical.
+    // `remap-stats diff`, exercised through the library the CLI
+    // wraps: diffing a run against itself passes; diffing against a
+    // REMAP_NO_BLOCK_CACHE=1 run trips on the sim fast-path counters
+    // while the simulated machine stays identical.
     const auto &info = workloads::byName("ll3");
     workloads::RunSpec spec;
     spec.variant = workloads::Variant::Seq;

@@ -16,7 +16,9 @@
  *   - save/restore: the run stopped at the largest doubling boundary
  *     (from cycle 2048) below its end, saved, restored into a fresh
  *     build and run to the end;
- *   - profiled (fig8-fig11 regions): REMAP_PROFILE=1.
+ *   - profiled (fig8-fig11 regions): run with the host-time phase
+ *     sampler armed on the running thread, so its timer signal
+ *     interrupts the simulation once per 1 ms of CPU time.
  *
  *  One value-parameterized case per region lets `ctest -j` balance
  *  the load; fig14 reads fig12's regions, so it adds no case. A few single-region cases cover what the region legs
@@ -30,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -40,6 +43,7 @@
 #include "harness/paper.hh"
 #include "harness/snapshot_cache.hh"
 #include "sim/json_value.hh"
+#include "sim/profile.hh"
 #include "sim/snapshot.hh"
 
 namespace remap
@@ -76,18 +80,18 @@ enum class Leg
     Default,       ///< every fast path on
     NoLeap,        ///< per-cycle loop
     ReferencePath, ///< no block cache, no MRU way prediction
-    Profiled,      ///< host-time profiler attached
+    Profiled,      ///< host-time phase sampler armed
 };
 
 std::vector<const char *>
 legEnv(Leg leg)
 {
     switch (leg) {
-      case Leg::Default: return {};
+      case Leg::Default:
+      case Leg::Profiled: return {};
       case Leg::NoLeap: return {"REMAP_NO_LEAP"};
       case Leg::ReferencePath:
         return {"REMAP_NO_BLOCK_CACHE", "REMAP_NO_MRU"};
-      case Leg::Profiled: return {"REMAP_PROFILE"};
     }
     return {};
 }
@@ -101,7 +105,6 @@ buildUnder(const RegionJob &job, Leg leg)
     workloads::PreparedRun r = job.info->make(job.spec);
     for (const char *name : legEnv(leg))
         EXPECT_EQ(unsetenv(name), 0);
-    EXPECT_EQ(r.system->profiler() != nullptr, leg == Leg::Profiled);
     return r;
 }
 
@@ -143,6 +146,11 @@ Probe
 runProbe(const RegionJob &job, Leg leg,
          const std::string &trace_path = "", Cycle trace_period = 0)
 {
+    std::optional<prof::ThreadSampler> sampler;
+    if (leg == Leg::Profiled) {
+        sampler.emplace();
+        EXPECT_TRUE(prof::ThreadSampler::armed());
+    }
     workloads::PreparedRun r = buildUnder(job, leg);
     if (!trace_path.empty()) {
         EXPECT_TRUE(r.system->enableTracing(trace_path, trace_period));

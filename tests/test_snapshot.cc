@@ -574,7 +574,6 @@ TEST(RunRegionResultEntry, SecondRunIsServedAndBitIdentical)
     const auto served = harness::runRegion(info, spec, model);
     EXPECT_TRUE(served.warmStarted);
     EXPECT_EQ(served.snapshotBoundary, served.cycles);
-    EXPECT_TRUE(served.hostPhaseMs.empty());
     EXPECT_EQ(c.stats().hits, before.hits + 1);
     EXPECT_EQ(c.stats().stores, before.stores + 1);
     expectSameResult(served, cold);
