@@ -119,6 +119,16 @@ System::System(const SystemConfig &config)
         }
     }
 
+    if (leapEnabled_) {
+        const mem::MemSystemParams &mp = config.memParams;
+        watch_ = std::make_unique<mem::LineWatch>(
+            total_cores, std::max({mp.l1i.lineBytes, mp.l1d.lineBytes,
+                                   mp.l2.lineBytes}));
+        mem_->setLineWatch(watch_.get());
+        for (auto &core : cores_)
+            core->setLineWatch(watch_.get());
+    }
+
     std::vector<spl::SplFabric *> raw;
     raw.reserve(fabrics_.size());
     for (auto &f : fabrics_)
@@ -128,6 +138,8 @@ System::System(const SystemConfig &config)
     coreDone_.assign(cores_.size(), 1); // no threads bound yet
     coreWake_.assign(cores_.size(), 0);
     coreSleptThrough_.assign(cores_.size(), 0);
+    coreSleptOn_.assign(cores_.size(), 0);
+    coreSleepCause_.assign(cores_.size(), SelfTimed);
 
     if (const std::string base = env::traceFile(); !base.empty()) {
         const Cycle period = env::tracePeriod(10'000);
@@ -428,13 +440,32 @@ System::runSegment(Cycle max_cycles)
 }
 
 void
+System::sleepCore(std::size_t i, SleepCause cause, Cycle wake)
+{
+    coreWake_[i] = wake;
+    coreSleptThrough_[i] = cycle_;
+    coreSleptOn_[i] = cores_[i]->wakeCount();
+    coreSleepCause_[i] = cause;
+    ++sleepingCores_;
+    ++sleeps_[cause];
+}
+
+void
 System::catchUpSleeper(std::size_t i, Cycle through, bool wake)
 {
+    prof::PhaseScope phase(prof::Phase::LeapScan);
+    cpu::OooCore &core = *cores_[i];
     const Cycle n = through - coreSleptThrough_[i];
-    cores_[i]->accountSkippedStallCycles(n);
-    sleepSkippedCycles_ += n;
+    const SleepCause cause = coreSleepCause_[i];
+    if (cause == Spin)
+        core.spinCatchUp(through);
+    else
+        core.accountSkippedStallCycles(n);
+    sleepSkippedCycles_[cause] += n;
     coreSleptThrough_[i] = through;
     if (wake) {
+        if (cause == Spin)
+            core.cancelSpin();
         coreWake_[i] = 0;
         --sleepingCores_;
     }
@@ -473,35 +504,51 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
         // following cycles guaranteed to repeat this one verbatim
         // until the earliest nextEventCycle() threshold.
         //
-        // Per-core sleep: a quiet, self-timed tick replays on every
-        // cycle up to the core's own nextEventCycle() whatever the
-        // rest of the chip does, so the core skips those ticks and
-        // counts as quiet meanwhile; its stall signature is accounted
-        // when it wakes, before each counter sample and when the run
-        // returns (DESIGN.md §10.2). Not while a migration can drain
-        // it, and never in the per-cycle reference (REMAP_NO_LEAP).
+        // Per-core sleep: a tick that only waited replays on every
+        // cycle until the core's own nextEventCycle() or until
+        // something it reads elsewhere changes, whatever else the chip
+        // does. So the core skips those ticks and counts as quiet
+        // meanwhile, and the skipped ticks are accounted when it
+        // wakes, before each counter sample and when the run returns
+        // (DESIGN.md §10.2). A quiet tick waits on the core's own
+        // horizon, and on its fabric port unless it was self-timed; a
+        // confirmed spin period waits on the lines the loop reads.
+        // Each such sleeper checks its wakeCount() in its own slot,
+        // so a change made earlier in this cycle wakes it now and a
+        // later one next cycle — the per-cycle order. Not while a
+        // migration can drain it, and never in the per-cycle
+        // reference (REMAP_NO_LEAP).
         bool all_quiet = leapEnabled_;
         const bool may_sleep = leapEnabled_ && migrations_.empty();
         if (activeCores_ > 0) {
             for (std::size_t i = 0; i < cores_.size(); ++i) {
                 if (coreDone_[i])
                     continue;
+                cpu::OooCore &core = *cores_[i];
                 if (coreWake_[i] != 0) {
-                    if (cycle_ < coreWake_[i])
+                    if (cycle_ < coreWake_[i] &&
+                        (coreSleepCause_[i] == SelfTimed ||
+                         core.wakeCount() == coreSleptOn_[i]))
                         continue;
                     catchUpSleeper(i, cycle_ - 1, /*wake=*/true);
                 }
-                cpu::OooCore &core = *cores_[i];
                 core.tick(cycle_);
-                if (!core.lastTickQuiet()) {
+                const bool quiet = core.lastTickQuiet();
+                if (!quiet)
                     all_quiet = false;
-                } else if (may_sleep && core.lastTickSelfTimed()) {
+                if (core.spinReady()) {
+                    if (may_sleep)
+                        sleepCore(i, Spin, neverCycle);
+                    else
+                        core.cancelSpin();
+                } else if (quiet && may_sleep) {
                     const Cycle wake = core.nextEventCycle(cycle_);
                     if (wake > cycle_ + 1) {
-                        coreWake_[i] = wake;
-                        coreSleptThrough_[i] = cycle_;
-                        ++sleepingCores_;
-                        ++sleeps_;
+                        core.cancelSpin();
+                        sleepCore(i,
+                                  core.lastTickSelfTimed() ? SelfTimed
+                                                           : Fabric,
+                                  wake);
                     }
                 }
                 if (core.done()) {
@@ -636,8 +683,10 @@ System::resetStats()
     leaps_.reset();
     leapSkippedCycles_.reset();
     leapHist_.reset();
-    sleeps_.reset();
-    sleepSkippedCycles_.reset();
+    for (unsigned c = 0; c < kNumSleepCauses; ++c) {
+        sleeps_[c].reset();
+        sleepSkippedCycles_[c].reset();
+    }
 }
 
 void
@@ -681,8 +730,22 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
         w.endObject();
         w.key("sleep");
         w.beginObject();
-        w.kv("sleeps", sleeps_.value());
-        w.kv("skipped_cycles", sleepSkippedCycles_.value());
+        std::uint64_t sleeps = 0, skipped = 0;
+        for (unsigned c = 0; c < kNumSleepCauses; ++c) {
+            sleeps += sleeps_[c].value();
+            skipped += sleepSkippedCycles_[c].value();
+        }
+        w.kv("sleeps", sleeps);
+        w.kv("skipped_cycles", skipped);
+        static const char *const kCauseNames[kNumSleepCauses] = {
+            "self_timed", "fabric", "spin"};
+        for (unsigned c = 0; c < kNumSleepCauses; ++c) {
+            w.key(kCauseNames[c]);
+            w.beginObject();
+            w.kv("sleeps", sleeps_[c].value());
+            w.kv("skipped_cycles", sleepSkippedCycles_[c].value());
+            w.endObject();
+        }
         w.endObject();
         w.key("groups");
         w.beginObject();

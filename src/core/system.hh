@@ -314,15 +314,27 @@ class System
 
     /**
      * Per-core sleep (DESIGN.md §10.2), live only inside
-     * runInternal(): a core whose last tick was quiet and self-timed
-     * skips its ticks until coreWake_[i] (0 = awake), and the stall
-     * signature of the skipped ticks is accounted lazily —
-     * coreSleptThrough_[i] is the last cycle already accounted. Every
-     * core is awake again when runInternal() returns.
+     * runInternal(): a core whose tick only waited skips its ticks
+     * until coreWake_[i] (0 = awake) or until its wakeCount() differs
+     * from coreSleptOn_[i], and the skipped ticks are accounted
+     * lazily — coreSleptThrough_[i] is the last cycle already
+     * accounted. Every core is awake again when runInternal()
+     * returns.
      */
+    enum SleepCause : std::uint8_t
+    {
+        SelfTimed, ///< quiet tick that read only the core itself
+        Fabric,    ///< quiet tick that waited on the fabric port
+        Spin,      ///< confirmed periodic spin (OooCore::spinReady)
+        kNumSleepCauses,
+    };
     std::vector<Cycle> coreWake_;
     std::vector<Cycle> coreSleptThrough_;
+    std::vector<std::uint64_t> coreSleptOn_;
+    std::vector<SleepCause> coreSleepCause_;
     unsigned sleepingCores_ = 0;
+    /** Put core @p i to sleep after its tick at cycle_. */
+    void sleepCore(std::size_t i, SleepCause cause, Cycle wake);
     /** Account sleeping core @p i's skipped ticks through cycle
      *  @p through; with @p wake, also wake it. */
     void catchUpSleeper(std::size_t i, Cycle through, bool wake);
@@ -370,6 +382,9 @@ class System
      *  REMAP_NO_LEAP=1 for the per-cycle differential reference; see
      *  DESIGN.md §10). */
     bool leapEnabled_ = true;
+    /** Lines spin-leaping cores sleep on; null in the per-cycle
+     *  reference. */
+    std::unique_ptr<mem::LineWatch> watch_;
 
     std::unique_ptr<trace::Tracer> tracer_;
 
@@ -378,8 +393,10 @@ class System
     StatCounter leaps_;
     StatCounter leapSkippedCycles_;
     Log2Histogram leapHist_; ///< skipped cycles per leap
-    StatCounter sleeps_;              ///< times a core fell asleep
-    StatCounter sleepSkippedCycles_;  ///< core ticks skipped asleep
+    /** Times a core fell asleep, and core ticks skipped asleep, per
+     *  SleepCause. */
+    StatCounter sleeps_[kNumSleepCauses];
+    StatCounter sleepSkippedCycles_[kNumSleepCauses];
     /** @} */
 
     trace::CounterSampler sampler_;

@@ -37,31 +37,40 @@ MemSystem::acquireBus(Cycle now)
     return grant;
 }
 
-bool
+void
+MemSystem::invalidateL1s(CoreId core, Addr addr)
+{
+    const bool in_l1d = l1d_[core]->invalidate(addr) != Mesi::Invalid;
+    const bool in_l1i = l1i_[core]->invalidate(addr) != Mesi::Invalid;
+    if ((in_l1d || in_l1i) && watch_ && !watch_->empty())
+        watch_->noteInvalidate(core, addr);
+}
+
+MemSystem::SnoopResult
 MemSystem::snoopRemotes(CoreId requester, Addr addr, bool exclusive)
 {
-    bool remote_dirty = false;
+    SnoopResult found;
     for (unsigned c = 0; c < l2_.size(); ++c) {
         if (c == requester)
             continue;
         const Cache::Line *line = l2_[c]->probe(addr);
         if (!line)
             continue;
+        found.anyCopy = true;
         if (line->state == Mesi::Modified ||
             line->state == Mesi::Exclusive) {
-            remote_dirty = (line->state == Mesi::Modified);
+            found.dirty = (line->state == Mesi::Modified);
         }
         if (exclusive) {
             l2_[c]->invalidate(addr);
             // Inclusion: kill any L1 copies too.
-            l1d_[c]->invalidate(addr);
-            l1i_[c]->invalidate(addr);
+            invalidateL1s(c, addr);
         } else {
             l2_[c]->downgradeToShared(addr);
             l1d_[c]->downgradeToShared(addr);
         }
     }
-    return remote_dirty;
+    return found;
 }
 
 Cycle
@@ -95,20 +104,15 @@ MemSystem::fillL2(CoreId core, Addr addr, AccessKind kind, Cycle now)
         }
     }
 
-    // L2 miss: BusRd / BusRdX.
+    // L2 miss: BusRd / BusRdX. A remote Modified copy supplies the
+    // data; on a read, so does any remote E/S copy (it stays, now
+    // Shared). An exclusive request invalidates every remote copy.
     ++l2c.misses;
     Cycle grant = acquireBus(now + l2c.latency());
-    bool remote_supplied =
-        snoopRemotes(core, addr, wants_exclusive) ||
-        [&] {
-            // A remote E/S copy can also supply on a read; check for
-            // any remote copy at all for cache-to-cache transfer.
-            for (unsigned c = 0; c < l2_.size(); ++c) {
-                if (c != core && l2_[c]->probe(addr))
-                    return true;
-            }
-            return false;
-        }();
+    const SnoopResult snoop =
+        snoopRemotes(core, addr, wants_exclusive);
+    const bool remote_supplied =
+        snoop.dirty || (!wants_exclusive && snoop.anyCopy);
 
     Cycle data_ready;
     if (remote_supplied) {
@@ -124,8 +128,7 @@ MemSystem::fillL2(CoreId core, Addr addr, AccessKind kind, Cycle now)
     line = l2c.allocate(addr, &victim_addr, &victim_state);
     if (victim_state != Mesi::Invalid) {
         // Inclusion: back-invalidate the L1s for the victim line.
-        l1d_[core]->invalidate(victim_addr);
-        l1i_[core]->invalidate(victim_addr);
+        invalidateL1s(core, victim_addr);
         if (victim_state == Mesi::Modified) {
             // Writeback occupies the bus but is off the critical path
             // (posted through a write buffer).
@@ -194,6 +197,8 @@ MemSystem::flushCore(CoreId core)
     l1i_[core]->flushAll();
     l1d_[core]->flushAll();
     l2_[core]->flushAll();
+    if (watch_)
+        watch_->noteFlush(core);
 }
 
 void

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "mem/cache.hh"
+#include "mem/line_watch.hh"
 #include "sim/profile.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -87,6 +88,10 @@ class MemSystem
     /** Invalidate all caches of @p core (thread migration). */
     void flushCore(CoreId core);
 
+    /** Report L1 invalidations and flushes to @p watch (not owned;
+     *  nullptr stops reporting). */
+    void setLineWatch(LineWatch *watch) { watch_ = watch; }
+
     /** Per-core caches, exposed for stats/power accounting. */
     Cache &l1i(CoreId core) { return *l1i_[core]; }
     Cache &l1d(CoreId core) { return *l1d_[core]; }
@@ -151,15 +156,28 @@ class MemSystem
     /** Acquire the snoop bus: returns grant cycle, bumps busy-until. */
     Cycle acquireBus(Cycle now);
 
-    /** Invalidate/downgrade remote copies; @return true if a remote
-     *  M/E copy supplied the data. */
-    bool snoopRemotes(CoreId requester, Addr addr, bool exclusive);
+    /** What snoopRemotes() found in the other cores' L2s. */
+    struct SnoopResult
+    {
+        bool dirty = false;   ///< a remote Modified copy existed
+        bool anyCopy = false; ///< any remote copy existed
+    };
+
+    /** Invalidate (@p exclusive) or downgrade every remote copy of
+     *  @p addr in one walk over the other cores' caches. */
+    SnoopResult snoopRemotes(CoreId requester, Addr addr,
+                             bool exclusive);
+
+    /** Drop @p addr from @p core's L1I and L1D (inclusion), telling
+     *  the line watch when a copy was there. */
+    void invalidateL1s(CoreId core, Addr addr);
 
     MemSystemParams params_;
     std::vector<std::unique_ptr<Cache>> l1i_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Cache>> l2_;
     Cycle busBusyUntil_ = 0;
+    LineWatch *watch_ = nullptr;
     StatGroup statGroup_;
 };
 

@@ -52,6 +52,7 @@ ThreadToCoreTable::map(unsigned core, ThreadId thread, AppId app)
     e.thread = thread;
     e.app = app;
     e.inFlight = 0;
+    ++changes_;
 }
 
 void
@@ -63,6 +64,7 @@ ThreadToCoreTable::unmap(unsigned core)
                  "unmapping a core with in-flight SPL results");
     e.valid = false;
     e.thread = invalidThread;
+    ++changes_;
 }
 
 std::optional<unsigned>
@@ -426,6 +428,7 @@ SplFabric::init(unsigned core, ConfigId cfg, std::int64_t dest_thread,
     p.inputs = sealStaged(core);
     p.readyCycle = now;
     port.pending.push_back(std::move(p));
+    ++port.changes;
     ++pendingInits_;
 
     unsigned dest_core = core;
@@ -470,6 +473,7 @@ SplFabric::popOutput(unsigned core, Cycle now)
     REMAP_ASSERT(!port.output.empty(), "pop from empty output queue");
     const OutputWord head = port.output.front();
     port.output.pop_front();
+    ++port.changes;
     port.popped = true;
     ++outputWordsPopped;
     if (head.last)
@@ -541,6 +545,7 @@ SplFabric::funcPop(unsigned core)
         return std::nullopt;
     std::int32_t v = port.funcOutput.front();
     port.funcOutput.pop_front();
+    ++port.changes;
     return v;
 }
 
@@ -549,8 +554,10 @@ SplFabric::funcDeliver(unsigned core,
                        const std::vector<std::int32_t> &words)
 {
     REMAP_ASSERT(core < ports_.size(), "core out of range");
+    CorePort &port = ports_[core];
     for (std::int32_t w : words)
-        ports_[core].funcOutput.push_back(w);
+        port.funcOutput.push_back(w);
+    ++port.changes;
 }
 
 void
@@ -562,6 +569,7 @@ SplFabric::deliverOutput(unsigned core,
     CorePort &port = ports_[core];
     for (std::int32_t w : words)
         port.output.push_back(OutputWord{w, when, false});
+    ++port.changes;
     if (words.empty())
         threadTable_.removeInFlight(core); // nothing left to pop
     else
@@ -884,6 +892,7 @@ SplFabric::acceptPending(Partition &part, Cycle now)
 
         PendingInit p = std::move(port.pending.front());
         port.pending.pop_front();
+        ++port.changes;
         --pendingInits_;
         part.rrNext = (idx + 1) % part.numCores;
 
@@ -1228,6 +1237,7 @@ SplFabric::restore(snap::Deserializer &d)
         const std::uint32_t func_outputs = d.count(4);
         for (std::uint32_t i = 0; i < func_outputs && d.ok(); ++i)
             port.funcOutput.push_back(d.i32());
+        ++port.changes;
     }
 
     if (d.count() != partitions_.size()) {

@@ -130,6 +130,10 @@ class ThreadToCoreTable
         return inFlight(core) == 0;
     }
 
+    /** Number of map()/unmap() calls so far: a change in which
+     *  destinations SplFabric::canInit() finds present. */
+    std::uint64_t changes() const { return changes_; }
+
     /** Serialize every entry (snapshot support). */
     void save(snap::Serializer &s) const;
     /** Restore into a table with the same core count. */
@@ -144,6 +148,7 @@ class ThreadToCoreTable
         unsigned inFlight = 0;
     };
     std::vector<Entry> entries_;
+    std::uint64_t changes_ = 0;
 };
 
 class SplFabric;
@@ -315,6 +320,13 @@ class SplFabric
     {
         return static_cast<unsigned>(ports_.at(core).output.size());
     }
+    /** Functional result words funcPop() can still return to
+     *  @p core. */
+    unsigned
+    funcOutputDepth(unsigned core) const
+    {
+        return static_cast<unsigned>(ports_.at(core).funcOutput.size());
+    }
 
     // ---- functional-preview interface (execute-at-fetch) ----
     //
@@ -386,6 +398,21 @@ class SplFabric
     /** Availability cycle of @p core's head output word (neverCycle
      *  when the queue is empty). Feeds the owning core's horizon. */
     Cycle outputHeadReadyCycle(unsigned core) const;
+
+    /**
+     * Change count of @p core's port: it moves whenever the answer of
+     * funcPop(), outputReady(), outputHeadReadyCycle() or canInit()
+     * for @p core may have changed (its functional or timed output
+     * queue, its pending-initiation queue, or the thread table). A
+     * core whose quiet tick waited on this port sleeps until the
+     * count moves or its own horizon passes (DESIGN.md §10.2).
+     * Derived and monotone within a run; never serialized.
+     */
+    std::uint64_t
+    portChanges(unsigned core) const
+    {
+        return ports_[core].changes + threadTable_.changes();
+    }
 
     /** This fabric's cluster id. */
     ClusterId cluster() const { return cluster_; }
@@ -501,6 +528,9 @@ class SplFabric
         unsigned parkedMinWidth = 0;
         /** Popped since the last SPL boundary (room grew). */
         bool popped = false;
+        /** Mutations of output, funcOutput and pending (see
+         *  portChanges()). */
+        std::uint64_t changes = 0;
     };
 
     Partition &partitionOf(unsigned core);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <set>
 
@@ -492,6 +494,147 @@ TEST(FabricResultPath, SaveRestoreMidBacklog)
     original->save(end_a);
     restored->save(end_b);
     EXPECT_EQ(end_a.buffer(), end_b.buffer());
+}
+
+/** Everything a quiet fabric-bound core tick reads of its port,
+ *  plus the port's change count. */
+struct PortView
+{
+    bool funcReady = false;   ///< funcPop() would return a value
+    Cycle headReady = 0;      ///< decides outputReady() at any cycle
+    bool canInit[6] = {};     ///< self, then destination threads 0-4
+    std::uint64_t changes = 0;
+
+    bool
+    sameAnswers(const PortView &o) const
+    {
+        return funcReady == o.funcReady && headReady == o.headReady &&
+               std::equal(std::begin(canInit), std::end(canInit),
+                          std::begin(o.canInit));
+    }
+};
+
+PortView
+viewPort(const SplFabric &fabric, unsigned core, Cycle now)
+{
+    PortView v;
+    v.funcReady = fabric.funcOutputDepth(core) > 0;
+    v.headReady = fabric.outputHeadReadyCycle(core);
+    EXPECT_EQ(fabric.outputReady(core, now), v.headReady <= now);
+    v.canInit[0] = fabric.canInit(core, -1);
+    for (unsigned t = 0; t < 5; ++t)
+        v.canInit[t + 1] = fabric.canInit(core, t);
+    v.changes = fabric.portChanges(core);
+    return v;
+}
+
+TEST(FabricPortChanges, EveryAnswerChangeMovesTheCount)
+{
+    // A core sleeping on its port wakes when portChanges() moves or
+    // its own horizon (outputHeadReadyCycle) passes. So between any
+    // two observations of a port, a different answer from funcPop
+    // availability, the output head, or canInit must come with a
+    // different count — whichever core, barrier release, remap or
+    // fabric tick caused it.
+    SplParams params;
+    ConfigStore store;
+    const ConfigId cfg = store.add(chain(3));
+    const ConfigId min_cfg = store.add(functions::globalMin());
+    BarrierUnit barriers(params);
+    SplFabric fabric(0, params, &store, &barriers);
+    barriers.attachFabrics({&fabric});
+    barriers.declare(5, 4);
+    fabric.setPartitions(2);
+    ThreadId thread_on[4];
+    for (unsigned c = 0; c < 4; ++c) {
+        fabric.threadTable().map(c, c, 0);
+        thread_on[c] = c;
+    }
+
+    Rng rng(2024);
+    Cycle now = 0;
+    PortView last[4];
+    for (unsigned c = 0; c < 4; ++c)
+        last[c] = viewPort(fabric, c, now);
+    bool arrived[4] = {}, func_arrived[4] = {};
+    unsigned arrivals = 0, func_arrivals = 0;
+    std::uint64_t moved = 0;
+
+    for (unsigned step = 0; step < 20000; ++step) {
+        const unsigned c = static_cast<unsigned>(rng.below(4));
+        const std::int64_t dest =
+            static_cast<std::int64_t>(rng.below(6)) - 1;
+        switch (rng.below(8)) {
+          case 0:
+            fabric.funcLoad(c, 0, static_cast<std::int32_t>(step));
+            fabric.funcInit(c, cfg, dest);
+            break;
+          case 1:
+            if (fabric.canInit(c, dest)) {
+                fabric.load(c, 0, static_cast<std::int32_t>(step));
+                fabric.init(c, cfg, dest, now);
+            }
+            break;
+          case 2:
+            fabric.funcPop(c);
+            break;
+          case 3:
+            if (fabric.outputReady(c, now))
+                fabric.popOutput(c, now);
+            break;
+          case 4:
+            // A barrier round: the functional and timed arrivals
+            // complete independently, each releasing to all four.
+            if (!func_arrived[c]) {
+                fabric.funcLoad(c, 0, static_cast<std::int32_t>(c));
+                fabric.funcBar(c, min_cfg, 5);
+                func_arrived[c] = true;
+                if (++func_arrivals == 4) {
+                    std::fill(std::begin(func_arrived),
+                              std::end(func_arrived), false);
+                    func_arrivals = 0;
+                }
+            } else if (!arrived[c]) {
+                fabric.load(c, 0, static_cast<std::int32_t>(c));
+                fabric.bar(c, min_cfg, 5, now);
+                arrived[c] = true;
+                if (++arrivals == 4) {
+                    std::fill(std::begin(arrived), std::end(arrived),
+                              false);
+                    arrivals = 0;
+                }
+            }
+            break;
+          case 5:
+            // Remap a quiet core to another thread id, so canInit's
+            // destination check changes for every sender.
+            if (arrivals == 0 &&
+                fabric.threadTable().canSwitchOut(c)) {
+                thread_on[c] = static_cast<ThreadId>(rng.below(5));
+                fabric.threadTable().unmap(c);
+                fabric.threadTable().map(c, thread_on[c], 0);
+            }
+            break;
+          default:
+            for (unsigned n = rng.below(9); n > 0; --n)
+                fabric.tick(now++);
+            break;
+        }
+        for (unsigned p = 0; p < 4; ++p) {
+            const PortView v = viewPort(fabric, p, now);
+            if (!v.sameAnswers(last[p])) {
+                ++moved;
+                EXPECT_NE(v.changes, last[p].changes)
+                    << "port " << p << " changed its answers at step "
+                    << step << " without moving its change count";
+            }
+            last[p] = v;
+        }
+    }
+    // The stream must have exercised the property, not skirted it.
+    EXPECT_GT(moved, 1000u);
+    EXPECT_GT(fabric.initiations.value(), 100u);
+    EXPECT_GT(barriers.barriersCompleted.value(), 10u);
 }
 
 TEST(FabricInvariants, ReduceRowsMonotonic)

@@ -67,6 +67,9 @@ struct Probe
     std::string statsJson;
     std::vector<std::uint8_t> snapshot;
     std::string traceBytes; ///< empty when tracing was off
+    /** The "sim" telemetry subtree (never compared: it describes how
+     *  the simulator ran). */
+    json::Value sim;
     /** Per-copy energy and committed instructions exactly as
      *  runRegion() reports them, for the snapshot-cache legs. */
     double regionEnergyJ = 0.0;
@@ -134,6 +137,11 @@ capture(const RegionJob &job, workloads::PreparedRun &r,
     std::ostringstream os;
     r.system->dumpStatsJson(os, /*include_sim=*/false);
     p.statsJson = os.str();
+    std::ostringstream sim;
+    r.system->dumpStatsJson(sim, /*include_sim=*/true);
+    json::Value v;
+    EXPECT_TRUE(json::parse(sim.str(), v));
+    p.sim = v.at("sim");
     snap::Serializer s;
     r.system->save(s);
     p.snapshot = s.buffer();
@@ -340,15 +348,28 @@ tracedJob()
 }
 
 /** The sleeping region: ll6 with software barriers on 16 OOO1
- *  cores. It has no fabric, so every quiet core tick is self-timed
- *  and the cores sleep through their cache misses (DESIGN.md
- *  §10.2). */
+ *  cores. It has no fabric, so every quiet core tick is self-timed:
+ *  the cores sleep through their cache misses, and leap the sense
+ *  loop of every barrier they wait at (DESIGN.md §10.2). */
 RegionJob
-sleepJob()
+sleepJob(unsigned size = 32)
 {
     RunSpec spec;
     spec.variant = Variant::SwBarrier;
-    spec.problemSize = 32;
+    spec.problemSize = size;
+    spec.threads = 16;
+    return RegionJob{&workloads::byName("ll6"), spec};
+}
+
+/** The fabric-sleeping region: ll6 with hardware barriers on 16
+ *  OOO1 cores, whose waits for the barrier token are quiet ticks
+ *  bound to the fabric port. */
+RegionJob
+fabricSleepJob()
+{
+    RunSpec spec;
+    spec.variant = Variant::HwBarrier;
+    spec.problemSize = 64;
     spec.threads = 16;
     return RegionJob{&workloads::byName("ll6"), spec};
 }
@@ -364,19 +385,59 @@ simTelemetry(workloads::PreparedRun &r)
     return v.has("sim") ? v.at("sim") : json::Value{};
 }
 
+/** Sleeps of @p cause ("self_timed", "fabric", "spin") in @p sim. */
+double
+sleepsOf(const json::Value &sim, const char *cause)
+{
+    return sim.at("sleep").at(cause).at("sleeps").num;
+}
+
+/**
+ * Run @p job under the default and the per-cycle leg to @p limit
+ * and require the same statistics and snapshot; @return the default
+ * leg's "sim" telemetry.
+ */
+json::Value
+expectTimeoutMatches(const RegionJob &job, Cycle limit)
+{
+    Probe probes[2];
+    json::Value sim;
+    for (const Leg leg : {Leg::Default, Leg::NoLeap}) {
+        workloads::PreparedRun r = buildUnder(job, leg);
+        const sys::RunResult res = r.system->runSegment(limit);
+        EXPECT_TRUE(res.timedOut);
+        if (leg == Leg::Default)
+            sim = simTelemetry(r);
+        Probe &p = probes[leg == Leg::Default ? 0 : 1];
+        p.cycles = res.cycles;
+        p.timedOut = res.timedOut;
+        std::ostringstream os;
+        r.system->dumpStatsJson(os, /*include_sim=*/false);
+        p.statsJson = os.str();
+        snap::Serializer sz;
+        r.system->save(sz);
+        p.snapshot = sz.buffer();
+    }
+    expectIdentical(probes[1], probes[0]);
+    return sim;
+}
+
 TEST(LeapDifferential, TracedRunsAreByteIdentical)
 {
     // A counter sample period clamps every leap to the sample cycles,
     // and stall spans are emitted at their per-cycle start/length; the
     // trace byte stream must not depend on leaping. In the sleeping
-    // region, samples are taken while cores sleep, so their counters
-    // must be caught up first.
+    // region, samples are taken while cores sleep and spin-leap, so
+    // their counters must be caught up first.
     const std::string dir = testing::TempDir();
     for (const RegionJob &job : {tracedJob(), sleepJob()}) {
         SCOPED_TRACE(harness::jobKey(job));
         const Probe ref = runProbe(job, Leg::Default,
                                    dir + "remap_leapdiff_a.json", 500);
         ASSERT_FALSE(ref.traceBytes.empty());
+        if (job.spec.variant == Variant::SwBarrier) {
+            EXPECT_GT(sleepsOf(ref.sim, "spin"), 0.0);
+        }
         expectIdentical(runProbe(job, Leg::NoLeap,
                                  dir + "remap_leapdiff_b.json", 500),
                         ref);
@@ -388,33 +449,33 @@ TEST(LeapDifferential, TimeoutWhileCoresSleep)
     // A cycle limit that expires while cores sleep must still leave
     // every statistic where the per-cycle loop leaves it: the run
     // accounts the sleepers' skipped ticks before it returns. With 16
-    // cores sleeping through their misses, each of these limits lands
-    // while some core sleeps.
-    const RegionJob job = sleepJob();
+    // cores sleeping through their misses (software barriers) or
+    // waiting on their fabric ports (hardware barriers), each of
+    // these limits lands while some core sleeps.
     for (const Cycle limit : {Cycle{2999}, Cycle{5003}, Cycle{8191},
                               Cycle{12007}}) {
         SCOPED_TRACE(testing::Message() << "limit " << limit);
-        Probe probes[2];
-        for (const Leg leg : {Leg::Default, Leg::NoLeap}) {
-            workloads::PreparedRun r = buildUnder(job, leg);
-            const sys::RunResult res = r.system->runSegment(limit);
-            EXPECT_TRUE(res.timedOut);
-            if (leg == Leg::Default) {
-                const json::Value sim = simTelemetry(r);
-                ASSERT_TRUE(sim.has("sleep"));
-                EXPECT_GT(sim.at("sleep").at("sleeps").num, 0.0);
-            }
-            Probe &p = probes[leg == Leg::Default ? 0 : 1];
-            p.cycles = res.cycles;
-            p.timedOut = res.timedOut;
-            std::ostringstream os;
-            r.system->dumpStatsJson(os, /*include_sim=*/false);
-            p.statsJson = os.str();
-            snap::Serializer sz;
-            r.system->save(sz);
-            p.snapshot = sz.buffer();
-        }
-        expectIdentical(probes[1], probes[0]);
+        const json::Value sw = expectTimeoutMatches(sleepJob(), limit);
+        EXPECT_GT(sleepsOf(sw, "self_timed"), 0.0);
+        const json::Value hw =
+            expectTimeoutMatches(fabricSleepJob(), limit);
+        EXPECT_GT(sleepsOf(hw, "fabric"), 0.0);
+    }
+}
+
+TEST(LeapDifferential, TimeoutWhileSpinning)
+{
+    // Limits inside the barrier waits of ll6 SW n64 t16. Spin leaps
+    // skip about 17% of its core ticks, so about three of the 16
+    // cores are mid-leap at a typical cycle: the run must replay each
+    // spinner's skipped periods — window, counters, predictor
+    // history, L1 LRU state — to the exact cycle it stops at.
+    const RegionJob job = sleepJob(64);
+    for (const Cycle limit : {Cycle{20011}, Cycle{50021},
+                              Cycle{100003}, Cycle{150001}}) {
+        SCOPED_TRACE(testing::Message() << "limit " << limit);
+        const json::Value sim = expectTimeoutMatches(job, limit);
+        EXPECT_GT(sleepsOf(sim, "spin"), 0.0);
     }
 }
 
