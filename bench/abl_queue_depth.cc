@@ -2,11 +2,13 @@
  * @file
  * Ablation: SPL queue sizing. Streams a producer/consumer pair
  * through the fabric under different pending-initiation and output
- * queue capacities; deeper queues decouple the threads and absorb
- * rate mismatches (Section II-B.1's queuing discussion).
+ * queue capacities, and reports how far deeper queues decouple the
+ * threads (Section II-B.1's queuing discussion).
  */
 
+#include <algorithm>
 #include <functional>
+#include <iomanip>
 #include <iostream>
 
 #include "core/system.hh"
@@ -70,6 +72,29 @@ run(unsigned pending, unsigned out_words)
     return r.cycles;
 }
 
+/**
+ * Largest relative cycle change along one axis of the grid, the
+ * other held fixed: over @p lines lines (line l starts at index
+ * l * @p line_stride and has @p len entries @p step apart), the
+ * largest (max - min) / max.
+ */
+double
+largestChange(const std::vector<Cycle> &cycles, std::size_t lines,
+              std::size_t line_stride, std::size_t len, std::size_t step)
+{
+    double largest = 0.0;
+    for (std::size_t l = 0; l < lines; ++l) {
+        Cycle lo = cycles[l * line_stride], hi = lo;
+        for (std::size_t k = 1; k < len; ++k) {
+            const Cycle c = cycles[l * line_stride + k * step];
+            lo = std::min(lo, c);
+            hi = std::max(hi, c);
+        }
+        largest = std::max(largest, double(hi - lo) / double(hi));
+    }
+    return largest;
+}
+
 } // namespace
 
 int
@@ -104,8 +129,16 @@ main(int argc, char **)
             t.row({std::to_string(pending), std::to_string(words),
                    std::to_string(cycles[idx++])});
     t.print(std::cout);
-    std::cout << "\nDeeper queues absorb consumer bursts; beyond "
-                 "the burst size, more\ncapacity stops helping.\n";
+    const std::size_t np = pendings.size(), nw = word_counts.size();
+    std::cout << "\nLargest relative cycle change along each axis, "
+                 "the other held fixed:\n"
+              << std::fixed << std::setprecision(2)
+              << "  pending inits/core " << pendings.front() << ".."
+              << pendings.back() << ": "
+              << 100.0 * largestChange(cycles, nw, 1, np, nw) << "%\n"
+              << "  output queue words " << word_counts.front() << ".."
+              << word_counts.back() << ": "
+              << 100.0 * largestChange(cycles, np, nw, nw, 1) << "%\n";
     remap::harness::printSnapshotCacheSummary();
     return 0;
 }

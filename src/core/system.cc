@@ -119,16 +119,6 @@ System::System(const SystemConfig &config)
         }
     }
 
-    if (leapEnabled_) {
-        const mem::MemSystemParams &mp = config.memParams;
-        watch_ = std::make_unique<mem::LineWatch>(
-            total_cores, std::max({mp.l1i.lineBytes, mp.l1d.lineBytes,
-                                   mp.l2.lineBytes}));
-        mem_->setLineWatch(watch_.get());
-        for (auto &core : cores_)
-            core->setLineWatch(watch_.get());
-    }
-
     std::vector<spl::SplFabric *> raw;
     raw.reserve(fabrics_.size());
     for (auto &f : fabrics_)
@@ -454,18 +444,11 @@ void
 System::catchUpSleeper(std::size_t i, Cycle through, bool wake)
 {
     prof::PhaseScope phase(prof::Phase::LeapScan);
-    cpu::OooCore &core = *cores_[i];
     const Cycle n = through - coreSleptThrough_[i];
-    const SleepCause cause = coreSleepCause_[i];
-    if (cause == Spin)
-        core.spinCatchUp(through);
-    else
-        core.accountSkippedStallCycles(n);
-    sleepSkippedCycles_[cause] += n;
+    cores_[i]->accountSkippedStallCycles(n);
+    sleepSkippedCycles_[coreSleepCause_[i]] += n;
     coreSleptThrough_[i] = through;
     if (wake) {
-        if (cause == Spin)
-            core.cancelSpin();
         coreWake_[i] = 0;
         --sleepingCores_;
     }
@@ -511,8 +494,7 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
         // meanwhile, and the skipped ticks are accounted when it
         // wakes, before each counter sample and when the run returns
         // (DESIGN.md §10.2). A quiet tick waits on the core's own
-        // horizon, and on its fabric port unless it was self-timed; a
-        // confirmed spin period waits on the lines the loop reads.
+        // horizon, and on its fabric port unless it was self-timed.
         // Each such sleeper checks its wakeCount() in its own slot,
         // so a change made earlier in this cycle wakes it now and a
         // later one next cycle — the per-cycle order. Not while a
@@ -533,18 +515,11 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
                     catchUpSleeper(i, cycle_ - 1, /*wake=*/true);
                 }
                 core.tick(cycle_);
-                const bool quiet = core.lastTickQuiet();
-                if (!quiet)
+                if (!core.lastTickQuiet()) {
                     all_quiet = false;
-                if (core.spinReady()) {
-                    if (may_sleep)
-                        sleepCore(i, Spin, neverCycle);
-                    else
-                        core.cancelSpin();
-                } else if (quiet && may_sleep) {
+                } else if (may_sleep) {
                     const Cycle wake = core.nextEventCycle(cycle_);
                     if (wake > cycle_ + 1) {
-                        core.cancelSpin();
                         sleepCore(i,
                                   core.lastTickSelfTimed() ? SelfTimed
                                                            : Fabric,
@@ -738,7 +713,7 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
         w.kv("sleeps", sleeps);
         w.kv("skipped_cycles", skipped);
         static const char *const kCauseNames[kNumSleepCauses] = {
-            "self_timed", "fabric", "spin"};
+            "self_timed", "fabric"};
         for (unsigned c = 0; c < kNumSleepCauses; ++c) {
             w.key(kCauseNames[c]);
             w.beginObject();

@@ -325,7 +325,6 @@ class System
     {
         SelfTimed, ///< quiet tick that read only the core itself
         Fabric,    ///< quiet tick that waited on the fabric port
-        Spin,      ///< confirmed periodic spin (OooCore::spinReady)
         kNumSleepCauses,
     };
     std::vector<Cycle> coreWake_;
@@ -382,9 +381,6 @@ class System
      *  REMAP_NO_LEAP=1 for the per-cycle differential reference; see
      *  DESIGN.md §10). */
     bool leapEnabled_ = true;
-    /** Lines spin-leaping cores sleep on; null in the per-cycle
-     *  reference. */
-    std::unique_ptr<mem::LineWatch> watch_;
 
     std::unique_ptr<trace::Tracer> tracer_;
 

@@ -52,20 +52,16 @@ BranchPredictor::update(std::uint64_t pc, bool taken,
 {
     bool g = counterTaken(gshare_[gshareIndex(pc)]);
     bool b = counterTaken(bimodal_[bimodalIndex(pc)]);
-    bool changed = false;
     if (g != b)
-        changed = counterTrain(chooser_[chooserIndex(pc)], g == taken);
-    changed |= counterTrain(gshare_[gshareIndex(pc)], taken);
-    changed |= counterTrain(bimodal_[bimodalIndex(pc)], taken);
+        counterTrain(chooser_[chooserIndex(pc)], g == taken);
+    counterTrain(gshare_[gshareIndex(pc)], taken);
+    counterTrain(bimodal_[bimodalIndex(pc)], taken);
     history_ = (history_ << 1) | (taken ? 1 : 0);
     if (taken) {
         BtbEntry &e = btb_[(pc >> 2) % btb_.size()];
-        changed |= e.pc != pc || e.target != target;
         e.pc = pc;
         e.target = target;
     }
-    if (changed)
-        ++tableWrites_;
 }
 
 namespace
@@ -122,7 +118,6 @@ BranchPredictor::restore(snap::Deserializer &d)
         e.target = d.u64();
     }
     history_ = d.u64();
-    ++tableWrites_;
 }
 
 } // namespace remap::cpu

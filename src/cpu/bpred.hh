@@ -43,22 +43,6 @@ class BranchPredictor
     /** Train with the resolved outcome. */
     void update(std::uint64_t pc, bool taken, std::uint64_t target);
 
-    /** @{ @name Periodic-leap support (DESIGN.md §10.2). */
-    /** The global history register (all 64 bits). */
-    std::uint64_t history() const { return history_; }
-    /** The history bits predictions read. */
-    std::uint64_t
-    maskedHistory() const
-    {
-        return history_ & ((1ULL << params_.historyBits) - 1);
-    }
-    /** Replace the global history register. */
-    void setHistory(std::uint64_t h) { history_ = h; }
-    /** Updates so far that changed a counter or BTB entry: equal at
-     *  two points means every table was the same in between. */
-    std::uint64_t tableWrites() const { return tableWrites_; }
-    /** @} */
-
     /** @{ @name Statistics. */
     StatCounter lookups;
     StatCounter mispredicts;
@@ -74,17 +58,13 @@ class BranchPredictor
 
   private:
     static bool counterTaken(std::uint8_t c) { return c >= 2; }
-    /** Train counter @p c; @return true when it changed. */
-    static bool
+    static void
     counterTrain(std::uint8_t &c, bool taken)
     {
         if (taken && c < 3)
             ++c;
         else if (!taken && c > 0)
             --c;
-        else
-            return false;
-        return true;
     }
 
     std::size_t gshareIndex(std::uint64_t pc) const;
@@ -102,8 +82,6 @@ class BranchPredictor
     };
     std::vector<BtbEntry> btb_;
     std::uint64_t history_ = 0;
-    /** See tableWrites(); derived, never serialized. */
-    std::uint64_t tableWrites_ = 0;
 };
 
 } // namespace remap::cpu

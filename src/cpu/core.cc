@@ -120,14 +120,6 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     metaGroup_.addCounter("block_fused_insts", &blockFusedInsts);
     metaGroup_.addCounter("block_fused_runs", &blockFusedRuns);
     metaGroup_.addCounter("block_generic_insts", &blockGenericInsts);
-    metaGroup_.addCounter("spin_ticks", &spinTicks);
-    for (const auto &[name, counter] : statGroup_.counters())
-        spinCounters_.push_back(counter);
-    spinCounters_.push_back(&blockFusedInsts);
-    spinCounters_.push_back(&blockFusedRuns);
-    spinCounters_.push_back(&blockGenericInsts);
-    spinCounters_.push_back(&mem_->l1i(id_).hits);
-    spinCounters_.push_back(&mem_->l1d(id_).hits);
 }
 
 void
@@ -167,7 +159,6 @@ void
 OooCore::bindThread(ThreadContext *ctx)
 {
     REMAP_ASSERT(drained(), "binding a thread over a live pipeline");
-    cancelSpin();
     ctx_ = ctx;
     fetchHalted_ = ctx == nullptr || ctx->halted;
     fetchResumeCycle_ = 0;
@@ -463,9 +454,6 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
       case Opcode::HALT: break;
       case Opcode::NOP: break;
     }
-    // A spin-leaping core that loads this line must wake.
-    if ((d.flags & isa::kMemWrite) && watch_ && !watch_->empty())
-        watch_->noteWrite(d.memAddr, d.memLen);
     t.pc = next_pc;
     return true;
 }
@@ -554,8 +542,6 @@ OooCore::fetch(Cycle now)
                 REMAP_ASSERT(ok,
                              "simple instruction stalled in '%s'",
                              ctx_->program->name.c_str());
-                if (dec.flags & isa::kLeapBlock)
-                    lastBlockerSeq_ = nextSeq_;
                 d.seq = nextSeq_++;
                 d.fbReady = std::max(icache_ready, now + 1);
                 ++fetchedInsts;
@@ -614,8 +600,6 @@ OooCore::fetch(Cycle now)
         }
         if (tracer_ && splFetchStallStart_ != 0)
             traceEndStall(now, false);
-        if (dec.flags & isa::kLeapBlock)
-            lastBlockerSeq_ = nextSeq_;
         d.seq = nextSeq_++;
         d.fbReady = std::max(icache_ready, now + 1);
         ++fetchedInsts;
@@ -1056,11 +1040,6 @@ OooCore::tick(Cycle now)
     stallMask_ = 0;
     if (!done())
         ++activeCycles;
-    if (headSeq_ != dispSeq_) {
-        const std::uint64_t head_pc = win_[headSeq_ & winMask_].pcAddr;
-        if (head_pc >= spinLoPc_ && head_pc <= spinHiPc_)
-            ++spinTicks;
-    }
     // Host-time attribution: commit and writeback walk the same ROB
     // tail, issue and dispatch share the window, fetch stands alone.
     prof::PhaseScope phase(prof::Phase::WritebackCommit);
@@ -1071,11 +1050,6 @@ OooCore::tick(Cycle now)
     dispatch(now);
     phase.set(prof::Phase::FetchDecode);
     fetch(now);
-    // The spin detector only needs a call while the window is free of
-    // leap-blocking ops or while it has state to reset.
-    if (watch_ && (lastBlockerSeq_ < headSeq_ || spinRun_ != 0 ||
-                   spinPhase_ != SpinPhase::Idle))
-        spinStep(now);
 }
 
 Cycle
@@ -1322,14 +1296,7 @@ OooCore::restore(snap::Deserializer &d)
     for (const DynInst &di : fb)
         slot(di.seq) = di;
 
-    // Rebuild the derived per-stage lists from the ROB, and the
-    // spin leap's view of the window.
-    cancelSpin();
-    lastBlockerSeq_ = 0;
-    for (std::uint64_t seq = headSeq_; seq != nextSeq_; ++seq) {
-        if (slot(seq).flags & isa::kLeapBlock)
-            lastBlockerSeq_ = seq;
-    }
+    // Rebuild the derived per-stage lists from the ROB.
     iq_.clear();
     stores_.clear();
     inflight_.clear();

@@ -29,7 +29,6 @@
 #ifndef REMAP_CPU_CORE_HH
 #define REMAP_CPU_CORE_HH
 
-#include <array>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -39,7 +38,6 @@
 #include "cpu/thread.hh"
 #include "isa/decoded.hh"
 #include "isa/isa.hh"
-#include "mem/line_watch.hh"
 #include "mem/mem_system.hh"
 #include "mem/memory_image.hh"
 #include "sim/stats.hh"
@@ -154,48 +152,14 @@ class OooCore
 
     /**
      * Change count of everything outside this core that a sleeping
-     * tick of it reads: its fabric port (SplFabric::portChanges) and
-     * the lines a periodic spin leap watches. A sleeper whose count
-     * moved must wake.
+     * tick of it reads: its fabric port (SplFabric::portChanges). A
+     * sleeper whose count moved must wake.
      */
     std::uint64_t
     wakeCount() const
     {
-        return (spl_ ? spl_->portChanges(splSlot_) : 0) +
-               (watch_ ? watch_->changes(id_) : 0);
+        return spl_ ? spl_->portChanges(splSlot_) : 0;
     }
-
-    /** @{ @name Periodic spin leap (DESIGN.md §10.2). */
-    /**
-     * Enable spin-period detection, reporting functional writes to
-     * and registering watched lines in @p watch (owned by the
-     * System); nullptr disables both (the per-cycle reference).
-     */
-    void setLineWatch(mem::LineWatch *watch) { watch_ = watch; }
-    /**
-     * True after a tick that confirmed a periodic steady state: the
-     * core's state relative to its sequence numbers and the cycle
-     * repeats every P <= 8 ticks and reads only watched lines, so
-     * the run loop may put it to sleep until wakeCount() moves and
-     * replay the skipped ticks with spinCatchUp().
-     */
-    bool spinReady() const { return spinPhase_ == SpinPhase::Ready; }
-    /**
-     * Set the core to the state it would have after ticking through
-     * cycle @p through (after the tick that set spinReady()): the
-     * recorded phase, shifted by whole periods, with every counter,
-     * the predictor history and the L1 LRU state advanced to match.
-     */
-    void spinCatchUp(Cycle through);
-    /** Drop any spin detection in progress or confirmed period and
-     *  release its watched lines. */
-    void
-    cancelSpin()
-    {
-        if (spinPhase_ != SpinPhase::Idle || spinRingLen_ != 0)
-            resetSpin();
-    }
-    /** @} */
 
     /**
      * Earliest cycle strictly after @p now at which this core's tick
@@ -256,9 +220,6 @@ class OooCore
     StatCounter blockFusedInsts;   ///< insts fetched via fused runs
     StatCounter blockFusedRuns;    ///< fused-run activations
     StatCounter blockGenericInsts; ///< insts fetched via generic path
-    /** Ticked cycles whose ROB head lay in the last spin loop the
-     *  periodic leap confirmed. */
-    StatCounter spinTicks;
     /** @} */
 
     /** Dump core + predictor stats. */
@@ -471,133 +432,6 @@ class OooCore
     bool tickProgress_ = true; ///< last tick changed real state
     std::uint8_t stallMask_ = 0; ///< stall counters the tick bumped
     Addr stallFetchAddr_ = 0; ///< pc of the stalled spl_store group
-    /** @} */
-
-    /** @{ @name Periodic spin leap (derived, never serialized). */
-    enum class SpinPhase : std::uint8_t
-    {
-        Idle,    ///< hashing tick states, looking for a period
-        Attempt, ///< a candidate period P: verifying, then recording
-        Ready,   ///< a period is recorded; the core may sleep
-    };
-    /** A window entry of a gated window (no store, SPL or divider
-     *  op, so no store or SPL values), as the spin leap keeps it. */
-    struct SpinEntry
-    {
-        const isa::Instruction *si = nullptr;
-        std::uint64_t pcAddr = 0;
-        Addr memAddr = 0;
-        /** fbReady while InBuffer, completeCycle while Issued. */
-        Cycle time = 0;
-        /** Producer distances below the entry's seq while
-         *  Dispatched (0: none). */
-        std::uint32_t dep1 = 0, dep2 = 0;
-        std::uint16_t flags = 0;
-        isa::OpClass cls = isa::OpClass::IntAlu;
-        Stage stage = Stage::InBuffer;
-        std::uint8_t memLen = 0;
-        bool mispredicted = false;
-
-        bool operator==(const SpinEntry &) const = default;
-    };
-    /** The core's full dynamic state at one tick end. */
-    struct SpinState
-    {
-        Cycle now = 0;
-        std::uint64_t headSeq = 0, dispSeq = 0, nextSeq = 0;
-        std::vector<SpinEntry> window; ///< [headSeq, nextSeq)
-        std::array<std::uint64_t, isa::numIntRegs> intProducer{};
-        std::array<std::uint64_t, isa::numFpRegs> fpProducer{};
-        std::vector<std::uint64_t> iq, inflight;
-        unsigned intQueueOcc = 0, fpQueueOcc = 0;
-        unsigned loadQueueOcc = 0, storeQueueOcc = 0;
-        /** The time thresholds, then fetchBlockedOnSeq_ (see
-         *  spinScalars()). */
-        std::array<std::uint64_t, 6> scalars{};
-        bool tickProgress = false;
-        std::uint8_t stallMask = 0;
-        std::uint32_t pc = 0;
-        std::array<std::int64_t, isa::numIntRegs> intRegs{};
-        std::array<double, isa::numFpRegs> fpRegs{};
-        std::uint64_t history = 0, maskedHistory = 0;
-        std::uint64_t bpredWrites = 0, lookups = 0;
-        std::uint64_t l1iMisses = 0, l1dMisses = 0;
-        std::uint64_t l1iClock = 0, l1dClock = 0;
-        std::vector<std::uint64_t> counters; ///< spinCounters_ values
-        std::vector<std::uint64_t> stampsI, stampsD; ///< per line
-    };
-
-    /** Per-tick detector step, run at the end of tick(). */
-    void spinStep(Cycle now);
-    /** Hash of the state relative to headSeq_ and @p now. */
-    std::uint64_t spinHash(Cycle now) const;
-    void spinCapture(SpinState &st, Cycle now) const;
-    /** True when @p b is @p a one period later; fills the spin*Moves_
-     *  classification and the per-period deltas. */
-    bool spinPeriodic(const SpinState &a, const SpinState &b);
-    /** True when the window entries from @p from on touch only
-     *  watched lines. */
-    bool spinLinesCovered(std::uint64_t from) const;
-    /** Pointers to the scalar fields SpinState::scalars holds. */
-    std::array<std::uint64_t *, 6> spinScalars();
-    void abortSpin(Cycle now);
-    /** cancelSpin() without the fast-path check. */
-    void resetSpin();
-
-    /** Longest period looked for, in ticks. */
-    static constexpr unsigned kMaxSpinPeriod = 8;
-    /** Ticks without a new attempt after a failed one: doubling from
-     *  the first to the second bound, reset by a confirmed period. */
-    static constexpr Cycle kSpinBackoffMin = 8;
-    static constexpr Cycle kSpinBackoffMax = 1024;
-
-    mem::LineWatch *watch_ = nullptr;
-    SpinPhase spinPhase_ = SpinPhase::Idle;
-    unsigned spinPeriod_ = 0;
-    /** First and largest sampling gap of the detector's sparse
-     *  watch, in ticks. */
-    static constexpr std::uint64_t kSpinSample = 4;
-    static constexpr std::uint64_t kSpinSampleMax = 64;
-    /** Consecutive eligible ticks so far, the next one to sample and
-     *  the hash of the last sampled one. */
-    std::uint64_t spinRun_ = 0;
-    std::uint64_t spinNextSample_ = kSpinSample;
-    std::uint64_t spinSample_ = 0;
-    /** Ring of per-tick hashes while searching for the smallest
-     *  period; spinRingLen_ valid entries end at the last tick
-     *  (spinLastTick_), and 0 means the sparse watch. */
-    std::array<std::uint64_t, 16> spinRing_{};
-    static_assert(16 > kMaxSpinPeriod, "the ring holds a period");
-    unsigned spinRingLen_ = 0;
-    Cycle spinLastTick_ = 0;
-    Cycle spinRetryAt_ = 0;  ///< backoff after a failed attempt
-    Cycle spinBackoff_ = kSpinBackoffMin;
-    std::uint64_t spinCheckedSeq_ = 0; ///< lines checked below this
-    std::uint64_t spinWatchCount_ = 0; ///< wakeCount() at registration
-    /** Lines the attempt watches: code (L1I) and load data (L1D). */
-    std::vector<Addr> spinLinesI_, spinLinesD_;
-    /** The recorded period's phases; the last one holds the
-     *  candidate state until the verifying tick (max(P, 2) states). */
-    std::vector<SpinState> spinPhases_;
-    Cycle spinStartCycle_ = 0; ///< the candidate tick
-    Cycle spinBase_ = 0; ///< cycle of recorded phase 0
-    /** Per field: moves by a period each period (else stays put). */
-    std::array<bool, 6> spinScalarMoves_{};
-    std::array<bool, isa::numIntRegs> spinIntProdMoves_{};
-    std::array<bool, isa::numFpRegs> spinFpProdMoves_{};
-    std::vector<bool> spinStampIMoves_, spinStampDMoves_;
-    std::uint64_t spinInsts_ = 0;     ///< sequence numbers per period
-    std::uint64_t spinBranches_ = 0;  ///< predictor updates per period
-    std::uint64_t spinClockI_ = 0, spinClockD_ = 0; ///< LRU per period
-    std::vector<std::uint64_t> spinDeltas_; ///< counters per period
-    /** Every counter a tick can move (core, predictor, fast-path
-     *  telemetry, L1I/L1D hits). */
-    std::vector<StatCounter *> spinCounters_;
-    /** Seq of the last fetched kLeapBlock op (0: none yet); the
-     *  window is free of them while it is below headSeq_. */
-    std::uint64_t lastBlockerSeq_ = 0;
-    /** pcAddr range of the last confirmed spin loop (spinTicks). */
-    std::uint64_t spinLoPc_ = 1, spinHiPc_ = 0;
     /** @} */
 
     /** Close any open SPL stall span at @p now (trace-only state). */

@@ -67,10 +67,6 @@ decodeOne(const Instruction &inst)
         f |= kEndsRun;
     }
 
-    if ((f & kStoreLike) || inst.isSpl() || d.cls == OpClass::Halt ||
-        d.cls == OpClass::IntDiv || d.cls == OpClass::FpDiv)
-        f |= kLeapBlock;
-
     d.flags = f;
     return d;
 }

@@ -55,9 +55,6 @@ enum DecodeFlag : std::uint16_t
     kMemWrite    = 1u << 12, ///< writes memory through the LSQ
     kSplPop      = 1u << 13, ///< pops the SPL output queue
     kEndsRun     = 1u << 14, ///< terminates a straight-line run
-    /** Keeps a core out of the periodic spin leap while in its
-     *  window: store-like, SPL, HALT and divider ops. */
-    kLeapBlock   = 1u << 15,
 };
 
 /**

@@ -87,20 +87,6 @@ Cache::accountRepeatedHits(Addr addr, std::uint64_t n)
     hits += n;
 }
 
-void
-Cache::setStamp(Addr addr, std::uint64_t stamp)
-{
-    const Addr tag = lineAddr(addr);
-    const std::size_t base = setIndex(addr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.state != Mesi::Invalid && line.tag == tag) {
-            line.lruStamp = stamp;
-            return;
-        }
-    }
-}
-
 const Cache::Line *
 Cache::probe(Addr addr) const
 {

@@ -79,25 +79,6 @@ class Cache
      */
     void accountRepeatedHits(Addr addr, std::uint64_t n);
 
-    /** @{ @name LRU bookkeeping, for a core that replays its own
-     * pure hits in bulk (the periodic spin leap, DESIGN.md §10.2). */
-    /** The LRU clock: one tick per lookup hit or allocation. */
-    std::uint64_t lruClock() const { return lruClock_; }
-    /** Set the LRU clock. */
-    void setLruClock(std::uint64_t clock) { lruClock_ = clock; }
-    /** LRU stamp of the resident line holding @p addr, 0 when the
-     *  line is not resident (stamps start at 1). */
-    std::uint64_t
-    stampOf(Addr addr) const
-    {
-        const Line *line = probe(addr);
-        return line ? line->lruStamp : 0;
-    }
-    /** Set the stamp of the resident line holding @p addr (no-op
-     *  when it is not resident). */
-    void setStamp(Addr addr, std::uint64_t stamp);
-    /** @} */
-
     /**
      * Allocate a line for @p addr, evicting LRU if needed.
      *

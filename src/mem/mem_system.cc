@@ -37,15 +37,6 @@ MemSystem::acquireBus(Cycle now)
     return grant;
 }
 
-void
-MemSystem::invalidateL1s(CoreId core, Addr addr)
-{
-    const bool in_l1d = l1d_[core]->invalidate(addr) != Mesi::Invalid;
-    const bool in_l1i = l1i_[core]->invalidate(addr) != Mesi::Invalid;
-    if ((in_l1d || in_l1i) && watch_ && !watch_->empty())
-        watch_->noteInvalidate(core, addr);
-}
-
 MemSystem::SnoopResult
 MemSystem::snoopRemotes(CoreId requester, Addr addr, bool exclusive)
 {
@@ -64,7 +55,8 @@ MemSystem::snoopRemotes(CoreId requester, Addr addr, bool exclusive)
         if (exclusive) {
             l2_[c]->invalidate(addr);
             // Inclusion: kill any L1 copies too.
-            invalidateL1s(c, addr);
+            l1d_[c]->invalidate(addr);
+            l1i_[c]->invalidate(addr);
         } else {
             l2_[c]->downgradeToShared(addr);
             l1d_[c]->downgradeToShared(addr);
@@ -128,7 +120,8 @@ MemSystem::fillL2(CoreId core, Addr addr, AccessKind kind, Cycle now)
     line = l2c.allocate(addr, &victim_addr, &victim_state);
     if (victim_state != Mesi::Invalid) {
         // Inclusion: back-invalidate the L1s for the victim line.
-        invalidateL1s(core, victim_addr);
+        l1d_[core]->invalidate(victim_addr);
+        l1i_[core]->invalidate(victim_addr);
         if (victim_state == Mesi::Modified) {
             // Writeback occupies the bus but is off the critical path
             // (posted through a write buffer).
@@ -197,8 +190,6 @@ MemSystem::flushCore(CoreId core)
     l1i_[core]->flushAll();
     l1d_[core]->flushAll();
     l2_[core]->flushAll();
-    if (watch_)
-        watch_->noteFlush(core);
 }
 
 void

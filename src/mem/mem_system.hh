@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/line_watch.hh"
 #include "sim/profile.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -87,10 +86,6 @@ class MemSystem
 
     /** Invalidate all caches of @p core (thread migration). */
     void flushCore(CoreId core);
-
-    /** Report L1 invalidations and flushes to @p watch (not owned;
-     *  nullptr stops reporting). */
-    void setLineWatch(LineWatch *watch) { watch_ = watch; }
 
     /** Per-core caches, exposed for stats/power accounting. */
     Cache &l1i(CoreId core) { return *l1i_[core]; }
@@ -168,16 +163,11 @@ class MemSystem
     SnoopResult snoopRemotes(CoreId requester, Addr addr,
                              bool exclusive);
 
-    /** Drop @p addr from @p core's L1I and L1D (inclusion), telling
-     *  the line watch when a copy was there. */
-    void invalidateL1s(CoreId core, Addr addr);
-
     MemSystemParams params_;
     std::vector<std::unique_ptr<Cache>> l1i_;
     std::vector<std::unique_ptr<Cache>> l1d_;
     std::vector<std::unique_ptr<Cache>> l2_;
     Cycle busBusyUntil_ = 0;
-    LineWatch *watch_ = nullptr;
     StatGroup statGroup_;
 };
 

@@ -1,8 +1,7 @@
 /** @file The strict REMAP_* environment parsers (sim/env.hh): every
  *  malformed count, kill switch or directory value is rejected with a
  *  one-line error naming its variable, never silently read as a
- *  default. The suite is named Sampling for the test file these cases
- *  were first written in. */
+ *  default. */
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,7 @@ namespace remap
 namespace
 {
 
-TEST(Sampling, MalformedTracePeriodsAreRejected)
+TEST(EnvParse, MalformedTracePeriodsAreRejected)
 {
     // REMAP_TRACE_PERIOD goes through the strict digits-only count
     // parser: "abc" must not become period 0 (counter sampling
@@ -52,7 +51,7 @@ TEST(Sampling, MalformedTracePeriodsAreRejected)
     ASSERT_EQ(unsetenv("REMAP_TRACE_PERIOD"), 0);
 }
 
-TEST(Sampling, MalformedCountVariablesAreRejected)
+TEST(EnvParse, MalformedCountVariablesAreRejected)
 {
     // REMAP_CKPT_MEM and REMAP_JOBS take the same digits-only
     // counts: "256MB" must not silently become the default cap, and
@@ -107,7 +106,7 @@ TEST(Sampling, MalformedCountVariablesAreRejected)
     ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
 }
 
-TEST(Sampling, MalformedKillSwitchesAreRejected)
+TEST(EnvParse, MalformedKillSwitchesAreRejected)
 {
     // A kill switch is off only when unset and on only at "1": "0"
     // or an empty value must not silently disable a fast path.
@@ -132,7 +131,7 @@ TEST(Sampling, MalformedKillSwitchesAreRejected)
     }
 }
 
-TEST(Sampling, EmptyDirectoryVariablesAreRejected)
+TEST(EnvParse, EmptyDirectoryVariablesAreRejected)
 {
     // An empty value must not silently leave manifests, snapshot
     // persistence or tracing off (nor trace into hidden ".N" files).

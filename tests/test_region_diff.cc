@@ -67,9 +67,6 @@ struct Probe
     std::string statsJson;
     std::vector<std::uint8_t> snapshot;
     std::string traceBytes; ///< empty when tracing was off
-    /** The "sim" telemetry subtree (never compared: it describes how
-     *  the simulator ran). */
-    json::Value sim;
     /** Per-copy energy and committed instructions exactly as
      *  runRegion() reports them, for the snapshot-cache legs. */
     double regionEnergyJ = 0.0;
@@ -137,11 +134,6 @@ capture(const RegionJob &job, workloads::PreparedRun &r,
     std::ostringstream os;
     r.system->dumpStatsJson(os, /*include_sim=*/false);
     p.statsJson = os.str();
-    std::ostringstream sim;
-    r.system->dumpStatsJson(sim, /*include_sim=*/true);
-    json::Value v;
-    EXPECT_TRUE(json::parse(sim.str(), v));
-    p.sim = v.at("sim");
     snap::Serializer s;
     r.system->save(s);
     p.snapshot = s.buffer();
@@ -348,15 +340,15 @@ tracedJob()
 }
 
 /** The sleeping region: ll6 with software barriers on 16 OOO1
- *  cores. It has no fabric, so every quiet core tick is self-timed:
- *  the cores sleep through their cache misses, and leap the sense
- *  loop of every barrier they wait at (DESIGN.md §10.2). */
+ *  cores. It has no fabric, so every quiet core tick is self-timed
+ *  and the cores sleep through their cache misses (DESIGN.md
+ *  §10.2). */
 RegionJob
-sleepJob(unsigned size = 32)
+sleepJob()
 {
     RunSpec spec;
     spec.variant = Variant::SwBarrier;
-    spec.problemSize = size;
+    spec.problemSize = 32;
     spec.threads = 16;
     return RegionJob{&workloads::byName("ll6"), spec};
 }
@@ -385,11 +377,36 @@ simTelemetry(workloads::PreparedRun &r)
     return v.has("sim") ? v.at("sim") : json::Value{};
 }
 
-/** Sleeps of @p cause ("self_timed", "fabric", "spin") in @p sim. */
+/** Sleeps of @p cause ("self_timed" or "fabric") in @p sim. */
 double
 sleepsOf(const json::Value &sim, const char *cause)
 {
     return sim.at("sleep").at(cause).at("sleeps").num;
+}
+
+/**
+ * Require @p sim's "sleep" object to hold the two totals and exactly
+ * the causes "self_timed" and "fabric", whose sleeps and skipped
+ * cycles each sum to the totals: a cause that is dropped, added or
+ * miscounted fails.
+ */
+void
+expectSleepCausesSumToTotals(const json::Value &sim)
+{
+    const json::Value &sleep = sim.at("sleep");
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : sleep.obj)
+        keys.push_back(key);
+    ASSERT_EQ(keys, (std::vector<std::string>{"fabric", "self_timed",
+                                              "skipped_cycles",
+                                              "sleeps"}));
+    double sleeps = 0.0, skipped = 0.0;
+    for (const char *cause : {"self_timed", "fabric"}) {
+        sleeps += sleep.at(cause).at("sleeps").num;
+        skipped += sleep.at(cause).at("skipped_cycles").num;
+    }
+    EXPECT_EQ(sleeps, sleep.at("sleeps").num);
+    EXPECT_EQ(skipped, sleep.at("skipped_cycles").num);
 }
 
 /**
@@ -427,17 +444,14 @@ TEST(LeapDifferential, TracedRunsAreByteIdentical)
     // A counter sample period clamps every leap to the sample cycles,
     // and stall spans are emitted at their per-cycle start/length; the
     // trace byte stream must not depend on leaping. In the sleeping
-    // region, samples are taken while cores sleep and spin-leap, so
-    // their counters must be caught up first.
+    // region, samples are taken while cores sleep, so their counters
+    // must be caught up first.
     const std::string dir = testing::TempDir();
     for (const RegionJob &job : {tracedJob(), sleepJob()}) {
         SCOPED_TRACE(harness::jobKey(job));
         const Probe ref = runProbe(job, Leg::Default,
                                    dir + "remap_leapdiff_a.json", 500);
         ASSERT_FALSE(ref.traceBytes.empty());
-        if (job.spec.variant == Variant::SwBarrier) {
-            EXPECT_GT(sleepsOf(ref.sim, "spin"), 0.0);
-        }
         expectIdentical(runProbe(job, Leg::NoLeap,
                                  dir + "remap_leapdiff_b.json", 500),
                         ref);
@@ -457,25 +471,11 @@ TEST(LeapDifferential, TimeoutWhileCoresSleep)
         SCOPED_TRACE(testing::Message() << "limit " << limit);
         const json::Value sw = expectTimeoutMatches(sleepJob(), limit);
         EXPECT_GT(sleepsOf(sw, "self_timed"), 0.0);
+        expectSleepCausesSumToTotals(sw);
         const json::Value hw =
             expectTimeoutMatches(fabricSleepJob(), limit);
         EXPECT_GT(sleepsOf(hw, "fabric"), 0.0);
-    }
-}
-
-TEST(LeapDifferential, TimeoutWhileSpinning)
-{
-    // Limits inside the barrier waits of ll6 SW n64 t16. Spin leaps
-    // skip about 17% of its core ticks, so about three of the 16
-    // cores are mid-leap at a typical cycle: the run must replay each
-    // spinner's skipped periods — window, counters, predictor
-    // history, L1 LRU state — to the exact cycle it stops at.
-    const RegionJob job = sleepJob(64);
-    for (const Cycle limit : {Cycle{20011}, Cycle{50021},
-                              Cycle{100003}, Cycle{150001}}) {
-        SCOPED_TRACE(testing::Message() << "limit " << limit);
-        const json::Value sim = expectTimeoutMatches(job, limit);
-        EXPECT_GT(sleepsOf(sim, "spin"), 0.0);
+        expectSleepCausesSumToTotals(hw);
     }
 }
 

@@ -3,16 +3,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
 #include <sstream>
-#include <utility>
-#include <vector>
 
 #include "core/system.hh"
 #include "isa/builder.hh"
-#include "sim/json_value.hh"
-#include "sim/snapshot.hh"
 #include "spl/function.hh"
 
 namespace remap::sys
@@ -177,98 +171,6 @@ TEST(System, BarrierWithGlobalMinAcrossFourCores)
     ASSERT_FALSE(sys.run(1'000'000).timedOut);
     for (unsigned t = 0; t < 4; ++t)
         EXPECT_EQ(sys.memory().readI64(0x5000 + 8 * t), 10);
-}
-
-/** A spinner and a writer that false-shares the spinner's line. */
-struct FalseSharingRun
-{
-    isa::Program spinner, writer;
-    std::unique_ptr<System> sys;
-};
-
-/** Build the false-sharing pair; REMAP_NO_LEAP=1 when @p no_leap.
- *  Core 0 spins on the word at 0x1000. Core 1 waits, stores three
- *  times to another word of the same line — each store is a
- *  functional write to the spinner's watched line and, at commit, an
- *  invalidation of it in the spinner's L1 — then releases it. */
-FalseSharingRun
-buildFalseSharing(bool no_leap)
-{
-    FalseSharingRun run;
-    isa::ProgramBuilder s("spinner");
-    s.li(1, 0x1000)
-        .label("spin")
-        .ld(2, 1, 0)
-        .beq(2, 0, "spin")
-        .sd(2, 1, 64)
-        .halt();
-    isa::ProgramBuilder w("writer");
-    w.li(1, 0x1000).li(4, 3);
-    w.label("round").li(5, 400);
-    w.label("wait").addi(5, 5, -1).bne(5, 0, "wait");
-    w.sd(4, 1, 8) // the spinner's line, another word
-        .addi(4, 4, -1)
-        .bne(4, 0, "round")
-        .li(5, 400);
-    w.label("last").addi(5, 5, -1).bne(5, 0, "last");
-    w.li(2, 9).sd(2, 1, 0).halt();
-    run.spinner = s.build();
-    run.writer = w.build();
-    if (no_leap) {
-        EXPECT_EQ(setenv("REMAP_NO_LEAP", "1", 1), 0);
-    }
-    run.sys = std::make_unique<System>(SystemConfig::ooo1Cluster(2));
-    if (no_leap) {
-        EXPECT_EQ(unsetenv("REMAP_NO_LEAP"), 0);
-    }
-    auto &t0 = run.sys->createThread(&run.spinner);
-    auto &t1 = run.sys->createThread(&run.writer);
-    run.sys->mapThread(t0.id, 0);
-    run.sys->mapThread(t1.id, 1);
-    return run;
-}
-
-/** Stats (simulated part only) and snapshot of @p sys. */
-std::pair<std::string, std::vector<std::uint8_t>>
-observe(System &sys)
-{
-    std::ostringstream os;
-    sys.dumpStatsJson(os, /*include_sim=*/false);
-    snap::Serializer s;
-    sys.save(s);
-    return {os.str(), s.buffer()};
-}
-
-TEST(SpinLeap, FalseSharingWakesTheSpinnerExactly)
-{
-    // Every limit below and the full run must leave the chip where
-    // the per-cycle loop leaves it: the spinner leaps its loop, each
-    // false-sharing store wakes it, it re-detects the loop and leaps
-    // again, and the release ends the spin.
-    for (const Cycle limit : {Cycle{700}, Cycle{1500}, Cycle{2300},
-                              Cycle{100'000}}) {
-        SCOPED_TRACE(testing::Message() << "limit " << limit);
-        FalseSharingRun fast = buildFalseSharing(false);
-        FalseSharingRun ref = buildFalseSharing(true);
-        const RunResult a = fast.sys->runSegment(limit);
-        const RunResult b = ref.sys->runSegment(limit);
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.timedOut, b.timedOut);
-        EXPECT_EQ(a.timedOut, limit < 100'000);
-        EXPECT_EQ(observe(*fast.sys), observe(*ref.sys));
-
-        std::ostringstream os;
-        fast.sys->dumpStatsJson(os, /*include_sim=*/true);
-        json::Value v;
-        ASSERT_TRUE(json::parse(os.str(), v));
-        const json::Value &spin = v.at("sim").at("sleep").at("spin");
-        EXPECT_GT(spin.at("sleeps").num, 0.0);
-        if (!a.timedOut) {
-            // One leap per round at least: each store woke it.
-            EXPECT_GE(spin.at("sleeps").num, 4.0);
-            EXPECT_EQ(fast.sys->memory().readI64(0x1040), 9);
-        }
-    }
 }
 
 TEST(System, EnergyMeasurementPositiveAndIdealFabricFree)
