@@ -1,6 +1,5 @@
 #include "core/system.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -80,10 +79,10 @@ System::System(const SystemConfig &config)
 {
     REMAP_ASSERT(!config.clusters.empty(), "system with no clusters");
 
-    // REMAP_NO_LEAP=1 pins the run loop to the per-cycle reference;
-    // the differential tests compare it against the default
-    // event-horizon scheduler for bit-identity (DESIGN.md §10).
-    leapEnabled_ = !env::noLeap();
+    // REMAP_NO_LEAP=1 pins the run loop to the per-cycle reference,
+    // where no core sleeps; the differential tests compare it against
+    // the default loop for bit-identity (DESIGN.md §10).
+    sleepEnabled_ = !env::noLeap();
 
     unsigned total_cores = 0;
     for (const ClusterConfig &c : config.clusters)
@@ -298,21 +297,31 @@ System::scheduleMigration(ThreadId tid, CoreId to_core, Cycle at)
 }
 
 bool
+System::threadInFlight(const Migration &m) const
+{
+    for (const Migration &other : migrations_) {
+        if (&other != &m && other.tid == m.tid &&
+            other.state != Migration::State::Waiting)
+            return true;
+    }
+    return false;
+}
+
+void
 System::processMigrations()
 {
-    bool progressed = false;
     for (auto it = migrations_.begin(); it != migrations_.end();) {
         Migration &m = *it;
         switch (m.state) {
           case Migration::State::Waiting: {
-            if (cycle_ < m.at)
+            if (cycle_ < m.at || threadInFlight(m))
                 break;
-            progressed = true;
             // Locate the source core lazily (the thread may itself
             // have been migrated since scheduling).
             m.from = threadCore_[m.tid];
             REMAP_ASSERT(m.from != invalidCore,
                          "migrating an unmapped thread");
+            wakeCore(m.from);
             cores_[m.from]->requestDrain();
             m.state = Migration::State::Draining;
             if (tracer_) {
@@ -330,7 +339,7 @@ System::processMigrations()
             cpu::OooCore &from = *cores_[m.from];
             if (!from.drained())
                 break;
-            progressed = true;
+            wakeCore(m.from);
             spl::SplFabric *fabric = coreFabric_[m.from];
             if (fabric && !fabric->threadTable().canSwitchOut(
                               coreSlot_[m.from])) {
@@ -371,7 +380,6 @@ System::processMigrations()
           case Migration::State::Switching: {
             if (cycle_ < m.resumeAt)
                 break;
-            progressed = true;
             REMAP_ASSERT(cores_[m.to]->thread() == nullptr,
                          "migration target core is occupied");
             mapThread(m.tid, m.to);
@@ -391,30 +399,6 @@ System::processMigrations()
         }
         ++it;
     }
-    return progressed;
-}
-
-Cycle
-System::nextMigrationWake() const
-{
-    Cycle wake = ~Cycle(0);
-    for (const Migration &m : migrations_) {
-        switch (m.state) {
-          case Migration::State::Waiting:
-            if (m.at <= cycle_)
-                return 0;
-            wake = std::min(wake, m.at);
-            break;
-          case Migration::State::Switching:
-            if (m.resumeAt <= cycle_)
-                return 0;
-            wake = std::min(wake, m.resumeAt);
-            break;
-          case Migration::State::Draining:
-            return 0;
-        }
-    }
-    return wake;
 }
 
 RunResult
@@ -443,7 +427,7 @@ System::sleepCore(std::size_t i, SleepCause cause, Cycle wake)
 void
 System::catchUpSleeper(std::size_t i, Cycle through, bool wake)
 {
-    prof::PhaseScope phase(prof::Phase::LeapScan);
+    prof::PhaseScope phase(prof::Phase::SleepCatchUp);
     const Cycle n = through - coreSleptThrough_[i];
     cores_[i]->accountSkippedStallCycles(n);
     sleepSkippedCycles_[coreSleepCause_[i]] += n;
@@ -461,6 +445,13 @@ System::catchUpSleepers(Cycle through, bool wake)
         if (coreWake_[i] != 0)
             catchUpSleeper(i, through, wake);
     }
+}
+
+void
+System::wakeCore(std::size_t i)
+{
+    if (coreWake_[i] != 0)
+        catchUpSleeper(i, cycle_, /*wake=*/true);
 }
 
 RunResult
@@ -481,27 +472,19 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
     }
 
     while (true) {
-        // Event-horizon bookkeeping: all_quiet holds iff every tick
-        // this iteration left its component's externally visible
-        // state unchanged (fixed stall signature). Only then are the
-        // following cycles guaranteed to repeat this one verbatim
-        // until the earliest nextEventCycle() threshold.
-        //
         // Per-core sleep: a tick that only waited replays on every
         // cycle until the core's own nextEventCycle() or until
         // something it reads elsewhere changes, whatever else the chip
-        // does. So the core skips those ticks and counts as quiet
-        // meanwhile, and the skipped ticks are accounted when it
-        // wakes, before each counter sample and when the run returns
-        // (DESIGN.md §10.2). A quiet tick waits on the core's own
-        // horizon, and on its fabric port unless it was self-timed.
-        // Each such sleeper checks its wakeCount() in its own slot,
-        // so a change made earlier in this cycle wakes it now and a
-        // later one next cycle — the per-cycle order. Not while a
-        // migration can drain it, and never in the per-cycle
-        // reference (REMAP_NO_LEAP).
-        bool all_quiet = leapEnabled_;
-        const bool may_sleep = leapEnabled_ && migrations_.empty();
+        // does. So the core skips those ticks, and the skipped ticks
+        // are accounted when it wakes, before each counter sample and
+        // when the run returns (DESIGN.md §10). A quiet tick waits on
+        // the core's own horizon, and on its fabric port unless it
+        // was self-timed. Each such sleeper checks its wakeCount() in
+        // its own slot, so a change made earlier in this cycle wakes
+        // it now and a later one next cycle — the per-cycle order. A
+        // migration wakes its source core before it changes it
+        // (wakeCore). Never in the per-cycle reference
+        // (REMAP_NO_LEAP).
         if (activeCores_ > 0) {
             for (std::size_t i = 0; i < cores_.size(); ++i) {
                 if (coreDone_[i])
@@ -515,9 +498,7 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
                     catchUpSleeper(i, cycle_ - 1, /*wake=*/true);
                 }
                 core.tick(cycle_);
-                if (!core.lastTickQuiet()) {
-                    all_quiet = false;
-                } else if (may_sleep) {
+                if (sleepEnabled_ && core.lastTickQuiet()) {
                     const Cycle wake = core.nextEventCycle(cycle_);
                     if (wake > cycle_ + 1) {
                         sleepCore(i,
@@ -538,14 +519,12 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
             for (auto &fabric : fabrics_) {
                 if (!fabric->idle()) {
                     fabric->tick(cycle_);
-                    if (!fabric->lastTickQuiet())
-                        all_quiet = false;
                     fabrics_idle = fabric->idle() && fabrics_idle;
                 }
             }
         }
-        if (!migrations_.empty() && processMigrations())
-            all_quiet = false; // drain requests invalidate signatures
+        if (!migrations_.empty())
+            processMigrations();
         ++cycle_;
         if (cycle_ >= nextSample_) {
             if (sleepingCores_ != 0)
@@ -564,50 +543,6 @@ System::runInternal(Cycle max_cycles, bool warn_on_timeout)
                            static_cast<unsigned long long>(
                                max_cycles));
             break;
-        }
-
-        // Event-horizon leap: the tick at cycle_-1 was quiet
-        // everywhere, so every tick until the earliest component
-        // horizon repeats it exactly. Bulk-account the per-cycle
-        // stall statistics those ticks would have produced and jump
-        // straight to the horizon. The target is clamped so that the
-        // timeout check, the next counter sample and the next
-        // migration wake-up all still fire on the exact cycle the
-        // per-cycle loop (REMAP_NO_LEAP=1) would fire them on; see
-        // DESIGN.md §10 for the bit-identity argument.
-        if (all_quiet) {
-            prof::PhaseScope phase(prof::Phase::LeapScan);
-            const Cycle now = cycle_ - 1; // the cycle just ticked
-            Cycle target = neverCycle;
-            for (std::size_t i = 0; i < cores_.size(); ++i) {
-                if (!coreDone_[i])
-                    target = std::min(
-                        target, coreWake_[i] != 0
-                                    ? coreWake_[i]
-                                    : cores_[i]->nextEventCycle(now));
-            }
-            for (auto &fabric : fabrics_) {
-                if (!fabric->idle())
-                    target = std::min(target,
-                                      fabric->nextEventCycle(now));
-            }
-            if (!migrations_.empty()) {
-                const Cycle wake = nextMigrationWake();
-                target = wake == 0 ? cycle_ : std::min(target, wake);
-            }
-            target = std::min(target, start + max_cycles - 1);
-            target = std::min(target, nextSample_ - 1);
-            if (target > cycle_) {
-                const Cycle skipped = target - cycle_;
-                ++leaps_;
-                leapSkippedCycles_ += skipped;
-                leapHist_.sample(skipped);
-                for (std::size_t i = 0; i < cores_.size(); ++i) {
-                    if (!coreDone_[i] && coreWake_[i] == 0)
-                        cores_[i]->accountSkippedStallCycles(skipped);
-                }
-                cycle_ = target;
-            }
         }
     }
     if (sleepingCores_ != 0)
@@ -655,9 +590,6 @@ System::resetStats()
     mem_->resetStats();
     for (auto &fabric : fabrics_)
         fabric->resetStats();
-    leaps_.reset();
-    leapSkippedCycles_.reset();
-    leapHist_.reset();
     for (unsigned c = 0; c < kNumSleepCauses; ++c) {
         sleeps_[c].reset();
         sleepSkippedCycles_[c].reset();
@@ -696,13 +628,6 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
     if (include_sim) {
         w.key("sim");
         w.beginObject();
-        w.key("leap");
-        w.beginObject();
-        w.kv("leaps", leaps_.value());
-        w.kv("skipped_cycles", leapSkippedCycles_.value());
-        w.key("skipped_hist");
-        leapHist_.dumpJson(w);
-        w.endObject();
         w.key("sleep");
         w.beginObject();
         std::uint64_t sleeps = 0, skipped = 0;

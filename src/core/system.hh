@@ -219,7 +219,7 @@ class System
      *
      * When @p include_sim is true (the default) a top-level "sim"
      * object carries simulator telemetry — fast-path meta-stats
-     * (block cache, MRU way prediction, leap and sleep savings),
+     * (block cache, MRU way prediction, per-core sleep savings),
      * and registered meta hooks (e.g. the SnapshotCache).
      * Differential comparisons of *simulated* behaviour pass false:
      * the "sim" subtree describes how the simulator ran, and is the
@@ -339,14 +339,14 @@ class System
     void catchUpSleeper(std::size_t i, Cycle through, bool wake);
     /** catchUpSleeper() for every sleeping core. */
     void catchUpSleepers(Cycle through, bool wake);
+    /** Wake core @p i, if asleep, before a migration changes it: its
+     *  skipped tick at cycle_ is accounted, so it ticks again at
+     *  cycle_ + 1, as in the per-cycle loop. */
+    void wakeCore(std::size_t i);
 
     /** Thread -> current core (invalidCore when unmapped), so
      *  migration wake-ups resolve the source core in O(1). */
     std::vector<CoreId> threadCore_;
-
-    /** Earliest future cycle a pending migration acts at, or 0 when
-     *  one is actionable right now (Draining, or wake cycle due). */
-    Cycle nextMigrationWake() const;
 
     struct Migration
     {
@@ -366,10 +366,11 @@ class System
         Cycle drainStart = 0;
         /** @} */
     };
-    /** @return true when any migration changed state this call (a
-     *  drain request invalidates core stall signatures, so the run
-     *  loop must not leap over a cycle that made progress here). */
-    bool processMigrations();
+    /** Advance every pending migration by one cycle. */
+    void processMigrations();
+    /** True while another migration of @p m's thread is draining or
+     *  switching: @p m waits until that one completes. */
+    bool threadInFlight(const Migration &m) const;
     std::vector<Migration> migrations_;
 
     /** Register the sampled counters for the periodic sampler. */
@@ -377,20 +378,15 @@ class System
 
     RunResult runInternal(Cycle max_cycles, bool warn_on_timeout);
 
-    /** Event-horizon leaps and per-core sleep enabled (cleared by
-     *  REMAP_NO_LEAP=1 for the per-cycle differential reference; see
-     *  DESIGN.md §10). */
-    bool leapEnabled_ = true;
+    /** Per-core sleep enabled (cleared by REMAP_NO_LEAP=1 for the
+     *  per-cycle differential reference; see DESIGN.md §10). */
+    bool sleepEnabled_ = true;
 
     std::unique_ptr<trace::Tracer> tracer_;
 
-    /** @{ @name Leap and sleep telemetry (meta-stats: never
-     * serialized, reported in the stats "sim" subtree only). */
-    StatCounter leaps_;
-    StatCounter leapSkippedCycles_;
-    Log2Histogram leapHist_; ///< skipped cycles per leap
-    /** Times a core fell asleep, and core ticks skipped asleep, per
-     *  SleepCause. */
+    /** @{ @name Sleep telemetry (meta-stats: never serialized,
+     * reported in the stats "sim" subtree only). Times a core fell
+     * asleep, and core ticks skipped asleep, per SleepCause. */
     StatCounter sleeps_[kNumSleepCauses];
     StatCounter sleepSkippedCycles_[kNumSleepCauses];
     /** @} */

@@ -582,8 +582,8 @@ OooCore::fetch(Cycle now)
                              now);
             accessed_icache = true;
             // A pure L1I hit touches only the hit counter and the LRU
-            // stamp — the one repeatable-per-cycle side effect the
-            // event-horizon leap is allowed to bulk-replicate.
+            // stamp — the one repeatable-per-cycle side effect a
+            // sleeping core's catch-up is allowed to bulk-replicate.
             icache_pure_hit =
                 mem_->l1iMisses(id_) == misses_before;
             if (!icache_pure_hit)

@@ -126,10 +126,8 @@ class OooCore
     /**
      * True when the most recent tick() changed no state beyond the
      * fixed per-cycle stall signature (stall counters plus, for an
-     * spl_store fetch stall, one pure L1I hit). While every component
-     * is quiet the whole-chip state is frozen, so the run loop may
-     * leap to the next event horizon and bulk-account the signature
-     * via accountSkippedStallCycles().
+     * spl_store fetch stall, one pure L1I hit). Such a core may
+     * sleep (see lastTickSelfTimed()).
      */
     bool lastTickQuiet() const { return !tickProgress_; }
 
@@ -180,7 +178,7 @@ class OooCore
      * times: the per-cycle stall counters the skipped ticks would
      * have incremented, and the repeated L1I hit an spl_store fetch
      * stall replays each cycle. Bit-identical to ticking @p n times
-     * while the chip is frozen.
+     * while the core sleeps.
      */
     void accountSkippedStallCycles(Cycle n);
 
@@ -413,8 +411,8 @@ class OooCore
     Cycle storeBufferDrainCycle_ = 0;
     std::ostream *trace_ = nullptr;
 
-    /** @{ @name Event-horizon bookkeeping (per-tick, not snapshotted:
-     * the run loop consumes it in the same iteration that ticked). */
+    /** @{ @name Sleep bookkeeping (per-tick, not snapshotted: the
+     * run loop consumes it in the same iteration that ticked). */
     enum : std::uint8_t
     {
         kStallFetch = 1u << 0,     ///< fetchStallCycles

@@ -143,8 +143,10 @@ composeWholeProgram(const workloads::WorkloadInfo &info,
         seq2.energyJ / clocks.cyclesToSeconds(seq2.cycles);
 
     // ReMAP: region on the SPL cluster + migration episodes (two
-    // 500-cycle context switches each, Section V-A).
-    const double migration = info.regionEpisodes * 2.0 * 500.0;
+    // context switches each, Section V-A), charged analytically at
+    // the simulator's switch cost.
+    const double migration = info.regionEpisodes * 2.0 *
+        static_cast<double>(sys::SystemConfig{}.migrationSwitchCycles);
     const double t_remap =
         static_cast<double>(remap.cycles) + rest_ooo2 + migration;
     const double e_remap = remap.energyJ +

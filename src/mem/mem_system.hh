@@ -99,8 +99,8 @@ class MemSystem
         return l1i_[core]->misses.value();
     }
 
-    /** Bulk-replicate @p n pure L1I hits of @p core on @p addr (the
-     *  event-horizon leap's stand-in for n per-cycle re-probes). */
+    /** Bulk-replicate @p n pure L1I hits of @p core on @p addr (a
+     *  sleeping core's stand-in for n per-cycle re-probes). */
     void accountRepeatedIFetchHits(CoreId core, Addr addr,
                                    std::uint64_t n)
     {

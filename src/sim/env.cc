@@ -62,8 +62,7 @@ bool
 noLeap()
 {
     static std::atomic<bool> announced{false};
-    return killSwitch("REMAP_NO_LEAP", "event-horizon leap scheduler",
-                      announced);
+    return killSwitch("REMAP_NO_LEAP", "per-core sleep", announced);
 }
 
 bool

@@ -14,8 +14,8 @@
  *
  * Kill switches (unset = fast path on, "1" = off; any other value,
  * including "0" and the empty string, is a fatal error):
- *  - REMAP_NO_LEAP=1        disable the event-horizon leap scheduler
- *                           and per-core sleep
+ *  - REMAP_NO_LEAP=1        disable per-core sleep: every core ticks
+ *                           on every cycle (the per-cycle reference)
  *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded basic-block cache
  *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
  *
@@ -63,7 +63,8 @@ bool parseKillSwitch(const char *name, const char *text, bool *off,
  *  error, never "on". */
 bool profile();
 
-/** True when REMAP_NO_LEAP=1: event-horizon leap disabled. */
+/** True when REMAP_NO_LEAP=1: per-core sleep off, so the run loop
+ *  ticks every core on every cycle (the per-cycle reference). */
 bool noLeap();
 
 /** True when REMAP_NO_BLOCK_CACHE=1: decoded-block cache off. */

@@ -36,8 +36,8 @@ phaseName(Phase p)
         return "fabric_tick";
       case Phase::Barrier:
         return "barrier";
-      case Phase::LeapScan:
-        return "leap_scan";
+      case Phase::SleepCatchUp:
+        return "sleep_catchup";
     }
     return "unknown";
 }

@@ -44,7 +44,7 @@ enum class Phase : std::uint8_t
     CacheAccess,     ///< MemSystem::access (timed hierarchy)
     FabricTick,      ///< SPL fabric ticks in the run loop
     Barrier,         ///< BarrierUnit arrivals/releases
-    LeapScan,        ///< event-horizon computation in the run loop
+    SleepCatchUp,    ///< accounting sleeping cores' skipped ticks
 };
 
 /** Number of Phase values. */

@@ -361,15 +361,6 @@ SplFabric::partitionOf(unsigned core)
     REMAP_PANIC("core %u not in any partition", core);
 }
 
-const SplFabric::Partition &
-SplFabric::partitionOf(unsigned core) const
-{
-    for (const Partition &p : partitions_)
-        if (core >= p.firstCore && core < p.firstCore + p.numCores)
-            return p;
-    REMAP_PANIC("core %u not in any partition", core);
-}
-
 bool
 SplFabric::canLoad(unsigned core) const
 {
@@ -649,7 +640,6 @@ SplFabric::deliver(const InFlightOp &op, Cycle when)
         deliverOutput(op.destCores.front(), fn.evaluate(op.inputs.front()),
                       when);
     }
-    tickProgress_ = true;
 }
 
 std::size_t
@@ -796,9 +786,6 @@ SplFabric::completeOps(Cycle now)
     for (CorePort &port : ports_)
         port.popped = false;
     parkedResultSplCycles += parkedCount_;
-    // A parked result keeps the fabric busy (retried every boundary).
-    if (parkedCount_ > 0)
-        tickProgress_ = true;
 }
 
 Cycle
@@ -859,7 +846,6 @@ SplFabric::acceptPending(Partition &part, Cycle now)
             if (tracer_)
                 traceAccept(fn.name().c_str(), op.srcCore, start,
                             op.completeCycle, rows, ii, true);
-            tickProgress_ = true;
             launch(std::move(op));
             return;
         }
@@ -928,7 +914,6 @@ SplFabric::acceptPending(Partition &part, Cycle now)
                         op.completeCycle, rows, ii, false);
             traceQueueDepth(c, now);
         }
-        tickProgress_ = true;
         launch(std::move(op));
         return;
     }
@@ -937,7 +922,6 @@ SplFabric::acceptPending(Partition &part, Cycle now)
 void
 SplFabric::tick(Cycle now)
 {
-    tickProgress_ = false;
     if (now % params_.coreCyclesPerSplCycle != 0)
         return;
     completeOps(now);
@@ -951,41 +935,6 @@ SplFabric::outputHeadReadyCycle(unsigned core) const
     const CorePort &port = ports_[core];
     return port.output.empty() ? neverCycle
                                : port.output.front().ready;
-}
-
-Cycle
-SplFabric::nextEventCycle(Cycle now) const
-{
-    // tick() acts only on SPL-cycle boundaries, so every threshold is
-    // rounded up to the first boundary strictly after `now`.
-    const Cycle step = params_.coreCyclesPerSplCycle;
-    auto boundary = [&](Cycle c) {
-        c = std::max(c, now + 1);
-        return (c + step - 1) / step * step;
-    };
-    Cycle next = neverCycle;
-    auto consider = [&](Cycle c) { next = std::min(next, boundary(c)); };
-
-    if (!pipeline_.empty())
-        consider(pipeline_.front().completeCycle);
-    if (parkedCount_ > 0)
-        consider(lastBoundary_ + step);
-    if (!barrierQueue_.empty()) {
-        const InFlightOp &bop = barrierQueue_.front();
-        const Partition &home = partitionOf(bop.srcCore);
-        consider(std::max(bop.completeCycle, home.nextAccept));
-    }
-    for (const Partition &part : partitions_) {
-        Cycle ready = neverCycle;
-        for (unsigned i = 0; i < part.numCores; ++i) {
-            const auto &pending = ports_[part.firstCore + i].pending;
-            if (!pending.empty())
-                ready = std::min(ready, pending.front().readyCycle);
-        }
-        if (ready != neverCycle)
-            consider(std::max(ready, part.nextAccept));
-    }
-    return next;
 }
 
 // ---------------------------------------------------------------- //

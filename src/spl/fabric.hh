@@ -375,26 +375,6 @@ class SplFabric
                barrierQueue_.empty() && pendingInits_ == 0;
     }
 
-    /**
-     * True when the last tick() changed no externally visible state:
-     * no op completed or was delivered, no pending initiation or
-     * barrier op was accepted, and no result is parked on a full
-     * output queue.
-     * Non-boundary ticks are always quiet. Used by the event-horizon
-     * scheduler together with nextEventCycle().
-     */
-    bool lastTickQuiet() const { return !tickProgress_; }
-
-    /**
-     * Earliest cycle after @p now at which a tick could change state,
-     * assuming no new work arrives in between (the caller guarantees
-     * this by only leaping when every core is also quiet). Thresholds
-     * are rounded up to the next SPL-cycle boundary after @p now,
-     * since tick() acts only on boundaries. Returns neverCycle when
-     * nothing is queued or in flight.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     /** Availability cycle of @p core's head output word (neverCycle
      *  when the queue is empty). Feeds the owning core's horizon. */
     Cycle outputHeadReadyCycle(unsigned core) const;
@@ -534,7 +514,6 @@ class SplFabric
     };
 
     Partition &partitionOf(unsigned core);
-    const Partition &partitionOf(unsigned core) const;
     std::vector<std::int32_t> sealStaged(unsigned core);
     std::vector<std::int32_t> sealFuncStaged(unsigned core);
     void acceptPending(Partition &part, Cycle now);
@@ -590,9 +569,6 @@ class SplFabric
     std::deque<InFlightOp> barrierQueue_;
     /** Total sealed-but-unaccepted initiations across all ports. */
     std::size_t pendingInits_ = 0;
-    /** Set whenever a tick changes state; per-tick, not snapshotted
-     *  (the run loop consumes it in the iteration that ticked). */
-    bool tickProgress_ = true;
     StatGroup statGroup_;
     trace::Tracer *tracer_ = nullptr;
     std::uint32_t traceTid_ = 0;

@@ -147,7 +147,7 @@ mruOracleStep(Cache &fast, Cache &oracle, Rng &rng)
     } else if (op < 14) { // snoop downgrade
         ASSERT_EQ(fast.downgradeToShared(a),
                   oracle.downgradeToShared(a));
-    } else if (op == 14) { // bulk hit accounting (leap support)
+    } else if (op == 14) { // bulk hit accounting (sleep catch-up)
         if (fast.lookup(a) && oracle.lookup(a)) {
             fast.accountRepeatedHits(a, 5);
             oracle.accountRepeatedHits(a, 5);

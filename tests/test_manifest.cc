@@ -105,7 +105,7 @@ TEST(ManifestTest, Schema2RoundTripsThroughJsonValue)
     double samples = 0.0, fractions = 0.0;
     for (const char *p : {"other", "fetch_decode", "issue_execute",
                           "writeback_commit", "cache_access",
-                          "fabric_tick", "barrier", "leap_scan"}) {
+                          "fabric_tick", "barrier", "sleep_catchup"}) {
         ASSERT_TRUE(phases.has(p)) << p;
         samples += phases.at(p).at("samples").num;
         EXPECT_TRUE(phases.at(p).at("ms").isNumber()) << p;

@@ -86,6 +86,30 @@ TEST(Migration, ChainedMigrationsFollowTheThread)
     EXPECT_GT(sys.core(2).committedInsts.value(), 0u);
 }
 
+TEST(Migration, OverlappingMigrationsRunInOrder)
+{
+    // The second migration falls due while the first still drains
+    // its source core: it must wait for the first to complete, then
+    // move the thread on from core 1, so the thread never runs on
+    // two cores.
+    sys::System sys(sys::SystemConfig::ooo1Cluster(3));
+    auto prog = sumLoop(8000, 0x1000);
+    auto &t = sys.createThread(&prog);
+    sys.mapThread(t.id, 0);
+    sys.scheduleMigration(t.id, 1, 1000);
+    sys.scheduleMigration(t.id, 2, 1001);
+    auto r = sys.run(20'000'000);
+    ASSERT_FALSE(r.timedOut);
+    EXPECT_EQ(sys.migrationsCompleted.value(), 2u);
+    EXPECT_EQ(sys.memory().readI64(0x1000),
+              std::int64_t(8000) * 7999 / 2);
+    unsigned holders = 0;
+    for (CoreId c = 0; c < sys.numCores(); ++c)
+        holders += sys.core(c).thread() == &t ? 1 : 0;
+    EXPECT_EQ(holders, 1u);
+    EXPECT_EQ(sys.core(2).thread(), &t);
+}
+
 TEST(Migration, SplThreadMigratesWithinCluster)
 {
     sys::System sys(sys::SystemConfig::splCluster());

@@ -205,7 +205,7 @@ TEST(Profiler, NestedSamplerSharesTheOuterTimer)
 TEST(Profiler, SamplerAttributesARegionJob)
 {
     // ll6 Barrier n128 t8 simulates for a few hundred ms of CPU time
-    // through every phase but leap_scan's rarer paths.
+    // through every phase but sleep_catchup's rarer paths.
     harness::SnapshotCache &cache = harness::SnapshotCache::instance();
     const bool was_enabled = cache.enabled();
     cache.setEnabled(false); // simulate, never serve
@@ -549,9 +549,9 @@ TEST(ProfileDifferential, SimSubtreeShapeAndGating)
     EXPECT_GT(fused, 0.0);
     EXPECT_GT(mru, 0.0);
 
-    // Leap telemetry is always present under "sim".
-    ASSERT_TRUE(sim.has("leap"));
-    EXPECT_TRUE(sim.at("leap").has("leaps"));
+    // Sleep telemetry is always present under "sim".
+    ASSERT_TRUE(sim.has("sleep"));
+    EXPECT_TRUE(sim.at("sleep").has("sleeps"));
 
     // Host time is a per-job manifest report, never a System stat:
     // a sampled run's stats carry no profile section.

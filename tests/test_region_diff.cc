@@ -5,8 +5,8 @@
  *  must be bit-identical to it — cycles, every statistics counter,
  *  energy, work units and the full serialized snapshot:
  *
- *   - no-leap: the per-cycle loop (REMAP_NO_LEAP=1) instead of the
- *     event-horizon leap scheduler;
+ *   - no-leap: the per-cycle loop (REMAP_NO_LEAP=1), where no core
+ *     sleeps;
  *   - reference path: one-instruction fetch with the pristine cache
  *     way walk (REMAP_NO_BLOCK_CACHE=1 REMAP_NO_MRU=1);
  *   - stored: runRegion on an empty snapshot cache, which simulates
@@ -21,8 +21,9 @@
  *     interrupts the simulation once per 1 ms of CPU time.
  *
  *  One value-parameterized case per region lets `ctest -j` balance
- *  the load; fig14 reads fig12's regions, so it adds no case. A few single-region cases cover what the region legs
- *  cannot: traced runs and snapshot interchange across kill-switch
+ *  the load; fig14 reads fig12's regions, so it adds no case. A few
+ *  single-region cases cover what the region legs cannot: traced
+ *  runs, migrations and snapshot interchange across kill-switch
  *  settings. */
 
 #include <gtest/gtest.h>
@@ -42,9 +43,11 @@
 #include "harness/experiment.hh"
 #include "harness/paper.hh"
 #include "harness/snapshot_cache.hh"
+#include "isa/builder.hh"
 #include "sim/json_value.hh"
 #include "sim/profile.hh"
 #include "sim/snapshot.hh"
+#include "spl/function.hh"
 
 namespace remap
 {
@@ -441,11 +444,10 @@ expectTimeoutMatches(const RegionJob &job, Cycle limit)
 
 TEST(LeapDifferential, TracedRunsAreByteIdentical)
 {
-    // A counter sample period clamps every leap to the sample cycles,
-    // and stall spans are emitted at their per-cycle start/length; the
-    // trace byte stream must not depend on leaping. In the sleeping
-    // region, samples are taken while cores sleep, so their counters
-    // must be caught up first.
+    // Stall spans are emitted at their per-cycle start/length, and
+    // counter samples are taken while cores sleep, so the sleepers'
+    // counters must be caught up first; the trace byte stream must
+    // not depend on sleeping.
     const std::string dir = testing::TempDir();
     for (const RegionJob &job : {tracedJob(), sleepJob()}) {
         SCOPED_TRACE(harness::jobKey(job));
@@ -479,6 +481,144 @@ TEST(LeapDifferential, TimeoutWhileCoresSleep)
     }
 }
 
+/** Where the miss-bound migration program sums its loads. */
+constexpr Addr kMigrationSumAddr = 0x1000;
+/** Iterations of either migration program. */
+constexpr unsigned kMigrationIters = 500;
+
+/**
+ * A miss-bound loop for an OOO1 core: each iteration loads a word
+ * 4 KiB past the last one, so every load misses, and divides it. The
+ * words hold 6*i, so the sum of the quotients is n(n-1).
+ */
+isa::Program
+missLoop(sys::System &system)
+{
+    const Addr base = 0x100000;
+    for (unsigned i = 0; i < kMigrationIters; ++i)
+        system.memory().writeI64(base + Addr(i) * 4096, 6 * i);
+    isa::ProgramBuilder b("miss_loop");
+    b.li(1, 0).li(2, 0).li(3, kMigrationIters).li(5, base).li(7, 3);
+    b.label("loop")
+        .bge(1, 3, "done")
+        .ld(6, 5, 0)
+        .div(6, 6, 7)
+        .add(2, 2, 6)
+        .addi(5, 5, 4096)
+        .addi(1, 1, 1)
+        .j("loop")
+        .label("done")
+        .li(4, static_cast<std::int64_t>(kMigrationSumAddr))
+        .sd(2, 4, 0)
+        .halt();
+    return b.build();
+}
+
+/** An SPL loop with two passthrough initiations in flight before
+ *  each pair of pops, so a drain request often finds results in
+ *  flight (switch-out blocking, Section II-B.1). */
+isa::Program
+splPassLoop(sys::System &system)
+{
+    const ConfigId pass =
+        system.registerFunction(spl::functions::passthrough(1));
+    isa::ProgramBuilder b("spl_pass_loop");
+    b.li(1, 0).li(2, 0).li(3, kMigrationIters);
+    b.label("loop")
+        .bge(1, 3, "done")
+        .splLoad(1, 0)
+        .splInit(pass)
+        .splLoad(1, 0)
+        .splInit(pass)
+        .splStore(4, 0)
+        .splStore(5, 0)
+        .add(2, 2, 4)
+        .add(2, 2, 5)
+        .addi(1, 1, 1)
+        .j("loop")
+        .label("done")
+        .halt();
+    return b.build();
+}
+
+/**
+ * Run one migration program under @p leg for at most @p limit
+ * cycles: its thread starts on core 0, moves to core 1 at @p first
+ * and on to core 2 at first + 1500. @return the run's observables,
+ * with the "sim" telemetry in @p sim.
+ */
+Probe
+runMigrating(bool spl, Cycle first, Cycle limit, Leg leg,
+             json::Value *sim)
+{
+    for (const char *name : legEnv(leg))
+        EXPECT_EQ(setenv(name, "1", 1), 0);
+    sys::System system(spl ? sys::SystemConfig::splCluster()
+                           : sys::SystemConfig::ooo1Cluster(3));
+    for (const char *name : legEnv(leg))
+        EXPECT_EQ(unsetenv(name), 0);
+    const isa::Program prog = spl ? splPassLoop(system)
+                                  : missLoop(system);
+    const ThreadId tid = system.createThread(&prog).id;
+    system.mapThread(tid, 0);
+    system.scheduleMigration(tid, 1, first);
+    system.scheduleMigration(tid, 2, first + 1500);
+    const sys::RunResult res = system.runSegment(limit);
+
+    Probe p;
+    p.cycles = res.cycles;
+    p.timedOut = res.timedOut;
+    std::ostringstream os;
+    system.dumpStatsJson(os, /*include_sim=*/false);
+    p.statsJson = os.str();
+    snap::Serializer sz;
+    system.save(sz);
+    p.snapshot = sz.buffer();
+    if (!res.timedOut) {
+        EXPECT_EQ(system.migrationsCompleted.value(), 2u);
+        if (!spl) {
+            EXPECT_EQ(system.memory().readI64(kMigrationSumAddr),
+                      std::int64_t(kMigrationIters) *
+                          (kMigrationIters - 1));
+        }
+    }
+    std::ostringstream full;
+    system.dumpStatsJson(full, /*include_sim=*/true);
+    json::Value v;
+    EXPECT_TRUE(json::parse(full.str(), v));
+    *sim = v.at("sim");
+    return p;
+}
+
+TEST(LeapDifferential, MigrationsMatchPerCycle)
+{
+    // Cores sleep while migrations are pending; a migration wakes its
+    // source core before it drains, un-drains or unbinds it. Every
+    // drain point along the sweep, in a miss-bound loop and in an SPL
+    // loop whose drains hit in-flight results, must leave the same
+    // cycles, statistics and snapshot as the per-cycle loop, both at
+    // a mid-run limit and at the end of the run.
+    for (const bool spl : {false, true}) {
+        for (Cycle first = 500; first <= 9000; first += 419) {
+            for (const Cycle limit : {Cycle{7777}, Cycle{50'000'000}}) {
+                SCOPED_TRACE(testing::Message()
+                             << (spl ? "spl" : "miss") << " first "
+                             << first << " limit " << limit);
+                json::Value sim, ref_sim;
+                const Probe ref =
+                    runMigrating(spl, first, limit, Leg::NoLeap,
+                                 &ref_sim);
+                EXPECT_EQ(ref.timedOut, limit == 7777);
+                expectIdentical(runMigrating(spl, first, limit,
+                                             Leg::Default, &sim),
+                                ref);
+                EXPECT_GT(sim.at("sleep").at("sleeps").num, 0.0);
+                EXPECT_EQ(ref_sim.at("sleep").at("sleeps").num, 0.0);
+            }
+        }
+    }
+}
+
 TEST(FastPathDifferential, TracedRunsAreByteIdentical)
 {
     // A tracer forces fetch onto the generic one-instruction path
@@ -499,7 +639,7 @@ TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
 {
     // Derived fast-path state — the decoded basic-block tables and
     // operand-readiness memos in the cores, the MRU way predictions
-    // in the caches, the leap scheduler's activity cache — is never
+    // in the caches, the run loop's activity cache — is never
     // serialized; restore rebuilds it from scratch. Snapshots are
     // therefore interchangeable across REMAP_NO_LEAP /
     // REMAP_NO_BLOCK_CACHE / REMAP_NO_MRU settings: a run restored

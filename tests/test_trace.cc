@@ -556,21 +556,20 @@ TEST(SystemTrace, MigrationEmitsMatchedFlowEvents)
 
 TEST(SystemTrace, LeapClampsToSamplePeriod)
 {
-    // Regression test for the sampler/fast-forward interaction: a
-    // thread that halts long before a far-future migration leaves the
-    // system with nothing to tick, so the event-horizon leap targets
-    // the migration wake-up tens of thousands of cycles away. With
-    // periodic counter sampling enabled the leap must clamp to every
-    // sample cycle; before the clamp, the idle fast-forward jumped
-    // cycle_ straight past nextSample_ and silently dropped samples.
+    // Regression test for the sampler/skip interaction: a thread
+    // that halts long before a far-future migration leaves the system
+    // with nothing to tick for tens of thousands of cycles. With
+    // periodic counter sampling enabled every sample cycle must still
+    // be sampled; an older chip-wide fast-forward once jumped past
+    // them and silently dropped samples.
     const Cycle kMigrateAt = 50'000;
     const Cycle kPeriod = 100;
-    auto run_one = [&](bool leap, const std::string &path) {
-        if (!leap) {
+    auto run_one = [&](bool fast, const std::string &path) {
+        if (!fast) {
             EXPECT_EQ(setenv("REMAP_NO_LEAP", "1", 1), 0);
         }
         sys::System sys(sys::SystemConfig::ooo1Cluster(2));
-        if (!leap) {
+        if (!fast) {
             EXPECT_EQ(unsetenv("REMAP_NO_LEAP"), 0);
         }
         auto prog = sumLoop(200, 0x1000);
@@ -590,13 +589,13 @@ TEST(SystemTrace, LeapClampsToSamplePeriod)
 
     const std::string path_a = tempPath("sys_leap_sampler_a.json");
     const std::string path_b = tempPath("sys_leap_sampler_b.json");
-    const auto [leap_cycles, leap_bytes] = run_one(true, path_a);
+    const auto [fast_cycles, fast_bytes] = run_one(true, path_a);
     const auto [ref_cycles, ref_bytes] = run_one(false, path_b);
 
     // Byte-identical trace files: every periodic sample the per-cycle
-    // reference emits appears at the same cycle in the leaping run.
-    EXPECT_EQ(leap_cycles, ref_cycles);
-    EXPECT_EQ(leap_bytes, ref_bytes);
+    // reference emits appears at the same cycle in the default run.
+    EXPECT_EQ(fast_cycles, ref_cycles);
+    EXPECT_EQ(fast_bytes, ref_bytes);
 
     // And the samples really cover the idle window: the run spans the
     // migration at 50k cycles, so ~500 sample points must be present.
@@ -606,7 +605,7 @@ TEST(SystemTrace, LeapClampsToSamplePeriod)
         if (e.at("ph").str == "C")
             sample_ts.insert(e.at("ts").num);
     }
-    EXPECT_GE(leap_cycles, kMigrateAt);
+    EXPECT_GE(fast_cycles, kMigrateAt);
     EXPECT_GE(sample_ts.size(),
               static_cast<std::size_t>(kMigrateAt / kPeriod));
     std::remove(path_a.c_str());
