@@ -623,7 +623,7 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
     w.endObject();
     // Simulator telemetry: how the run executed on the host, not what
     // the simulated chip did. Everything under "sim" may legitimately
-    // differ across fast-path kill switches, so differential
+    // differ with REMAP_NO_LEAP or the snapshot cache, so differential
     // bit-identity tests compare with include_sim=false.
     if (include_sim) {
         w.key("sim");
@@ -646,12 +646,6 @@ System::dumpStatsJson(std::ostream &os, bool include_sim)
             w.kv("skipped_cycles", sleepSkippedCycles_[c].value());
             w.endObject();
         }
-        w.endObject();
-        w.key("groups");
-        w.beginObject();
-        for (auto &core : cores_)
-            core->dumpMetaStatsJson(w);
-        mem_->dumpMetaStatsJson(w);
         w.endObject();
         prof::dumpMetaHooks(w);
         w.endObject();
@@ -895,11 +889,10 @@ System::restore(snap::Deserializer &d)
     // A core whose binding already matched is deliberately NOT
     // rebound above, so bindThread()'s derived-state rebuild does not
     // run for it. Every component is therefore responsible for
-    // refreshing its own derived fast-path state (the decoded
-    // basic-block table and readiness memos in Core::restore, the MRU
-    // way predictions in Cache::restore) — none of it is serialized,
-    // which keeps snapshots bit-identical across REMAP_NO_BLOCK_CACHE
-    // and REMAP_NO_MRU settings.
+    // refreshing its own derived fast-path state (the decoded table
+    // and readiness memos in Core::restore) — none of it is
+    // serialized, which keeps snapshots bit-identical across
+    // REMAP_NO_BLOCK_CACHE settings.
     for (auto &core : cores_) {
         core->restore(d);
         if (!d.ok())

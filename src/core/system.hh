@@ -218,13 +218,12 @@ class System
      * fields). The same counters as dumpStats(), machine-readable.
      *
      * When @p include_sim is true (the default) a top-level "sim"
-     * object carries simulator telemetry — fast-path meta-stats
-     * (block cache, MRU way prediction, per-core sleep savings),
+     * object carries simulator telemetry — per-core sleep savings
      * and registered meta hooks (e.g. the SnapshotCache).
      * Differential comparisons of *simulated* behaviour pass false:
      * the "sim" subtree describes how the simulator ran, and is the
-     * only part of the dump allowed to differ across fast-path kill
-     * switches.
+     * only part of the dump allowed to differ between runs of the
+     * same simulation (REMAP_NO_LEAP, snapshot cache state).
      */
     void dumpStatsJson(std::ostream &os, bool include_sim = true);
 

@@ -80,8 +80,7 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
       mem_(mem),
       image_(image),
       bpred_(params.bpred),
-      statGroup_("core" + std::to_string(id) + "." + params.name),
-      metaGroup_("core" + std::to_string(id) + "." + params.name)
+      statGroup_("core" + std::to_string(id) + "." + params.name)
 {
     REMAP_ASSERT(params_.robEntries > 0 &&
                      params_.fetchBufferEntries > 0,
@@ -95,8 +94,8 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     inflight_.reserve(params_.robEntries);
     // Kill switches latched once per core (see sim/env.hh), so a
     // single process can construct reference and fast-path systems
-    // side by side: the block cache governs pre-decode, fused fetch
-    // runs and the operand-readiness memo.
+    // side by side: the block cache governs pre-decode and the
+    // operand-readiness memo.
     blockCacheEnabled_ = !env::noBlockCache();
     statGroup_.addCounter("committed_insts", &committedInsts);
     statGroup_.addCounter("committed_int", &committedIntOps);
@@ -117,9 +116,6 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     statGroup_.addCounter("bpred_lookups", &bpred_.lookups);
     statGroup_.addCounter("bpred_mispredicts", &bpred_.mispredicts);
     statGroup_.addCounter("bpred_btb_misses", &bpred_.btbMisses);
-    metaGroup_.addCounter("block_fused_insts", &blockFusedInsts);
-    metaGroup_.addCounter("block_fused_runs", &blockFusedRuns);
-    metaGroup_.addCounter("block_generic_insts", &blockGenericInsts);
 }
 
 void
@@ -484,10 +480,10 @@ OooCore::fetch(Cycle now)
     bool icache_pure_hit = false;
 
     const isa::Instruction *code = ctx_->program->code.data();
-    // With the block cache on, fetch reads pre-decoded metadata and
-    // steps fused straight-line runs; with it off (or after a bind
-    // the table missed), every instruction is re-decoded on the spot
-    // through the same decodeOne(), so the two paths cannot disagree.
+    // With the block cache on, fetch reads pre-decoded metadata; with
+    // it off (or after a bind the table missed), every instruction is
+    // re-decoded on the spot through the same decodeOne(), so the two
+    // cannot disagree.
     const isa::DecodedInst *table =
         (blockCacheEnabled_ && decodedFor_ == ctx_->program)
             ? decoded_.insts.data()
@@ -501,64 +497,6 @@ OooCore::fetch(Cycle now)
                      "pc fell off the end of program '%s'",
                      ctx_->program->name.c_str());
 
-        // Fused run stepping: every instruction strictly before its
-        // run's terminator is *simple* — it falls through, cannot
-        // stall in funcExecute and needs no predictor or HALT
-        // handling — so fetch those with the minimal per-inst work.
-        // Kept off while a tracer is attached: the spl-stall span
-        // bookkeeping lives on the generic path below.
-        if (table && !tracer_) {
-            const unsigned fused_before = n;
-            const std::uint32_t term = decoded_.runEnd[ctx_->pc] - 1;
-            while (ctx_->pc < term && n < params_.fetchWidth &&
-                   fbSize() < params_.fetchBufferEntries) {
-                const std::uint32_t pc = ctx_->pc;
-                const isa::Instruction &inst = code[pc];
-                const isa::DecodedInst &dec = table[pc];
-
-                DynInst &d = slot(nextSeq_);
-                d = DynInst{};
-                d.si = &inst;
-                d.cls = dec.cls;
-                d.flags = dec.flags;
-                d.pcAddr = base + std::uint64_t(pc) * 8;
-                d.usesFpQueue =
-                    (dec.flags & isa::kUsesFpQueue) != 0;
-
-                if (!accessed_icache) {
-                    const std::uint64_t misses_before =
-                        mem_->l1iMisses(id_);
-                    icache_ready =
-                        mem_->access(id_, d.pcAddr,
-                                     mem::AccessKind::IFetch, now);
-                    accessed_icache = true;
-                    icache_pure_hit =
-                        mem_->l1iMisses(id_) == misses_before;
-                    if (!icache_pure_hit)
-                        tickProgress_ = true;
-                }
-
-                const bool ok = funcExecute(inst, d);
-                REMAP_ASSERT(ok,
-                             "simple instruction stalled in '%s'",
-                             ctx_->program->name.c_str());
-                d.seq = nextSeq_++;
-                d.fbReady = std::max(icache_ready, now + 1);
-                ++fetchedInsts;
-                tickProgress_ = true;
-                ++n;
-            }
-            if (n > fused_before) {
-                ++blockFusedRuns;
-                blockFusedInsts += n - fused_before;
-            }
-            if (n >= params_.fetchWidth ||
-                fbSize() >= params_.fetchBufferEntries)
-                break;
-        }
-
-        // Generic path: one instruction — the run terminator, or
-        // every instruction when the table is unavailable.
         const std::uint32_t fetch_pc = ctx_->pc;
         const isa::Instruction &inst = code[fetch_pc];
         const isa::DecodedInst dec =
@@ -603,7 +541,6 @@ OooCore::fetch(Cycle now)
         d.seq = nextSeq_++;
         d.fbReady = std::max(icache_ready, now + 1);
         ++fetchedInsts;
-        ++blockGenericInsts;
         tickProgress_ = true;
         ++n;
 
@@ -1119,16 +1056,9 @@ OooCore::dumpStatsJson(json::Writer &w)
 }
 
 void
-OooCore::dumpMetaStatsJson(json::Writer &w)
-{
-    metaGroup_.dumpJson(w);
-}
-
-void
 OooCore::resetStats()
 {
     statGroup_.reset();
-    metaGroup_.reset();
 }
 
 void

@@ -211,22 +211,16 @@ class OooCore
     StatCounter activeCycles;      ///< cycles with a live thread
     /** @} */
 
-    /** @{ @name Fast-path telemetry (meta-stats: describe how the
-     * simulator ran, not what the simulated chip did. Registered in
-     * metaGroup_, which is never serialized — see dumpMetaStatsJson).
-     */
-    StatCounter blockFusedInsts;   ///< insts fetched via fused runs
-    StatCounter blockFusedRuns;    ///< fused-run activations
-    StatCounter blockGenericInsts; ///< insts fetched via generic path
-    /** @} */
+    /** Always 0: the fused fetch path they counted is gone. They exist
+     *  only because perfbench/traced.cc still reads them, and go when
+     *  that file is rewritten (ROADMAP item 3). */
+    StatCounter blockFusedInsts;
+    StatCounter blockGenericInsts;
 
     /** Dump core + predictor stats. */
     void dumpStats(std::ostream &os);
     /** Emit core + predictor stats into an open JSON object scope. */
     void dumpStatsJson(json::Writer &w);
-    /** Emit this core's fast-path meta-stats (block cache) into an
-     *  open JSON object scope. */
-    void dumpMetaStatsJson(json::Writer &w);
     /** Reset all statistics. */
     void resetStats();
 
@@ -443,10 +437,6 @@ class OooCore
     Cycle splFetchStallStart_ = 0;
 
     StatGroup statGroup_;
-    /** Fast-path telemetry group: reported via dumpMetaStatsJson but
-     *  never snapshot-serialized, so meta-counters cannot perturb
-     *  snapshot byte streams or cross-kill-switch identity. */
-    StatGroup metaGroup_;
 };
 
 } // namespace remap::cpu

@@ -58,15 +58,6 @@ decodeOne(const Instruction &inst)
         break;
     }
 
-    // Run terminators: control flow, thread termination, the FENCE
-    // serialization point, and every SPL opcode (SPL_STORE /
-    // SPL_STOREM can stall in funcExecute; the rest are kept out of
-    // fused runs so run membership implies "plain ALU/memory work").
-    if ((f & kIsBranch) || d.cls == OpClass::Halt ||
-        d.cls == OpClass::Fence || inst.isSpl()) {
-        f |= kEndsRun;
-    }
-
     d.flags = f;
     return d;
 }
@@ -76,18 +67,8 @@ DecodedProgram::build(const Program &prog)
 {
     const std::size_t n = prog.code.size();
     insts.resize(n);
-    runEnd.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         insts[i] = decodeOne(prog.code[i]);
-    // Backwards pass: a run extends to the next terminator (or the
-    // end of the program, for code that trails off without a HALT —
-    // fetch asserts the pc bound before using the table).
-    for (std::size_t i = n; i-- > 0;) {
-        if ((insts[i].flags & kEndsRun) || i + 1 == n)
-            runEnd[i] = static_cast<std::uint32_t>(i + 1);
-        else
-            runEnd[i] = runEnd[i + 1];
-    }
 }
 
 } // namespace remap::isa

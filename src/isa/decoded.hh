@@ -1,6 +1,6 @@
 /**
  * @file
- * Pre-decoded instruction metadata and straight-line runs.
+ * Pre-decoded instruction metadata.
  *
  * The per-instruction hot loops (`Core::fetch`, the issue/dispatch
  * walks) used to re-derive the same classification
@@ -12,11 +12,7 @@
  *
  * `DecodedInst` packs every classification fact consumed by the
  * pipeline into one OpClass byte plus a 16-bit flag word, and
- * `DecodedProgram` computes them once per *static* instruction,
- * together with the straight-line *run* structure: maximal spans
- * that contain no branch, HALT, FENCE or SPL opcode, i.e. spans the
- * fetch stage can step through with no control-flow or stall
- * handling at all.
+ * `DecodedProgram` computes them once per *static* instruction.
  *
  * `decodeOne()` is the single source of truth: the cached table and
  * the `REMAP_NO_BLOCK_CACHE=1` one-instruction-at-a-time slow path
@@ -54,7 +50,6 @@ enum DecodeFlag : std::uint16_t
     kStoreLike   = 1u << 11, ///< orders younger loads (st/amo/fence)
     kMemWrite    = 1u << 12, ///< writes memory through the LSQ
     kSplPop      = 1u << 13, ///< pops the SPL output queue
-    kEndsRun     = 1u << 14, ///< terminates a straight-line run
 };
 
 /**
@@ -76,16 +71,7 @@ struct DecodedInst
 DecodedInst decodeOne(const Instruction &inst);
 
 /**
- * Per-program decode table plus straight-line run structure.
- *
- * `runEnd[pc]` is one past the last instruction of the run
- * containing `pc`: every instruction in [pc, runEnd[pc] - 1) is
- * *simple* — it falls through to pc+1, cannot stall in funcExecute
- * and needs no branch-predictor or HALT handling — and the
- * instruction at runEnd[pc] - 1 is either the run's terminator
- * (branch/HALT/FENCE/SPL) or the last instruction of the program.
- * The table is valid for any entry point, including branch targets
- * that land mid-run.
+ * Per-program decode table, indexed by pc.
  *
  * The table holds no dynamic state: it is a pure function of the
  * (immutable) Program, so it never needs invalidation — only
@@ -94,7 +80,6 @@ DecodedInst decodeOne(const Instruction &inst);
 struct DecodedProgram
 {
     std::vector<DecodedInst> insts;
-    std::vector<std::uint32_t> runEnd;
 
     /** Rebuild the table for @p prog. */
     void build(const Program &prog);

@@ -1,10 +1,10 @@
 /**
  * @file
- * The functional interpreter: one `switch` per instruction, no
- * pre-decode and no run structure. Its simplicity is the point — it
- * shares nothing with the core's DecodedProgram run construction, so
- * Differential.CoreMatchesInterpreter checks that construction
- * against an independent reference.
+ * The functional interpreter: one `switch` per instruction and no
+ * pre-decode. Its simplicity is the point — it shares nothing with
+ * the core's DecodedProgram table or fetch loop, so
+ * Differential.CoreMatchesInterpreter checks the core against an
+ * independent reference.
  */
 
 #include "isa/interp.hh"

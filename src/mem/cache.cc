@@ -1,16 +1,12 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
-
-#include "sim/env.hh"
 #include "sim/logging.hh"
 
 namespace remap::mem
 {
 
 Cache::Cache(const CacheParams &params)
-    : params_(params), statGroup_(params.name),
-      metaGroup_(params.name)
+    : params_(params), statGroup_(params.name)
 {
     REMAP_ASSERT(params_.lineBytes > 0 &&
                  (params_.lineBytes & (params_.lineBytes - 1)) == 0,
@@ -21,10 +17,6 @@ Cache::Cache(const CacheParams &params)
     numSets_ = num_lines / params_.assoc;
     lineMask_ = params_.lineBytes - 1;
     lines_.resize(num_lines);
-    REMAP_ASSERT(params_.assoc <= 256,
-                 "associativity exceeds the MRU way table width");
-    mruWay_.assign(numSets_, 0);
-    mruEnabled_ = !env::noMru();
 
     statGroup_.addCounter("hits", &hits);
     statGroup_.addCounter("misses", &misses);
@@ -32,8 +24,6 @@ Cache::Cache(const CacheParams &params)
     statGroup_.addCounter("writebacks", &writebacks);
     statGroup_.addCounter("snoop_invalidations",
                           &snoopInvalidations);
-    metaGroup_.addCounter("mru_hits", &mruHits);
-    metaGroup_.addCounter("mru_misses", &mruMisses);
 }
 
 std::size_t
@@ -46,29 +36,11 @@ Cache::Line *
 Cache::lookup(Addr addr)
 {
     Addr tag = lineAddr(addr);
-    std::size_t set = setIndex(addr);
-    std::size_t base = set * params_.assoc;
-
-    // MRU way prediction: repeated hits on the same hot line skip
-    // the set walk. The prediction is verified (tag + valid state),
-    // and a predicted hit performs exactly the walk's hit actions,
-    // so results and LRU bookkeeping are identical either way.
-    if (mruEnabled_) {
-        Line &pred = lines_[base + mruWay_[set]];
-        if (pred.state != Mesi::Invalid && pred.tag == tag) {
-            ++mruHits;
-            pred.lruStamp = ++lruClock_;
-            return &pred;
-        }
-    }
-
+    std::size_t base = setIndex(addr) * params_.assoc;
     for (unsigned w = 0; w < params_.assoc; ++w) {
         Line &line = lines_[base + w];
         if (line.state != Mesi::Invalid && line.tag == tag) {
-            if (mruEnabled_)
-                ++mruMisses;
             line.lruStamp = ++lruClock_;
-            mruWay_[set] = static_cast<std::uint8_t>(w);
             return &line;
         }
     }
@@ -132,8 +104,6 @@ Cache::allocate(Addr addr, Addr *victim_addr, Mesi *victim_state)
     victim->tag = tag;
     victim->state = Mesi::Invalid;
     victim->lruStamp = ++lruClock_;
-    mruWay_[setIndex(addr)] =
-        static_cast<std::uint8_t>(victim - &lines_[base]);
     return victim;
 }
 
@@ -175,10 +145,6 @@ Cache::flushAll()
 {
     for (auto &line : lines_)
         line.state = Mesi::Invalid;
-    // The predictions are now all stale; reset them (correct either
-    // way — predictions are verified — but canonical is cheaper than
-    // a guaranteed mispredict per set).
-    std::fill(mruWay_.begin(), mruWay_.end(), 0);
 }
 
 std::size_t
@@ -254,10 +220,6 @@ Cache::restore(snap::Deserializer &d)
     }
     lruClock_ = d.u64();
     statGroup_.restore(d);
-    // MRU way predictions are derived fast-path state: they are not
-    // serialized (snapshots stay canonical and identical across
-    // REMAP_NO_MRU settings), so rebuild them from scratch here.
-    std::fill(mruWay_.begin(), mruWay_.end(), 0);
 }
 
 } // namespace remap::mem

@@ -106,10 +106,6 @@ class Cache
     /** Stats group for reporting. */
     StatGroup &stats() { return statGroup_; }
 
-    /** Fast-path telemetry group (MRU way prediction): reported in
-     *  the stats "sim" subtree, never snapshot-serialized. */
-    StatGroup &metaStats() { return metaGroup_; }
-
     /** Serialize valid lines (sparse), the LRU clock and the stats.
      *  Canonical: invalid lines are not written, so two caches with
      *  identical resident contents serialize identically regardless
@@ -127,11 +123,11 @@ class Cache
     StatCounter snoopInvalidations;
     /** @} */
 
-    /** @{ @name MRU way-prediction telemetry (meta-stats; hits on
-     * walk-found lines count as mru_misses). Not serialized. */
+    /** Always 0: the MRU way prediction they counted is gone. They
+     *  exist only because perfbench/traced.cc still reads them, and
+     *  go when that file is rewritten (ROADMAP item 3). */
     StatCounter mruHits;
     StatCounter mruMisses;
-    /** @} */
 
   private:
     std::size_t setIndex(Addr addr) const;
@@ -141,17 +137,7 @@ class Cache
     Addr lineMask_;
     std::vector<Line> lines_;  ///< numSets_ * assoc, set-major
     std::uint64_t lruClock_ = 0;
-    /**
-     * Per-set MRU way, the lookup() fast path: the predicted way is
-     * verified by tag+state before use, so a stale prediction only
-     * costs the full set walk it would have done anyway — never a
-     * wrong result. Derived state: reset by flushAll()/restore(),
-     * disabled entirely by REMAP_NO_MRU=1 (read at construction).
-     */
-    std::vector<std::uint8_t> mruWay_;
-    bool mruEnabled_ = true;
     StatGroup statGroup_;
-    StatGroup metaGroup_;
 };
 
 } // namespace remap::mem

@@ -215,16 +215,6 @@ MemSystem::dumpStatsJson(json::Writer &w)
 }
 
 void
-MemSystem::dumpMetaStatsJson(json::Writer &w)
-{
-    for (unsigned c = 0; c < l2_.size(); ++c) {
-        l1i_[c]->metaStats().dumpJson(w);
-        l1d_[c]->metaStats().dumpJson(w);
-        l2_[c]->metaStats().dumpJson(w);
-    }
-}
-
-void
 MemSystem::resetStats()
 {
     statGroup_.reset();
@@ -232,9 +222,6 @@ MemSystem::resetStats()
         l1i_[c]->stats().reset();
         l1d_[c]->stats().reset();
         l2_[c]->stats().reset();
-        l1i_[c]->metaStats().reset();
-        l1d_[c]->metaStats().reset();
-        l2_[c]->metaStats().reset();
     }
 }
 

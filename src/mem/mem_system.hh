@@ -123,10 +123,6 @@ class MemSystem
      *  (one sub-object per StatGroup). */
     void dumpStatsJson(json::Writer &w);
 
-    /** Emit every cache's MRU way-prediction meta-stats into an open
-     *  JSON object scope of @p w. */
-    void dumpMetaStatsJson(json::Writer &w);
-
     /** Reset all statistics (start of a measured region). */
     void resetStats();
 

@@ -73,14 +73,6 @@ noBlockCache()
                       "decoded basic-block cache", announced);
 }
 
-bool
-noMru()
-{
-    static std::atomic<bool> announced{false};
-    return killSwitch("REMAP_NO_MRU", "cache MRU-way fast path",
-                      announced);
-}
-
 namespace
 {
 

@@ -16,8 +16,9 @@
  * including "0" and the empty string, is a fatal error):
  *  - REMAP_NO_LEAP=1        disable per-core sleep: every core ticks
  *                           on every cycle (the per-cycle reference)
- *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded basic-block cache
- *  - REMAP_NO_MRU=1         disable the cache MRU-way fast path
+ *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded instruction table
+ *                           and the operand-readiness memo: every
+ *                           fetch re-decodes its instruction
  *
  * Switches (same strict form: unset = off, "1" = on):
  *  - REMAP_PROFILE=1        sample every pool job's host CPU time by
@@ -69,9 +70,6 @@ bool noLeap();
 
 /** True when REMAP_NO_BLOCK_CACHE=1: decoded-block cache off. */
 bool noBlockCache();
-
-/** True when REMAP_NO_MRU=1: cache MRU-way fast path off. */
-bool noMru();
 
 /**
  * Strict parser for a decimal count held by the variable @p name:

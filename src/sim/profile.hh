@@ -38,7 +38,7 @@ namespace remap::prof
 enum class Phase : std::uint8_t
 {
     Other,           ///< job time outside every named phase
-    FetchDecode,     ///< core fetch (incl. fused-run stepping)
+    FetchDecode,     ///< core fetch and decode
     IssueExecute,    ///< core issue + dispatch
     WritebackCommit, ///< core commit + writeback
     CacheAccess,     ///< MemSystem::access (timed hierarchy)

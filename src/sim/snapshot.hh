@@ -52,7 +52,7 @@ namespace remap::snap
 {
 
 /** Bump on any serialized-layout change (see versioning policy). */
-inline constexpr std::uint32_t formatVersion = 5;
+inline constexpr std::uint32_t formatVersion = 6;
 
 /** Identity of the simulator build: the first 64 bits of a SHA-256
  *  over every file under src/, generated at build time by

@@ -6,37 +6,11 @@ namespace remap
 {
 
 void
-Log2Histogram::dumpJson(json::Writer &w) const
-{
-    w.beginObject();
-    w.kv("count", count_);
-    w.kv("sum", sum_);
-    w.kv("mean", mean());
-    w.kv("p50", p50());
-    w.kv("p95", p95());
-    w.kv("p99", p99());
-    w.key("buckets");
-    w.beginArray();
-    for (unsigned i = 0; i < kBuckets; ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        w.beginArray();
-        w.value(bucketLow(i));
-        w.value(buckets_[i]);
-        w.endArray();
-    }
-    w.endArray();
-    w.endObject();
-}
-
-void
 StatGroup::dump(std::ostream &os) const
 {
     for (const auto &[stat_name, counter] : counters_)
         os << name_ << '.' << stat_name << ' ' << counter->value()
            << '\n';
-    for (const auto &[stat_name, avg] : averages_)
-        os << name_ << '.' << stat_name << ' ' << avg->mean() << '\n';
 }
 
 void
@@ -46,8 +20,6 @@ StatGroup::dumpJson(json::Writer &w) const
     w.beginObject();
     for (const auto &[stat_name, counter] : counters_)
         w.kv(stat_name, counter->value());
-    for (const auto &[stat_name, avg] : averages_)
-        w.kv(stat_name, avg->mean());
     w.endObject();
 }
 
@@ -56,8 +28,6 @@ StatGroup::reset()
 {
     for (auto &[stat_name, counter] : counters_)
         counter->reset();
-    for (auto &[stat_name, avg] : averages_)
-        avg->reset();
 }
 
 void
@@ -69,11 +39,6 @@ StatGroup::save(snap::Serializer &s) const
     for (const auto &[stat_name, counter] : counters_) {
         s.str(stat_name);
         counter->save(s);
-    }
-    s.u32(static_cast<std::uint32_t>(averages_.size()));
-    for (const auto &[stat_name, avg] : averages_) {
-        s.str(stat_name);
-        avg->save(s);
     }
 }
 
@@ -96,17 +61,6 @@ StatGroup::restore(snap::Deserializer &d)
             return;
         }
         counter->restore(d);
-    }
-    if (d.count() != averages_.size()) {
-        d.fail("stat average set mismatch");
-        return;
-    }
-    for (auto &[stat_name, avg] : averages_) {
-        if (d.str() != stat_name) {
-            d.fail("stat average name mismatch");
-            return;
-        }
-        avg->restore(d);
     }
 }
 

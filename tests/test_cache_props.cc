@@ -4,14 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 
 #include "mem/mem_system.hh"
 
 #include "mem/cache.hh"
 #include "sim/rng.hh"
-#include "sim/snapshot.hh"
 
 namespace remap::mem
 {
@@ -108,118 +106,6 @@ TEST_P(CacheProps, FlushEmptiesEverything)
     }
     c.flushAll();
     EXPECT_EQ(c.residentLines(), 0u);
-}
-
-/** Drive an MRU-predicting cache and a full-walk oracle (REMAP_NO_MRU
- *  is read at construction) through one identical random operation,
- *  asserting every observable matches: hit/miss outcomes, the hit
- *  line's tag/MESI state/LRU stamp, allocate's victim choice and
- *  state, invalidate/downgrade results, residency and the bulk-hit
- *  stat counter. */
-void
-mruOracleStep(Cache &fast, Cache &oracle, Rng &rng)
-{
-    const unsigned op = rng.below(16);
-    const Addr a = rng.below(512) * 16; // sub-line offsets too
-
-    if (op < 10) { // lookup, allocate on miss
-        Cache::Line *lf = fast.lookup(a);
-        Cache::Line *lo = oracle.lookup(a);
-        ASSERT_EQ(lf == nullptr, lo == nullptr);
-        if (lf) {
-            ASSERT_EQ(lf->tag, lo->tag);
-            ASSERT_EQ(lf->state, lo->state);
-            ASSERT_EQ(lf->lruStamp, lo->lruStamp);
-        } else {
-            Addr vf = 0, vo = 0;
-            Mesi sf = Mesi::Invalid, so = Mesi::Invalid;
-            Cache::Line *nf = fast.allocate(a, &vf, &sf);
-            Cache::Line *no = oracle.allocate(a, &vo, &so);
-            ASSERT_EQ(vf, vo);
-            ASSERT_EQ(sf, so);
-            const Mesi st = rng.below(2) == 0 ? Mesi::Exclusive
-                                              : Mesi::Modified;
-            nf->state = st;
-            no->state = st;
-        }
-    } else if (op < 12) { // snoop invalidation
-        ASSERT_EQ(fast.invalidate(a), oracle.invalidate(a));
-    } else if (op < 14) { // snoop downgrade
-        ASSERT_EQ(fast.downgradeToShared(a),
-                  oracle.downgradeToShared(a));
-    } else if (op == 14) { // bulk hit accounting (sleep catch-up)
-        if (fast.lookup(a) && oracle.lookup(a)) {
-            fast.accountRepeatedHits(a, 5);
-            oracle.accountRepeatedHits(a, 5);
-            ASSERT_EQ(fast.hits.value(), oracle.hits.value());
-        }
-    } else { // migration / region-reset flush
-        fast.flushAll();
-        oracle.flushAll();
-    }
-    ASSERT_EQ(fast.residentLines(), oracle.residentLines());
-    ASSERT_EQ(fast.evictions.value(), oracle.evictions.value());
-    ASSERT_EQ(fast.writebacks.value(), oracle.writebacks.value());
-}
-
-TEST_P(CacheProps, MruPathMatchesFullWalkOracle)
-{
-    const auto g = GetParam();
-    ASSERT_EQ(setenv("REMAP_NO_MRU", "1", 1), 0);
-    Cache oracle(CacheParams{"t", g.size, g.assoc, 64, 1});
-    ASSERT_EQ(unsetenv("REMAP_NO_MRU"), 0);
-    Cache fast(CacheParams{"t", g.size, g.assoc, 64, 1});
-
-    Rng rng(31 * g.size + g.assoc);
-    for (int i = 0; i < 4000; ++i) {
-        mruOracleStep(fast, oracle, rng);
-        if (HasFatalFailure())
-            return;
-    }
-
-    // Full-contents sweep: every line the streams could have touched
-    // is identical in residency, state and recency.
-    for (Addr a = 0; a < 512 * 16; a += 64) {
-        const Cache::Line *pf = fast.probe(a);
-        const Cache::Line *po = oracle.probe(a);
-        ASSERT_EQ(pf == nullptr, po == nullptr) << "line " << a;
-        if (pf) {
-            ASSERT_EQ(pf->state, po->state);
-            ASSERT_EQ(pf->lruStamp, po->lruStamp);
-        }
-    }
-}
-
-TEST_P(CacheProps, MruStateSurvivesSaveRestore)
-{
-    // Restore rebuilds the (unserialized) MRU predictions from
-    // scratch; a restored predicting cache must keep matching the
-    // oracle from the restore point on.
-    const auto g = GetParam();
-    ASSERT_EQ(setenv("REMAP_NO_MRU", "1", 1), 0);
-    Cache oracle(CacheParams{"t", g.size, g.assoc, 64, 1});
-    ASSERT_EQ(unsetenv("REMAP_NO_MRU"), 0);
-    Cache fast(CacheParams{"t", g.size, g.assoc, 64, 1});
-
-    Rng rng(77 * g.size + g.assoc);
-    for (int i = 0; i < 1000; ++i) {
-        mruOracleStep(fast, oracle, rng);
-        if (HasFatalFailure())
-            return;
-    }
-
-    snap::Serializer s;
-    fast.save(s);
-    Cache restored(CacheParams{"t", g.size, g.assoc, 64, 1});
-    snap::Deserializer d(s.buffer());
-    restored.restore(d);
-    ASSERT_TRUE(d.ok());
-
-    for (int i = 0; i < 1000; ++i) {
-        mruOracleStep(restored, oracle, rng);
-        if (HasFatalFailure())
-            return;
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -112,7 +112,7 @@ TEST(EnvParse, MalformedKillSwitchesAreRejected)
     // or an empty value must not silently disable a fast path.
     // REMAP_PROFILE reads the same way, so "0" never turns it on.
     const char *names[] = {"REMAP_NO_LEAP", "REMAP_NO_BLOCK_CACHE",
-                           "REMAP_NO_MRU", "REMAP_PROFILE"};
+                           "REMAP_PROFILE"};
     const char *bad[] = {"0", "", "yes", " 1"};
     for (const char *name : names) {
         for (const char *text : bad) {

@@ -7,8 +7,9 @@
  *
  *   - no-leap: the per-cycle loop (REMAP_NO_LEAP=1), where no core
  *     sleeps;
- *   - reference path: one-instruction fetch with the pristine cache
- *     way walk (REMAP_NO_BLOCK_CACHE=1 REMAP_NO_MRU=1);
+ *   - reference path: every fetch re-decodes its instruction, with
+ *     no decoded table or operand-readiness memo
+ *     (REMAP_NO_BLOCK_CACHE=1);
  *   - stored: runRegion on an empty snapshot cache, which simulates
  *     and assembles the result (per-copy energy and work);
  *   - served: runRegion again, answered from the final-result entry
@@ -82,7 +83,7 @@ enum class Leg
 {
     Default,       ///< every fast path on
     NoLeap,        ///< per-cycle loop
-    ReferencePath, ///< no block cache, no MRU way prediction
+    ReferencePath, ///< no block cache
     Profiled,      ///< host-time phase sampler armed
 };
 
@@ -93,8 +94,7 @@ legEnv(Leg leg)
       case Leg::Default:
       case Leg::Profiled: return {};
       case Leg::NoLeap: return {"REMAP_NO_LEAP"};
-      case Leg::ReferencePath:
-        return {"REMAP_NO_BLOCK_CACHE", "REMAP_NO_MRU"};
+      case Leg::ReferencePath: return {"REMAP_NO_BLOCK_CACHE"};
     }
     return {};
 }
@@ -637,12 +637,11 @@ TEST(FastPathDifferential, TracedRunsAreByteIdentical)
 
 TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
 {
-    // Derived fast-path state — the decoded basic-block tables and
-    // operand-readiness memos in the cores, the MRU way predictions
-    // in the caches, the run loop's activity cache — is never
-    // serialized; restore rebuilds it from scratch. Snapshots are
-    // therefore interchangeable across REMAP_NO_LEAP /
-    // REMAP_NO_BLOCK_CACHE / REMAP_NO_MRU settings: a run restored
+    // Derived fast-path state — the decoded tables and
+    // operand-readiness memos in the cores, the run loop's activity
+    // cache — is never serialized; restore rebuilds it from scratch.
+    // Snapshots are therefore interchangeable across REMAP_NO_LEAP /
+    // REMAP_NO_BLOCK_CACHE settings: a run restored
     // under any setting from a snapshot captured under any other
     // must land on exactly the uninterrupted trajectory. In the
     // sleeping region the boundary lands while cores sleep, and

@@ -24,30 +24,6 @@ TEST(StatCounter, StartsAtZeroAndAccumulates)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(StatAverage, MeanOfSamples)
-{
-    StatAverage a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(StatHistogram, BucketsAndOverflow)
-{
-    StatHistogram h(4, 10.0);
-    h.sample(5.0);
-    h.sample(15.0);
-    h.sample(1000.0); // lands in the last bucket
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 1u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
 TEST(StatGroup, DumpFormat)
 {
     StatGroup g("core0");

@@ -419,7 +419,7 @@ TEST(SystemTrace, BitIdenticalWithTracingOnOrOff)
 {
     const std::string path = tempPath("sys_bitident.json");
     auto run_one = [&](bool traced, std::string &stats_text,
-                       std::string &stats_json) {
+                       std::string &stats_json, std::string &full_json) {
         sys::System sys(sys::SystemConfig::splCluster());
         ConfigId pass =
             sys.registerFunction(spl::functions::passthrough(1));
@@ -433,11 +433,13 @@ TEST(SystemTrace, BitIdenticalWithTracingOnOrOff)
         EXPECT_FALSE(r.timedOut);
         EXPECT_EQ(sys.memory().readI64(0x2000),
                   std::int64_t(400) * 399 / 2);
-        std::ostringstream t1, t2;
+        std::ostringstream t1, t2, t3;
         sys.dumpStats(t1);
         sys.dumpStatsJson(t2, /*include_sim=*/false);
+        sys.dumpStatsJson(t3, /*include_sim=*/true);
         stats_text = t1.str();
         stats_json = t2.str();
+        full_json = t3.str();
         if (traced) {
             EXPECT_GT(sys.tracer()->eventCount(), 0u);
             sys.disableTracing();
@@ -446,15 +448,17 @@ TEST(SystemTrace, BitIdenticalWithTracingOnOrOff)
         return r.cycles;
     };
 
-    std::string text_off, json_off, text_on, json_on;
-    const Cycle off = run_one(false, text_off, json_off);
-    const Cycle on = run_one(true, text_on, json_on);
+    std::string text_off, json_off, full_off, text_on, json_on, full_on;
+    const Cycle off = run_one(false, text_off, json_off, full_off);
+    const Cycle on = run_one(true, text_on, json_on, full_on);
 
     // Bit-identical, not approximately equal: tracing is pure
-    // observation.
+    // observation. The "sim" subtree matches too, so tracing does not
+    // switch the simulator onto another path either.
     EXPECT_EQ(on, off);
     EXPECT_EQ(text_on, text_off);
     EXPECT_EQ(json_on, json_off);
+    EXPECT_EQ(full_on, full_off);
 
     // The trace itself is valid Chrome trace-event JSON covering the
     // fabric, queue-depth and sampler instrumentation.
@@ -643,10 +647,12 @@ TEST(StatsJson, GoldenStableAndMatchesCounters)
     EXPECT_EQ(root.at("schema_version").num, 2.0);
     EXPECT_GT(root.at("cycle").num, 0.0);
     EXPECT_EQ(root.at("num_cores").num, 1.0);
-    // Schema 2 appends a host-side "sim" subtree (meta counters that
-    // describe the simulator, not the simulated machine).
+    // Schema 2 appends a host-side "sim" subtree (telemetry that
+    // describes the simulator, not the simulated machine): the sleep
+    // counters, and no per-component meta groups.
     ASSERT_TRUE(root.has("sim"));
-    ASSERT_TRUE(root.at("sim").has("groups"));
+    EXPECT_TRUE(root.at("sim").has("sleep"));
+    EXPECT_FALSE(root.at("sim").has("groups"));
     ASSERT_TRUE(root.has("groups"));
     const JsonValue &groups = root.at("groups");
     ASSERT_TRUE(groups.has("core0.ooo1"));
