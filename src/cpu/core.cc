@@ -338,19 +338,16 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
       case Opcode::SD:
         d.memAddr = static_cast<Addr>(a + inst.imm);
         d.memLen = 8;
-        d.storeValue = b;
         image_->writeI64(d.memAddr, b);
         break;
       case Opcode::SW:
         d.memAddr = static_cast<Addr>(a + inst.imm);
         d.memLen = 4;
-        d.storeValue = b;
         image_->writeI32(d.memAddr, static_cast<std::int32_t>(b));
         break;
       case Opcode::SB:
         d.memAddr = static_cast<Addr>(a + inst.imm);
         d.memLen = 1;
-        d.storeValue = b;
         image_->writeU8(d.memAddr, static_cast<std::uint8_t>(b));
         break;
       case Opcode::FLD:
@@ -443,7 +440,6 @@ OooCore::funcExecute(const isa::Instruction &inst, DynInst &d)
         d.splValue = *v;
         d.memAddr = static_cast<Addr>(a + inst.imm);
         d.memLen = 4;
-        d.storeValue = *v;
         image_->writeI32(d.memAddr, *v);
         break;
       }
@@ -552,7 +548,6 @@ OooCore::fetch(Cycle now)
             const bool pred = bpred_.predict(d.pcAddr, &btb_hit);
             bpred_.update(d.pcAddr, taken, target);
             if (!(dec.flags & isa::kIsJump) && pred != taken) {
-                d.mispredicted = true;
                 ++mispredicts;
                 fetchBlockedOnSeq_ = d.seq;
                 break;
@@ -1090,10 +1085,8 @@ OooCore::save(snap::Serializer &s) const
         s.u64(d.stage == Stage::Dispatched ? d.dep2 : 0);
         s.u64(d.memAddr);
         s.u32(d.memLen);
-        s.i64(d.storeValue);
         s.i32(d.splValue);
         s.i64(d.splLoadValue);
-        s.boolean(d.mispredicted);
         s.boolean(d.usesFpQueue);
     };
     // The window is written as its two lists, fetch buffer first.
@@ -1180,20 +1173,18 @@ OooCore::restore(snap::Deserializer &d)
             di.dep2 = d.u64();
             di.memAddr = d.u64();
             di.memLen = d.u32();
-            di.storeValue = d.i64();
             di.splValue = d.i32();
             di.splLoadValue = d.i64();
-            di.mispredicted = d.boolean();
             di.usesFpQueue = d.boolean();
             q.push_back(di);
         }
     };
-    // 87 = serialized DynInst size (fixed-width fields above).
+    // 78 = serialized DynInst size (fixed-width fields above).
     std::vector<DynInst> fb, rob;
-    restore_insts(fb, params_.fetchBufferEntries, 87);
+    restore_insts(fb, params_.fetchBufferEntries, 78);
     if (!d.ok())
         return;
-    restore_insts(rob, params_.robEntries, 87);
+    restore_insts(rob, params_.robEntries, 78);
     if (!d.ok())
         return;
     const std::uint64_t next_seq = d.u64();

@@ -280,10 +280,8 @@ class OooCore
         std::uint64_t dep2 = 0;  ///< producer seq of source 2
         Addr memAddr = 0;
         unsigned memLen = 0;
-        std::int64_t storeValue = 0;
         std::int32_t splValue = 0;   ///< functional spl_store result
         std::int64_t splLoadValue = 0; ///< word staged by spl_load
-        bool mispredicted = false;
         bool usesFpQueue = false;
         /**
          * Operand-readiness memo: 0 = unknown (walk the producers),

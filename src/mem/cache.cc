@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace remap::mem
@@ -8,14 +10,21 @@ namespace remap::mem
 Cache::Cache(const CacheParams &params)
     : params_(params), statGroup_(params.name)
 {
-    REMAP_ASSERT(params_.lineBytes > 0 &&
+    // Line numbers take 62 bits of the packed tag word, so the line
+    // must be at least 4 bytes; sets are picked by a mask, so their
+    // count must be a power of two.
+    REMAP_ASSERT(params_.lineBytes >= 4 &&
                  (params_.lineBytes & (params_.lineBytes - 1)) == 0,
-                 "line size must be a power of two");
+                 "line size must be a power of two of at least 4");
     std::size_t num_lines = params_.sizeBytes / params_.lineBytes;
-    REMAP_ASSERT(num_lines % params_.assoc == 0,
+    REMAP_ASSERT(params_.assoc > 0 && num_lines % params_.assoc == 0,
                  "cache geometry does not divide evenly");
-    numSets_ = num_lines / params_.assoc;
+    const std::size_t num_sets = num_lines / params_.assoc;
+    REMAP_ASSERT(num_sets > 0 && (num_sets & (num_sets - 1)) == 0,
+                 "set count must be a power of two");
+    lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
     lineMask_ = params_.lineBytes - 1;
+    setMask_ = num_sets - 1;
     lines_.resize(num_lines);
 
     statGroup_.addCounter("hits", &hits);
@@ -26,25 +35,25 @@ Cache::Cache(const CacheParams &params)
                           &snoopInvalidations);
 }
 
-std::size_t
-Cache::setIndex(Addr addr) const
+const Cache::Line *
+Cache::find(std::uint64_t line_num) const
 {
-    return (addr / params_.lineBytes) % numSets_;
+    const Line *set = &lines_[setBase(line_num)];
+    for (unsigned w = 0; w < params_.assoc; ++w) {
+        if (set[w].state() != Mesi::Invalid &&
+            set[w].lineNum_ == line_num)
+            return &set[w];
+    }
+    return nullptr;
 }
 
 Cache::Line *
 Cache::lookup(Addr addr)
 {
-    Addr tag = lineAddr(addr);
-    std::size_t base = setIndex(addr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.state != Mesi::Invalid && line.tag == tag) {
-            line.lruStamp = ++lruClock_;
-            return &line;
-        }
-    }
-    return nullptr;
+    Line *line = const_cast<Line *>(find(addr >> lineShift_));
+    if (line)
+        line->lruStamp_ = ++lruClock_;
+    return line;
 }
 
 void
@@ -55,21 +64,14 @@ Cache::accountRepeatedHits(Addr addr, std::uint64_t n)
     Line *line = lookup(addr);
     REMAP_ASSERT(line, "bulk-accounting hits on a non-resident line");
     lruClock_ += n - 1;
-    line->lruStamp = lruClock_;
+    line->lruStamp_ = lruClock_;
     hits += n;
 }
 
 const Cache::Line *
 Cache::probe(Addr addr) const
 {
-    Addr tag = lineAddr(addr);
-    std::size_t base = setIndex(addr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        const Line &line = lines_[base + w];
-        if (line.state != Mesi::Invalid && line.tag == tag)
-            return &line;
-    }
-    return nullptr;
+    return find(addr >> lineShift_);
 }
 
 Cache::Line *
@@ -78,73 +80,56 @@ Cache::allocate(Addr addr, Addr *victim_addr, Mesi *victim_state)
     *victim_addr = 0;
     *victim_state = Mesi::Invalid;
 
-    Addr tag = lineAddr(addr);
-    std::size_t base = setIndex(addr) * params_.assoc;
+    const std::uint64_t line_num = addr >> lineShift_;
+    Line *set = &lines_[setBase(line_num)];
 
     // Prefer an invalid way; otherwise evict true-LRU.
     Line *victim = nullptr;
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.state == Mesi::Invalid) {
+        Line &line = set[w];
+        if (line.state() == Mesi::Invalid) {
             victim = &line;
             break;
         }
-        if (!victim || line.lruStamp < victim->lruStamp)
+        if (!victim || line.lruStamp_ < victim->lruStamp_)
             victim = &line;
     }
 
-    if (victim->state != Mesi::Invalid) {
+    if (victim->state() != Mesi::Invalid) {
         ++evictions;
-        if (victim->state == Mesi::Modified)
+        if (victim->state() == Mesi::Modified)
             ++writebacks;
-        *victim_addr = victim->tag;
-        *victim_state = victim->state;
+        *victim_addr = Addr(victim->lineNum_) << lineShift_;
+        *victim_state = victim->state();
     }
 
-    victim->tag = tag;
-    victim->state = Mesi::Invalid;
-    victim->lruStamp = ++lruClock_;
+    victim->lineNum_ = line_num;
+    victim->setState(Mesi::Invalid);
+    victim->lruStamp_ = ++lruClock_;
     return victim;
 }
 
 Mesi
 Cache::invalidate(Addr addr)
 {
-    Addr tag = lineAddr(addr);
-    std::size_t base = setIndex(addr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.state != Mesi::Invalid && line.tag == tag) {
-            Mesi prev = line.state;
-            line.state = Mesi::Invalid;
-            ++snoopInvalidations;
-            return prev;
-        }
-    }
-    return Mesi::Invalid;
+    Line *line = const_cast<Line *>(find(addr >> lineShift_));
+    if (!line)
+        return Mesi::Invalid;
+    const Mesi prev = line->state();
+    line->setState(Mesi::Invalid);
+    ++snoopInvalidations;
+    return prev;
 }
 
 Mesi
 Cache::downgradeToShared(Addr addr)
 {
-    Addr tag = lineAddr(addr);
-    std::size_t base = setIndex(addr) * params_.assoc;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = lines_[base + w];
-        if (line.state != Mesi::Invalid && line.tag == tag) {
-            Mesi prev = line.state;
-            line.state = Mesi::Shared;
-            return prev;
-        }
-    }
-    return Mesi::Invalid;
-}
-
-void
-Cache::flushAll()
-{
-    for (auto &line : lines_)
-        line.state = Mesi::Invalid;
+    Line *line = const_cast<Line *>(find(addr >> lineShift_));
+    if (!line)
+        return Mesi::Invalid;
+    const Mesi prev = line->state();
+    line->setState(Mesi::Shared);
+    return prev;
 }
 
 std::size_t
@@ -152,7 +137,7 @@ Cache::residentLines() const
 {
     std::size_t n = 0;
     for (const auto &line : lines_)
-        if (line.state != Mesi::Invalid)
+        if (line.state() != Mesi::Invalid)
             ++n;
     return n;
 }
@@ -169,12 +154,12 @@ Cache::save(snap::Serializer &s) const
     s.u32(static_cast<std::uint32_t>(residentLines()));
     for (std::size_t i = 0; i < lines_.size(); ++i) {
         const Line &line = lines_[i];
-        if (line.state == Mesi::Invalid)
+        if (line.state() == Mesi::Invalid)
             continue;
         s.u32(static_cast<std::uint32_t>(i));
-        s.u64(line.tag);
-        s.u8(static_cast<std::uint8_t>(line.state));
-        s.u64(line.lruStamp);
+        s.u64(Addr(line.lineNum_) << lineShift_);
+        s.u8(static_cast<std::uint8_t>(line.state()));
+        s.u64(line.lruStamp_);
     }
     s.u64(lruClock_);
     statGroup_.save(s);
@@ -209,14 +194,19 @@ Cache::restore(snap::Deserializer &d)
             return;
         }
         Line &line = lines_[idx];
-        line.tag = d.u64();
+        const Addr tag = d.u64();
+        if (tag & lineMask_) {
+            d.fail("cache tag not line-aligned");
+            return;
+        }
+        line.lineNum_ = tag >> lineShift_;
         const std::uint8_t state = d.u8();
         if (state > static_cast<std::uint8_t>(Mesi::Modified)) {
             d.fail("bad MESI state");
             return;
         }
-        line.state = static_cast<Mesi>(state);
-        line.lruStamp = d.u64();
+        line.setState(static_cast<Mesi>(state));
+        line.lruStamp_ = d.u64();
     }
     lruClock_ = d.u64();
     statGroup_.restore(d);

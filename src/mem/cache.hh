@@ -44,13 +44,25 @@ struct CacheParams
 class Cache
 {
   public:
-    /** One cache line's bookkeeping. */
-    struct Line
+    /**
+     * One cache line's bookkeeping, packed into 16 bytes: the line
+     * number (addr >> log2(lineBytes)) and the MESI state share one
+     * 64-bit word, the state in the two low bits that line alignment
+     * frees (so line numbers take 62 bits for any lineBytes >= 4).
+     */
+    class Line
     {
-        Addr tag = 0;
-        Mesi state = Mesi::Invalid;
-        std::uint64_t lruStamp = 0;
+      public:
+        Mesi state() const { return static_cast<Mesi>(state_); }
+        void setState(Mesi s) { state_ = static_cast<std::uint8_t>(s); }
+
+      private:
+        friend class Cache;
+        std::uint64_t state_ : 2 = 0;
+        std::uint64_t lineNum_ : 62 = 0;
+        std::uint64_t lruStamp_ = 0;
     };
+    static_assert(sizeof(Line) == 16, "a tag line is 16 bytes");
 
     explicit Cache(const CacheParams &params);
 
@@ -97,9 +109,6 @@ class Cache
     /** Downgrade M/E to Shared if present; @return previous state. */
     Mesi downgradeToShared(Addr addr);
 
-    /** Drop every line (used on thread migration / region reset). */
-    void flushAll();
-
     /** Number of valid (non-Invalid) lines currently resident. */
     std::size_t residentLines() const;
 
@@ -112,7 +121,9 @@ class Cache
      *  of stale bookkeeping left in invalid ways. */
     void save(snap::Serializer &s) const;
     /** Restore into a cache of identical geometry; invalid lines are
-     *  reset to the default-constructed state. */
+     *  reset to the default-constructed state. A saved tag that is
+     *  not line-aligned fails the stream (its low bits would alias
+     *  the packed state). */
     void restore(snap::Deserializer &d);
 
     /** @{ @name Access statistics, maintained by the MemSystem. */
@@ -130,12 +141,19 @@ class Cache
     StatCounter mruMisses;
 
   private:
-    std::size_t setIndex(Addr addr) const;
+    /** First way of @p line_num's set in the set-major tag store. */
+    std::size_t setBase(std::uint64_t line_num) const
+    {
+        return (line_num & setMask_) * params_.assoc;
+    }
+    /** The resident way holding @p line_num, or nullptr. */
+    const Line *find(std::uint64_t line_num) const;
 
     CacheParams params_;
-    std::size_t numSets_;
-    Addr lineMask_;
-    std::vector<Line> lines_;  ///< numSets_ * assoc, set-major
+    unsigned lineShift_;  ///< log2(lineBytes)
+    Addr lineMask_;       ///< lineBytes - 1
+    std::uint64_t setMask_; ///< number of sets - 1 (a power of two)
+    std::vector<Line> lines_;  ///< (setMask_ + 1) * assoc, set-major
     std::uint64_t lruClock_ = 0;
     StatGroup statGroup_;
 };

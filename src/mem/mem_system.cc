@@ -48,9 +48,9 @@ MemSystem::snoopRemotes(CoreId requester, Addr addr, bool exclusive)
         if (!line)
             continue;
         found.anyCopy = true;
-        if (line->state == Mesi::Modified ||
-            line->state == Mesi::Exclusive) {
-            found.dirty = (line->state == Mesi::Modified);
+        if (line->state() == Mesi::Modified ||
+            line->state() == Mesi::Exclusive) {
+            found.dirty = (line->state() == Mesi::Modified);
         }
         if (exclusive) {
             l2_[c]->invalidate(addr);
@@ -78,17 +78,17 @@ MemSystem::fillL2(CoreId core, Addr addr, AccessKind kind, Cycle now)
         Cycle ready = now + l2c.latency();
         if (!wants_exclusive)
             return ready;
-        switch (line->state) {
+        switch (line->state()) {
           case Mesi::Modified:
           case Mesi::Exclusive:
-            line->state = Mesi::Modified;
+            line->setState(Mesi::Modified);
             return ready;
           case Mesi::Shared: {
             // BusUpgr: invalidate remote sharers.
             ++upgrades;
             Cycle grant = acquireBus(ready);
             snoopRemotes(core, addr, /*exclusive=*/true);
-            line->state = Mesi::Modified;
+            line->setState(Mesi::Modified);
             return grant + params_.busOccupancy;
           }
           case Mesi::Invalid:
@@ -130,9 +130,10 @@ MemSystem::fillL2(CoreId core, Addr addr, AccessKind kind, Cycle now)
     }
 
     if (wants_exclusive)
-        line->state = Mesi::Modified;
+        line->setState(Mesi::Modified);
     else
-        line->state = remote_supplied ? Mesi::Shared : Mesi::Exclusive;
+        line->setState(remote_supplied ? Mesi::Shared
+                                       : Mesi::Exclusive);
     return data_ready;
 }
 
@@ -147,17 +148,17 @@ MemSystem::accessTimed(CoreId core, Addr addr, AccessKind kind,
 
     Cache::Line *line = l1.lookup(addr);
     if (line) {
-        if (!wants_exclusive || line->state == Mesi::Modified ||
-            line->state == Mesi::Exclusive) {
+        if (!wants_exclusive || line->state() == Mesi::Modified ||
+            line->state() == Mesi::Exclusive) {
             ++l1.hits;
             if (wants_exclusive)
-                line->state = Mesi::Modified;
+                line->setState(Mesi::Modified);
             return now + l1.latency();
         }
         // Shared in L1 on a write: upgrade through L2.
         ++l1.misses;
         Cycle ready = fillL2(core, addr, kind, now + l1.latency());
-        line->state = Mesi::Modified;
+        line->setState(Mesi::Modified);
         return ready;
     }
 
@@ -172,24 +173,15 @@ MemSystem::accessTimed(CoreId core, Addr addr, AccessKind kind,
     // L1 victim writeback folds into the L2 (already resident by
     // inclusion); no bus traffic.
     if (wants_exclusive) {
-        line->state = Mesi::Modified;
+        line->setState(Mesi::Modified);
     } else {
         const Cache::Line *l2line = l2_[core]->probe(addr);
-        line->state = (l2line && (l2line->state == Mesi::Exclusive ||
-                                  l2line->state == Mesi::Modified))
-                          ? Mesi::Exclusive
-                          : Mesi::Shared;
+        const bool l2_owned =
+            l2line && (l2line->state() == Mesi::Exclusive ||
+                       l2line->state() == Mesi::Modified);
+        line->setState(l2_owned ? Mesi::Exclusive : Mesi::Shared);
     }
     return ready;
-}
-
-void
-MemSystem::flushCore(CoreId core)
-{
-    REMAP_ASSERT(core < l2_.size(), "core id out of range");
-    l1i_[core]->flushAll();
-    l1d_[core]->flushAll();
-    l2_[core]->flushAll();
 }
 
 void

@@ -84,9 +84,6 @@ class MemSystem
         return accessTimed(core, addr, kind, now);
     }
 
-    /** Invalidate all caches of @p core (thread migration). */
-    void flushCore(CoreId core);
-
     /** Per-core caches, exposed for stats/power accounting. */
     Cache &l1i(CoreId core) { return *l1i_[core]; }
     Cache &l1d(CoreId core) { return *l1d_[core]; }

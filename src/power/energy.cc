@@ -157,10 +157,4 @@ EnergyModel::splLeakW(unsigned rows) const
     return spl_.rowLeakW * rows;
 }
 
-double
-energyDelay(const Energy &e, Cycle cycles, const ClockParams &clocks)
-{
-    return e.totalJ() * clocks.cyclesToSeconds(cycles);
-}
-
 } // namespace remap::power

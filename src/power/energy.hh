@@ -168,10 +168,6 @@ class EnergyModel
     ClockParams clocks_{};
 };
 
-/** Energy x delay from joules and cycles (core clock). */
-double energyDelay(const Energy &e, Cycle cycles,
-                   const ClockParams &clocks = {});
-
 } // namespace remap::power
 
 #endif // REMAP_POWER_ENERGY_HH

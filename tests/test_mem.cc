@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/cache.hh"
 #include "mem/mem_system.hh"
 #include "mem/memory_image.hh"
@@ -45,7 +47,7 @@ TEST(Cache, HitAfterAllocate)
     Addr victim;
     Mesi vstate;
     auto *line = c.allocate(0x1000, &victim, &vstate);
-    line->state = Mesi::Exclusive;
+    line->setState(Mesi::Exclusive);
     EXPECT_NE(c.lookup(0x1000), nullptr);
     EXPECT_NE(c.lookup(0x103f), nullptr); // same 64B line
     EXPECT_EQ(c.lookup(0x1040), nullptr); // next line
@@ -58,12 +60,12 @@ TEST(Cache, LruEviction)
     const Addr stride = 64 * 64; // set stride
     Addr victim;
     Mesi vstate;
-    c.allocate(0, &victim, &vstate)->state = Mesi::Exclusive;
-    c.allocate(stride, &victim, &vstate)->state = Mesi::Exclusive;
+    c.allocate(0, &victim, &vstate)->setState(Mesi::Exclusive);
+    c.allocate(stride, &victim, &vstate)->setState(Mesi::Exclusive);
     // Touch line 0 so `stride` is LRU.
     c.lookup(0);
-    c.allocate(2 * stride, &victim, &vstate)->state =
-        Mesi::Exclusive;
+    c.allocate(2 * stride, &victim, &vstate)->setState(
+        Mesi::Exclusive);
     EXPECT_EQ(victim, stride);
     EXPECT_EQ(vstate, Mesi::Exclusive);
     EXPECT_NE(c.lookup(0), nullptr);
@@ -75,7 +77,7 @@ TEST(Cache, ModifiedVictimCountsWriteback)
     Cache c(CacheParams{"t", 128, 1, 64, 1}); // 2 sets, direct-mapped
     Addr victim;
     Mesi vstate;
-    c.allocate(0, &victim, &vstate)->state = Mesi::Modified;
+    c.allocate(0, &victim, &vstate)->setState(Mesi::Modified);
     c.allocate(128, &victim, &vstate);
     EXPECT_EQ(vstate, Mesi::Modified);
     EXPECT_EQ(c.writebacks.value(), 1u);
@@ -86,9 +88,98 @@ TEST(Cache, InvalidateReportsPreviousState)
     Cache c(CacheParams{"t", 8 * 1024, 2, 64, 2});
     Addr victim;
     Mesi vstate;
-    c.allocate(0x40, &victim, &vstate)->state = Mesi::Modified;
+    c.allocate(0x40, &victim, &vstate)->setState(Mesi::Modified);
     EXPECT_EQ(c.invalidate(0x40), Mesi::Modified);
     EXPECT_EQ(c.invalidate(0x40), Mesi::Invalid);
+}
+
+// Line numbers fill the packed tag word's upper 62 bits, so lines at
+// the very top of the address space must keep every bit through each
+// operation, in every valid state.
+TEST(Cache, TopBitAddressesRoundTripInEveryState)
+{
+    for (const Addr a : {~Addr{0} << 6, Addr{1} << 63 | 0x40}) {
+        for (const Mesi st :
+             {Mesi::Shared, Mesi::Exclusive, Mesi::Modified}) {
+            Cache c(CacheParams{"t", 8 * 1024, 2, 64, 2});
+            Addr victim;
+            Mesi vstate;
+            c.allocate(a, &victim, &vstate)->setState(st);
+            EXPECT_EQ(vstate, Mesi::Invalid);
+            ASSERT_NE(c.lookup(a), nullptr);
+            EXPECT_EQ(c.lookup(a)->state(), st);
+            EXPECT_EQ(c.probe(a + 63)->state(), st);
+            // Same set, one tag bit apart: a different line.
+            EXPECT_EQ(c.probe(a ^ (Addr{1} << 62)), nullptr);
+            EXPECT_EQ(c.downgradeToShared(a), st);
+            EXPECT_EQ(c.probe(a)->state(), Mesi::Shared);
+            EXPECT_EQ(c.invalidate(a), Mesi::Shared);
+            EXPECT_EQ(c.probe(a), nullptr);
+
+            c.allocate(a, &victim, &vstate)->setState(st);
+            EXPECT_EQ(c.invalidate(a), st);
+            EXPECT_EQ(c.residentLines(), 0u);
+        }
+    }
+}
+
+TEST(Cache, TopBitVictimAddressIsExact)
+{
+    for (const Addr a : {~Addr{0} << 6, Addr{1} << 63 | 0x40}) {
+        Cache c(CacheParams{"t", 128, 1, 64, 1}); // 2 sets, 1 way
+        Addr victim;
+        Mesi vstate;
+        c.allocate(a, &victim, &vstate)->setState(Mesi::Modified);
+        const Addr other = a ^ (Addr{1} << 62); // same set
+        c.allocate(other, &victim, &vstate)->setState(Mesi::Shared);
+        EXPECT_EQ(victim, a);
+        EXPECT_EQ(vstate, Mesi::Modified);
+        c.allocate(a, &victim, &vstate);
+        EXPECT_EQ(victim, other);
+        EXPECT_EQ(vstate, Mesi::Shared);
+    }
+}
+
+TEST(CacheDeathTest, NonPowerOfTwoSetCountAsserts)
+{
+    // 6 lines of 64 B, 2-way: 3 sets.
+    EXPECT_DEATH(Cache(CacheParams{"t", 6 * 64, 2, 64, 1}),
+                 "assertion failed: num_sets > 0");
+}
+
+TEST(Cache, RestoreRejectsMisalignedTag)
+{
+    const CacheParams params{"t", 8 * 1024, 2, 64, 2};
+    const Addr tag = 0x5a5a5a5a5a40;
+    Cache a(params);
+    Addr victim;
+    Mesi vstate;
+    a.allocate(tag, &victim, &vstate)->setState(Mesi::Modified);
+    snap::Serializer s;
+    a.save(s);
+    auto blob = s.take();
+    {
+        Cache b(params);
+        snap::Deserializer d(blob);
+        b.restore(d);
+        ASSERT_TRUE(d.ok()) << d.error();
+    }
+
+    // Overwrite the saved tag with one whose low bit is set.
+    snap::Serializer good, bad;
+    good.u64(tag);
+    bad.u64(tag | 1);
+    const auto at = std::search(blob.begin(), blob.end(),
+                                good.buffer().begin(),
+                                good.buffer().end());
+    ASSERT_NE(at, blob.end());
+    std::copy(bad.buffer().begin(), bad.buffer().end(), at);
+
+    Cache b(params);
+    snap::Deserializer d(blob);
+    b.restore(d);
+    EXPECT_FALSE(d.ok());
+    EXPECT_STREQ(d.error(), "cache tag not line-aligned");
 }
 
 class MemSystemTest : public ::testing::Test
@@ -121,8 +212,8 @@ TEST_F(MemSystemTest, ReadAfterRemoteWriteTransfersCacheToCache)
     EXPECT_EQ(mem.cacheToCacheTransfers.value(), 1u);
     EXPECT_GT(t2, t);
     // The remote M copy was downgraded to Shared.
-    EXPECT_EQ(mem.l2(0).probe(0x1000)->state, Mesi::Shared);
-    EXPECT_EQ(mem.l2(1).probe(0x1000)->state, Mesi::Shared);
+    EXPECT_EQ(mem.l2(0).probe(0x1000)->state(), Mesi::Shared);
+    EXPECT_EQ(mem.l2(1).probe(0x1000)->state(), Mesi::Shared);
 }
 
 TEST_F(MemSystemTest, WriteInvalidatesRemoteCopies)
@@ -132,7 +223,7 @@ TEST_F(MemSystemTest, WriteInvalidatesRemoteCopies)
     t = mem.access(1, 0x1000, AccessKind::Write, t);
     EXPECT_EQ(mem.l2(0).probe(0x1000), nullptr);
     EXPECT_EQ(mem.l1d(0).probe(0x1000), nullptr); // inclusion
-    EXPECT_EQ(mem.l2(1).probe(0x1000)->state, Mesi::Modified);
+    EXPECT_EQ(mem.l2(1).probe(0x1000)->state(), Mesi::Modified);
 }
 
 TEST_F(MemSystemTest, SharedUpgradeUsesBusUpgrade)
@@ -147,7 +238,7 @@ TEST_F(MemSystemTest, SharedUpgradeUsesBusUpgrade)
 TEST_F(MemSystemTest, ExclusiveSilentUpgrade)
 {
     Cycle t = mem.access(0, 0x1000, AccessKind::Read, 0);
-    ASSERT_EQ(mem.l2(0).probe(0x1000)->state, Mesi::Exclusive);
+    ASSERT_EQ(mem.l2(0).probe(0x1000)->state(), Mesi::Exclusive);
     auto bus_before = mem.busTransactions.value();
     Cycle t2 = mem.access(0, 0x1000, AccessKind::Write, t);
     EXPECT_EQ(t2 - t, 2u); // silent E->M in L1/L2
@@ -161,20 +252,12 @@ TEST_F(MemSystemTest, IFetchUsesICache)
     EXPECT_EQ(mem.l1d(0).misses.value(), 0u);
 }
 
-TEST_F(MemSystemTest, FlushCoreDropsAllLines)
-{
-    mem.access(0, 0x1000, AccessKind::Read, 0);
-    mem.flushCore(0);
-    EXPECT_EQ(mem.l2(0).probe(0x1000), nullptr);
-    EXPECT_EQ(mem.l1d(0).probe(0x1000), nullptr);
-}
-
 TEST_F(MemSystemTest, AmoActsAsWrite)
 {
     Cycle t = mem.access(1, 0x1000, AccessKind::Read, 0);
     mem.access(0, 0x1000, AccessKind::Amo, t);
     EXPECT_EQ(mem.l2(1).probe(0x1000), nullptr);
-    EXPECT_EQ(mem.l2(0).probe(0x1000)->state, Mesi::Modified);
+    EXPECT_EQ(mem.l2(0).probe(0x1000)->state(), Mesi::Modified);
 }
 
 } // namespace

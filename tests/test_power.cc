@@ -87,16 +87,6 @@ TEST(EnergyModel, FabricEnergyCountsRowActivations)
     EXPECT_GE(sys.fabric(0).rowActivations.value(), 100u);
 }
 
-TEST(EnergyDelay, Formula)
-{
-    Energy e;
-    e.dynamicJ = 1.0;
-    e.leakageJ = 1.0;
-    ClockParams clocks;
-    // 2e9 cycles = 1 second => ED = 2 J*s.
-    EXPECT_DOUBLE_EQ(energyDelay(e, 2'000'000'000, clocks), 2.0);
-}
-
 TEST(AreaModel, Ooo2ClusterMatchesSplClusterArea)
 {
     // The paper's area equivalence: 4 OOO1 + SPL ~= 4 OOO2 (+ free
