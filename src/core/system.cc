@@ -889,10 +889,9 @@ System::restore(snap::Deserializer &d)
     // A core whose binding already matched is deliberately NOT
     // rebound above, so bindThread()'s derived-state rebuild does not
     // run for it. Every component is therefore responsible for
-    // refreshing its own derived fast-path state (the decoded table
-    // and readiness memos in Core::restore) — none of it is
-    // serialized, which keeps snapshots bit-identical across
-    // REMAP_NO_BLOCK_CACHE settings.
+    // refreshing its own derived state (the decoded table in
+    // Core::restore) — none of it is serialized, so a snapshot holds
+    // only what the simulated machine holds.
     for (auto &core : cores_) {
         core->restore(d);
         if (!d.ok())

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
 #include "sim/trace.hh"
@@ -92,11 +91,6 @@ OooCore::OooCore(CoreId id, const CoreParams &params,
     iq_.reserve(params_.intQueueEntries + params_.fpQueueEntries);
     stores_.reserve(params_.robEntries);
     inflight_.reserve(params_.robEntries);
-    // Kill switches latched once per core (see sim/env.hh), so a
-    // single process can construct reference and fast-path systems
-    // side by side: the block cache governs pre-decode and the
-    // operand-readiness memo.
-    blockCacheEnabled_ = !env::noBlockCache();
     statGroup_.addCounter("committed_insts", &committedInsts);
     statGroup_.addCounter("committed_int", &committedIntOps);
     statGroup_.addCounter("committed_fp", &committedFpOps);
@@ -171,12 +165,10 @@ OooCore::rebuildDecoded()
     // pointer: a rebuild is O(program size) and only happens at
     // bind/restore points, and never trusting a stale pointer rules
     // out aliasing against a recycled Program allocation.
-    if (!blockCacheEnabled_ || !ctx_ || !ctx_->program) {
-        decodedFor_ = nullptr;
-        return;
-    }
-    decoded_.build(*ctx_->program);
-    decodedFor_ = ctx_->program;
+    if (ctx_ && ctx_->program)
+        decoded_.build(*ctx_->program);
+    else
+        decoded_.insts.clear();
 }
 
 bool
@@ -216,35 +208,16 @@ OooCore::recordProducer(const DynInst &d)
 }
 
 bool
-OooCore::operandsReady(DynInst &d, Cycle now)
+OooCore::operandsReady(const DynInst &d, Cycle now) const
 {
-    // Memo fast path: readiness is monotone (a producer's stage only
-    // advances and its completeCycle is fixed once issued), so a
-    // cached lower bound on the first possibly-ready cycle is safe —
-    // before that cycle the walk below provably returns false.
-    // Gated with the block cache so REMAP_NO_BLOCK_CACHE=1 restores
-    // the pristine per-cycle producer walk.
-    if (blockCacheEnabled_ && now < d.notReadyUntil)
-        return false;
     for (std::uint64_t dep : {d.dep1, d.dep2}) {
         if (dep == 0)
             continue;
         const DynInst *p = findBySeq(dep);
         if (p && (p->stage != Stage::Completed ||
-                  p->completeCycle > now)) {
-            // An issued producer becomes consumable exactly at its
-            // completeCycle (writeback runs before issue each tick).
-            // An unissued one sits at or after this core's walk
-            // position (producers have lower seqs), so it issues at
-            // now + 1 at the earliest and, with the 1-cycle minimum
-            // op latency, cannot be consumable before now + 2.
-            d.notReadyUntil = p->stage == Stage::Issued
-                                  ? p->completeCycle
-                                  : now + 2;
+                  p->completeCycle > now))
             return false;
-        }
     }
-    d.notReadyUntil = 0;
     return true;
 }
 
@@ -476,14 +449,9 @@ OooCore::fetch(Cycle now)
     bool icache_pure_hit = false;
 
     const isa::Instruction *code = ctx_->program->code.data();
-    // With the block cache on, fetch reads pre-decoded metadata; with
-    // it off (or after a bind the table missed), every instruction is
-    // re-decoded on the spot through the same decodeOne(), so the two
-    // cannot disagree.
-    const isa::DecodedInst *table =
-        (blockCacheEnabled_ && decodedFor_ == ctx_->program)
-            ? decoded_.insts.data()
-            : nullptr;
+    // The bound program's decode table, rebuilt at every bind and
+    // restore (rebuildDecoded()).
+    const isa::DecodedInst *table = decoded_.insts.data();
 
     unsigned n = 0;
     while (n < params_.fetchWidth) {
@@ -495,8 +463,7 @@ OooCore::fetch(Cycle now)
 
         const std::uint32_t fetch_pc = ctx_->pc;
         const isa::Instruction &inst = code[fetch_pc];
-        const isa::DecodedInst dec =
-            table ? table[fetch_pc] : isa::decodeOne(inst);
+        const isa::DecodedInst dec = table[fetch_pc];
 
         // Construct the entry in its window slot; it joins the fetch
         // buffer only when nextSeq_ advances past it below.
@@ -1132,6 +1099,10 @@ OooCore::restore(snap::Deserializer &d)
         d.fail("thread binding mismatch");
         return;
     }
+    // System::restore only rebinds threads when the binding changed,
+    // so the decode table is rebuilt here as well: a restored core may
+    // run without a bindThread(), and restored entries read it below.
+    rebuildDecoded();
 
     auto restore_insts = [&](std::vector<DynInst> &q,
                              std::size_t capacity,
@@ -1151,11 +1122,10 @@ OooCore::restore(snap::Deserializer &d)
                     return;
                 }
                 di.si = &ctx_->program->code[si_idx];
-                // Derived decode metadata is rebuilt, not restored;
-                // decodeOne() is the same function the fetch paths
-                // use, so restored entries match freshly fetched
-                // ones bit for bit.
-                const isa::DecodedInst dec = isa::decodeOne(*di.si);
+                // Derived decode metadata is rebuilt, not restored,
+                // from the table fetch reads, so restored entries
+                // match freshly fetched ones bit for bit.
+                const isa::DecodedInst dec = decoded_.insts[si_idx];
                 di.cls = dec.cls;
                 di.flags = dec.flags;
             }
@@ -1256,11 +1226,6 @@ OooCore::restore(snap::Deserializer &d)
 
     bpred_.restore(d);
     statGroup_.restore(d);
-
-    // System::restore only rebinds threads when the binding changed,
-    // so the decoded-program table must be refreshed here as well —
-    // a restored core may run immediately without a bindThread().
-    rebuildDecoded();
 }
 
 } // namespace remap::cpu

@@ -283,16 +283,6 @@ class OooCore
         std::int32_t splValue = 0;   ///< functional spl_store result
         std::int64_t splLoadValue = 0; ///< word staged by spl_load
         bool usesFpQueue = false;
-        /**
-         * Operand-readiness memo: 0 = unknown (walk the producers),
-         * otherwise a proven lower bound on the first cycle the
-         * producers could all be complete, so issue() can skip the
-         * producer walk until then. Readiness is monotone (producers
-         * only ever advance and their completeCycle is fixed once
-         * issued), which makes the bound safe to cache. Derived,
-         * never serialized; reset on restore.
-         */
-        Cycle notReadyUntil = 0;
     };
 
     // Pipeline stages, processed commit-first each tick.
@@ -306,9 +296,8 @@ class OooCore
      *  fetch must stall (spl_store with no functional value yet). */
     bool funcExecute(const isa::Instruction &inst, DynInst &d);
 
-    /** True when @p d's producers have completed by @p now; updates
-     *  the notReadyUntil memo on @p d. */
-    bool operandsReady(DynInst &d, Cycle now);
+    /** True when @p d's producers have completed by @p now. */
+    bool operandsReady(const DynInst &d, Cycle now) const;
     /** The ROB entry with sequence number @p seq, or nullptr when
      *  @p seq is not in the ROB. */
     const DynInst *
@@ -329,7 +318,7 @@ class OooCore
     bool olderStoreIncomplete(std::uint64_t seq) const;
 
     /** Rebuild the per-core decoded-program table for the bound
-     *  thread's program (no-op when the block cache is disabled). */
+     *  thread's program (empty when no program is bound). */
     void rebuildDecoded();
 
     /** Record @p d as the latest producer of its destination. */
@@ -385,14 +374,11 @@ class OooCore
      *  skip the walk. Derived, not serialized. */
     Cycle minIssuedComplete_ = neverCycle;
 
-    /** @{ @name Decoded basic-block cache (derived, not snapshotted;
-     * rebuilt by bindThread()/restore(). `decoded_` is a pure
-     * function of the immutable bound Program — see isa/decoded.hh —
-     * so it needs no invalidation between those points). */
-    bool blockCacheEnabled_ = true; ///< !REMAP_NO_BLOCK_CACHE
-    const isa::Program *decodedFor_ = nullptr;
+    /** The bound program's decode table, indexed by pc (derived, not
+     *  snapshotted; rebuilt by bindThread()/restore(). It is a pure
+     *  function of the immutable bound Program — see isa/decoded.hh —
+     *  so it needs no invalidation between those points). */
     isa::DecodedProgram decoded_;
-    /** @} */
 
     Cycle fetchResumeCycle_ = 0;
     std::uint64_t fetchBlockedOnSeq_ = 0; ///< unresolved mispredict

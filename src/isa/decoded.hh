@@ -14,12 +14,12 @@
  * pipeline into one OpClass byte plus a 16-bit flag word, and
  * `DecodedProgram` computes them once per *static* instruction.
  *
- * `decodeOne()` is the single source of truth: the cached table and
- * the `REMAP_NO_BLOCK_CACHE=1` one-instruction-at-a-time slow path
- * both call it, so the two paths cannot disagree on a decoded fact.
- * It derives every bit from the existing `Instruction` predicate
- * methods rather than re-listing opcodes, which keeps it correct by
- * construction when the ISA grows.
+ * `decodeOne()` is the single source of truth: the core builds its
+ * table from it at every bind and restore, and fetch and the restore
+ * of in-flight entries read only the table, so there is one decode
+ * path. It derives every bit from the existing `Instruction`
+ * predicate methods rather than re-listing opcodes, which keeps it
+ * correct by construction when the ISA grows.
  */
 
 #ifndef REMAP_ISA_DECODED_HH
@@ -63,11 +63,8 @@ struct DecodedInst
     std::uint16_t flags = 0;
 };
 
-/**
- * Decode one instruction. Shared by the DecodedProgram table build
- * and the REMAP_NO_BLOCK_CACHE slow path — both sides see bitwise
- * identical metadata by construction.
- */
+/** Decode one instruction: the one function DecodedProgram::build
+ *  calls per static instruction. */
 DecodedInst decodeOne(const Instruction &inst);
 
 /**
@@ -83,8 +80,6 @@ struct DecodedProgram
 
     /** Rebuild the table for @p prog. */
     void build(const Program &prog);
-
-    bool empty() const { return insts.empty(); }
 };
 
 } // namespace remap::isa

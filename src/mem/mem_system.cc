@@ -44,21 +44,19 @@ MemSystem::snoopRemotes(CoreId requester, Addr addr, bool exclusive)
     for (unsigned c = 0; c < l2_.size(); ++c) {
         if (c == requester)
             continue;
-        const Cache::Line *line = l2_[c]->probe(addr);
-        if (!line)
+        // One set search: the state the line held before the snoop.
+        const Mesi prev = exclusive ? l2_[c]->invalidate(addr)
+                                    : l2_[c]->downgradeToShared(addr);
+        if (prev == Mesi::Invalid)
             continue;
         found.anyCopy = true;
-        if (line->state() == Mesi::Modified ||
-            line->state() == Mesi::Exclusive) {
-            found.dirty = (line->state() == Mesi::Modified);
-        }
+        if (prev == Mesi::Modified || prev == Mesi::Exclusive)
+            found.dirty = (prev == Mesi::Modified);
         if (exclusive) {
-            l2_[c]->invalidate(addr);
             // Inclusion: kill any L1 copies too.
             l1d_[c]->invalidate(addr);
             l1i_[c]->invalidate(addr);
         } else {
-            l2_[c]->downgradeToShared(addr);
             l1d_[c]->downgradeToShared(addr);
         }
     }

@@ -65,14 +65,6 @@ noLeap()
     return killSwitch("REMAP_NO_LEAP", "per-core sleep", announced);
 }
 
-bool
-noBlockCache()
-{
-    static std::atomic<bool> announced{false};
-    return killSwitch("REMAP_NO_BLOCK_CACHE",
-                      "decoded basic-block cache", announced);
-}
-
 namespace
 {
 

@@ -16,9 +16,6 @@
  * including "0" and the empty string, is a fatal error):
  *  - REMAP_NO_LEAP=1        disable per-core sleep: every core ticks
  *                           on every cycle (the per-cycle reference)
- *  - REMAP_NO_BLOCK_CACHE=1 disable the decoded instruction table
- *                           and the operand-readiness memo: every
- *                           fetch re-decodes its instruction
  *
  * Switches (same strict form: unset = off, "1" = on):
  *  - REMAP_PROFILE=1        sample every pool job's host CPU time by
@@ -67,9 +64,6 @@ bool profile();
 /** True when REMAP_NO_LEAP=1: per-core sleep off, so the run loop
  *  ticks every core on every cycle (the per-cycle reference). */
 bool noLeap();
-
-/** True when REMAP_NO_BLOCK_CACHE=1: decoded-block cache off. */
-bool noBlockCache();
 
 /**
  * Strict parser for a decimal count held by the variable @p name:

@@ -84,11 +84,16 @@ class ScopedLogContext
 #define REMAP_INFORM(...) \
     ::remap::detail::informImpl(::remap::detail::formatString(__VA_ARGS__))
 
-/** Invariant check that panics (not asserts) so it fires in release. */
+/**
+ * Invariant check that panics (not asserts) so it fires in release.
+ * The printf-style message is formatted only on failure and printed
+ * after the condition: "assertion failed: <cond>: <message>".
+ */
 #define REMAP_ASSERT(cond, ...) \
     do { \
         if (!(cond)) { \
-            REMAP_PANIC("assertion failed: %s", #cond); \
+            REMAP_PANIC("assertion failed: %s: %s", #cond, \
+                ::remap::detail::formatString(__VA_ARGS__).c_str()); \
         } \
     } while (0)
 

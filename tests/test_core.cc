@@ -199,6 +199,49 @@ TEST_F(CoreTest, LoopSumsCorrectly)
     EXPECT_EQ(ctx.intRegs[2], 4950);
 }
 
+TEST_F(CoreTest, RebindToAnotherProgramDecodesIt)
+{
+    // Program A is ALU ops at every pc. Program B, bound to the same
+    // core after A halts, holds stores, loads and a branch at those
+    // pcs: decoding B with A's table would run them as ALU ops.
+    isa::ProgramBuilder a("a");
+    for (int i = 0; i < 12; ++i)
+        a.addi(static_cast<isa::RegIndex>(1 + (i % 6)), 0, i);
+    a.halt();
+    auto pa = a.build();
+    const Cycle a_end = runOoo1(pa);
+    EXPECT_EQ(ctx.intRegs[6], 11);
+
+    isa::ProgramBuilder b("b");
+    b.li(1, 0x2000)
+        .li(2, 0)
+        .li(3, 5)
+        .label("loop")
+        .sd(3, 1, 0)
+        .addi(2, 2, 1)
+        .addi(1, 1, 8)
+        .blt(2, 3, "loop")
+        .ld(4, 1, -8)
+        .halt();
+    auto pb = b.build();
+    ASSERT_LE(pb.code.size(), pa.code.size());
+    ThreadContext ctx_b;
+    ctx_b.id = 0;
+    ctx_b.reset(&pb);
+    core->bindThread(&ctx_b);
+    Cycle cycle = a_end;
+    while (!core->done()) {
+        core->tick(cycle++);
+        ASSERT_LT(cycle, a_end + 1'000'000) << "core did not finish";
+    }
+    EXPECT_EQ(ctx_b.intRegs[1], 0x2000 + 5 * 8);
+    EXPECT_EQ(ctx_b.intRegs[2], 5);
+    EXPECT_EQ(ctx_b.intRegs[4], 5);
+    for (Addr addr = 0x2000; addr < 0x2000 + 5 * 8; addr += 8)
+        EXPECT_EQ(image.readI64(addr), 5) << addr;
+    EXPECT_EQ(image.readI64(0x2000 + 5 * 8), 0);
+}
+
 TEST_F(CoreTest, DependentChainSlowerThanIndependent)
 {
     isa::ProgramBuilder dep("dep");

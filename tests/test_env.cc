@@ -111,8 +111,7 @@ TEST(EnvParse, MalformedKillSwitchesAreRejected)
     // A kill switch is off only when unset and on only at "1": "0"
     // or an empty value must not silently disable a fast path.
     // REMAP_PROFILE reads the same way, so "0" never turns it on.
-    const char *names[] = {"REMAP_NO_LEAP", "REMAP_NO_BLOCK_CACHE",
-                           "REMAP_PROFILE"};
+    const char *names[] = {"REMAP_NO_LEAP", "REMAP_PROFILE"};
     const char *bad[] = {"0", "", "yes", " 1"};
     for (const char *name : names) {
         for (const char *text : bad) {

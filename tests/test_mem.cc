@@ -144,7 +144,8 @@ TEST(CacheDeathTest, NonPowerOfTwoSetCountAsserts)
 {
     // 6 lines of 64 B, 2-way: 3 sets.
     EXPECT_DEATH(Cache(CacheParams{"t", 6 * 64, 2, 64, 1}),
-                 "assertion failed: num_sets > 0");
+                 "assertion failed: num_sets > 0.*: "
+                 "set count must be a power of two");
 }
 
 TEST(Cache, RestoreRejectsMisalignedTag)

@@ -7,9 +7,6 @@
  *
  *   - no-leap: the per-cycle loop (REMAP_NO_LEAP=1), where no core
  *     sleeps;
- *   - reference path: every fetch re-decodes its instruction, with
- *     no decoded table or operand-readiness memo
- *     (REMAP_NO_BLOCK_CACHE=1);
  *   - stored: runRegion on an empty snapshot cache, which simulates
  *     and assembles the result (per-copy energy and work);
  *   - served: runRegion again, answered from the final-result entry
@@ -24,7 +21,7 @@
  *  One value-parameterized case per region lets `ctest -j` balance
  *  the load; fig14 reads fig12's regions, so it adds no case. A few
  *  single-region cases cover what the region legs cannot: traced
- *  runs, migrations and snapshot interchange across kill-switch
+ *  runs, migrations and snapshot interchange across REMAP_NO_LEAP
  *  settings. */
 
 #include <gtest/gtest.h>
@@ -83,7 +80,6 @@ enum class Leg
 {
     Default,       ///< every fast path on
     NoLeap,        ///< per-cycle loop
-    ReferencePath, ///< no block cache
     Profiled,      ///< host-time phase sampler armed
 };
 
@@ -94,7 +90,6 @@ legEnv(Leg leg)
       case Leg::Default:
       case Leg::Profiled: return {};
       case Leg::NoLeap: return {"REMAP_NO_LEAP"};
-      case Leg::ReferencePath: return {"REMAP_NO_BLOCK_CACHE"};
     }
     return {};
 }
@@ -287,10 +282,6 @@ TEST_P(RegionDifferential, AlternativesMatchReference)
     {
         SCOPED_TRACE("no-leap");
         expectIdentical(runProbe(c.job, Leg::NoLeap), ref);
-    }
-    {
-        SCOPED_TRACE("reference path");
-        expectIdentical(runProbe(c.job, Leg::ReferencePath), ref);
     }
     if (c.profiled) {
         SCOPED_TRACE("profiled");
@@ -619,31 +610,14 @@ TEST(LeapDifferential, MigrationsMatchPerCycle)
     }
 }
 
-TEST(FastPathDifferential, TracedRunsAreByteIdentical)
-{
-    // A tracer forces fetch onto the generic one-instruction path
-    // (the spl stall-span bookkeeping lives there), so a traced run
-    // must be byte-identical to a traced reference-path run — stall
-    // spans and counter samples included.
-    const RegionJob job = tracedJob();
-    const std::string dir = testing::TempDir();
-    const Probe ref = runProbe(job, Leg::Default,
-                               dir + "remap_fpdiff_a.json", 500);
-    ASSERT_FALSE(ref.traceBytes.empty());
-    expectIdentical(runProbe(job, Leg::ReferencePath,
-                             dir + "remap_fpdiff_b.json", 500),
-                    ref);
-}
-
 TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
 {
-    // Derived fast-path state — the decoded tables and
-    // operand-readiness memos in the cores, the run loop's activity
-    // cache — is never serialized; restore rebuilds it from scratch.
-    // Snapshots are therefore interchangeable across REMAP_NO_LEAP /
-    // REMAP_NO_BLOCK_CACHE settings: a run restored
-    // under any setting from a snapshot captured under any other
-    // must land on exactly the uninterrupted trajectory. In the
+    // Derived state — the decoded tables in the cores, the run
+    // loop's activity cache — is never serialized; restore rebuilds
+    // it from scratch. Snapshots are therefore interchangeable
+    // across REMAP_NO_LEAP settings: a run restored under either
+    // setting from a snapshot captured under the other must land on
+    // exactly the uninterrupted trajectory. In the
     // sleeping region the boundary lands while cores sleep, and
     // restore rebuilds the cores' issue, store and in-flight lists.
     RunSpec spec;
@@ -657,8 +631,7 @@ TEST(SnapshotDifferential, RestoreRebuildsFastPathState)
         const Probe ref = runProbe(job, Leg::Default);
         const Cycle boundary = segmentBoundary(ref.cycles);
         ASSERT_GT(boundary, 0u);
-        const Leg legs[] = {Leg::Default, Leg::NoLeap,
-                            Leg::ReferencePath};
+        const Leg legs[] = {Leg::Default, Leg::NoLeap};
         for (Leg from : legs) {
             for (Leg to : legs) {
                 if (from == to)
