@@ -482,9 +482,10 @@ OooCore::fetch(Cycle now)
                 mem_->access(id_, d.pcAddr, mem::AccessKind::IFetch,
                              now);
             accessed_icache = true;
-            // A pure L1I hit touches only the hit counter and the LRU
-            // stamp — the one repeatable-per-cycle side effect a
-            // sleeping core's catch-up is allowed to bulk-replicate.
+            // A pure L1I hit touches only the hit counter and the
+            // line's recency age — the one repeatable-per-cycle side
+            // effect a sleeping core's catch-up is allowed to
+            // bulk-replicate.
             icache_pure_hit =
                 mem_->l1iMisses(id_) == misses_before;
             if (!icache_pure_hit)
@@ -992,7 +993,8 @@ OooCore::accountSkippedStallCycles(Cycle n)
         splFetchStalls += n;
         // The stalled spl_store re-probes its own icache line every
         // cycle; replicate those guaranteed-pure hits in bulk so the
-        // cache hit counters and LRU clock match the per-cycle loop.
+        // cache hit counters and recency order match the per-cycle
+        // loop.
         mem_->accountRepeatedIFetchHits(id_, stallFetchAddr_, n);
     }
     if (stallMask_ & kStallSplCommit)

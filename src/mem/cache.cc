@@ -10,12 +10,10 @@ namespace remap::mem
 Cache::Cache(const CacheParams &params)
     : params_(params), statGroup_(params.name)
 {
-    // Line numbers take 62 bits of the packed tag word, so the line
-    // must be at least 4 bytes; sets are picked by a mask, so their
-    // count must be a power of two.
-    REMAP_ASSERT(params_.lineBytes >= 4 &&
-                 (params_.lineBytes & (params_.lineBytes - 1)) == 0,
-                 "line size must be a power of two of at least 4");
+    // Sets are picked by a mask, so their count must be a power of
+    // two; the age and the MESI state share the line offset bits.
+    REMAP_ASSERT(std::has_single_bit(params_.lineBytes),
+                 "line size must be a power of two");
     std::size_t num_lines = params_.sizeBytes / params_.lineBytes;
     REMAP_ASSERT(params_.assoc > 0 && num_lines % params_.assoc == 0,
                  "cache geometry does not divide evenly");
@@ -23,9 +21,16 @@ Cache::Cache(const CacheParams &params)
     REMAP_ASSERT(num_sets > 0 && (num_sets & (num_sets - 1)) == 0,
                  "set count must be a power of two");
     lineShift_ = static_cast<unsigned>(std::countr_zero(params_.lineBytes));
+    const unsigned age_bits = std::bit_width(params_.assoc - 1);
+    REMAP_ASSERT(Line::ageShift + age_bits <= lineShift_,
+                 "%u ways need %u age bits, more than %u-byte lines leave "
+                 "beside the MESI state", params_.assoc, age_bits,
+                 params_.lineBytes);
     lineMask_ = params_.lineBytes - 1;
     setMask_ = num_sets - 1;
+    ageMask_ = ((std::uint64_t(1) << age_bits) - 1) << Line::ageShift;
     lines_.resize(num_lines);
+    clearWays();
 
     statGroup_.addCounter("hits", &hits);
     statGroup_.addCounter("misses", &misses);
@@ -35,25 +40,48 @@ Cache::Cache(const CacheParams &params)
                           &snoopInvalidations);
 }
 
-const Cache::Line *
-Cache::find(std::uint64_t line_num) const
+void
+Cache::clearWays()
 {
-    const Line *set = &lines_[setBase(line_num)];
+    for (std::size_t base = 0; base < lines_.size(); base += params_.assoc)
+        for (unsigned w = 0; w < params_.assoc; ++w)
+            lines_[base + w].word_ = std::uint64_t(w) << Line::ageShift;
+}
+
+unsigned
+Cache::findWay(const Line *set, Addr addr) const
+{
+    const Addr tag = lineAddr(addr);
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (set[w].state() != Mesi::Invalid &&
-            set[w].lineNum_ == line_num)
-            return &set[w];
+        const std::uint64_t word = set[w].word_;
+        if ((word & ~Addr(lineMask_)) == tag && (word & Line::stateMask))
+            return w;
     }
-    return nullptr;
+    return params_.assoc;
+}
+
+void
+Cache::touch(Line *set, unsigned way)
+{
+    const std::uint64_t age = set[way].word_ & ageMask_;
+    if (age == 0)
+        return;
+    // Branch-free: which ways are younger is data, not a pattern.
+    for (unsigned w = 0; w < params_.assoc; ++w)
+        set[w].word_ += std::uint64_t((set[w].word_ & ageMask_) < age)
+                        << Line::ageShift;
+    set[way].word_ &= ~ageMask_;
 }
 
 Cache::Line *
 Cache::lookup(Addr addr)
 {
-    Line *line = const_cast<Line *>(find(addr >> lineShift_));
-    if (line)
-        line->lruStamp_ = ++lruClock_;
-    return line;
+    Line *set = &lines_[setBase(addr)];
+    const unsigned way = findWay(set, addr);
+    if (way == params_.assoc)
+        return nullptr;
+    touch(set, way);
+    return &set[way];
 }
 
 void
@@ -63,15 +91,15 @@ Cache::accountRepeatedHits(Addr addr, std::uint64_t n)
         return;
     Line *line = lookup(addr);
     REMAP_ASSERT(line, "bulk-accounting hits on a non-resident line");
-    lruClock_ += n - 1;
-    line->lruStamp_ = lruClock_;
     hits += n;
 }
 
 const Cache::Line *
 Cache::probe(Addr addr) const
 {
-    return find(addr >> lineShift_);
+    const Line *set = &lines_[setBase(addr)];
+    const unsigned way = findWay(set, addr);
+    return way == params_.assoc ? nullptr : &set[way];
 }
 
 Cache::Line *
@@ -80,43 +108,44 @@ Cache::allocate(Addr addr, Addr *victim_addr, Mesi *victim_state)
     *victim_addr = 0;
     *victim_state = Mesi::Invalid;
 
-    const std::uint64_t line_num = addr >> lineShift_;
-    Line *set = &lines_[setBase(line_num)];
+    Line *set = &lines_[setBase(addr)];
+    const std::uint64_t oldest = std::uint64_t(params_.assoc - 1)
+                                 << Line::ageShift;
 
-    // Prefer an invalid way; otherwise evict true-LRU.
-    Line *victim = nullptr;
+    // Prefer the first invalid way; otherwise evict the oldest.
+    unsigned way = 0;
     for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = set[w];
-        if (line.state() == Mesi::Invalid) {
-            victim = &line;
+        if (set[w].state() == Mesi::Invalid) {
+            way = w;
             break;
         }
-        if (!victim || line.lruStamp_ < victim->lruStamp_)
-            victim = &line;
+        if ((set[w].word_ & ageMask_) == oldest)
+            way = w;
     }
 
-    if (victim->state() != Mesi::Invalid) {
+    Line &victim = set[way];
+    if (victim.state() != Mesi::Invalid) {
         ++evictions;
-        if (victim->state() == Mesi::Modified)
+        if (victim.state() == Mesi::Modified)
             ++writebacks;
-        *victim_addr = Addr(victim->lineNum_) << lineShift_;
-        *victim_state = victim->state();
+        *victim_addr = victim.word_ & ~Addr(lineMask_);
+        *victim_state = victim.state();
     }
 
-    victim->lineNum_ = line_num;
-    victim->setState(Mesi::Invalid);
-    victim->lruStamp_ = ++lruClock_;
-    return victim;
+    victim.word_ = lineAddr(addr) | (victim.word_ & ageMask_);
+    touch(set, way);
+    return &victim;
 }
 
 Mesi
 Cache::invalidate(Addr addr)
 {
-    Line *line = const_cast<Line *>(find(addr >> lineShift_));
-    if (!line)
+    Line *set = &lines_[setBase(addr)];
+    const unsigned way = findWay(set, addr);
+    if (way == params_.assoc)
         return Mesi::Invalid;
-    const Mesi prev = line->state();
-    line->setState(Mesi::Invalid);
+    const Mesi prev = set[way].state();
+    set[way].setState(Mesi::Invalid);
     ++snoopInvalidations;
     return prev;
 }
@@ -124,11 +153,12 @@ Cache::invalidate(Addr addr)
 Mesi
 Cache::downgradeToShared(Addr addr)
 {
-    Line *line = const_cast<Line *>(find(addr >> lineShift_));
-    if (!line)
+    Line *set = &lines_[setBase(addr)];
+    const unsigned way = findWay(set, addr);
+    if (way == params_.assoc)
         return Mesi::Invalid;
-    const Mesi prev = line->state();
-    line->setState(Mesi::Shared);
+    const Mesi prev = set[way].state();
+    set[way].setState(Mesi::Shared);
     return prev;
 }
 
@@ -149,19 +179,28 @@ Cache::save(snap::Serializer &s) const
     s.str(params_.name);
     s.u32(static_cast<std::uint32_t>(lines_.size()));
     // The way a line occupies matters (allocate() prefers the first
-    // invalid way and breaks LRU ties by way order), so each valid
-    // line is written with its position in the tag store.
+    // invalid way), so each valid line is written with its position
+    // in the tag store, and with its rank among its set's valid ways.
     s.u32(static_cast<std::uint32_t>(residentLines()));
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const Line &line = lines_[i];
-        if (line.state() == Mesi::Invalid)
-            continue;
-        s.u32(static_cast<std::uint32_t>(i));
-        s.u64(Addr(line.lineNum_) << lineShift_);
-        s.u8(static_cast<std::uint8_t>(line.state()));
-        s.u64(line.lruStamp_);
+    const unsigned assoc = params_.assoc;
+    std::vector<unsigned> by_age(assoc), rank(assoc);
+    for (std::size_t base = 0; base < lines_.size(); base += assoc) {
+        const Line *set = &lines_[base];
+        for (unsigned w = 0; w < assoc; ++w)
+            by_age[(set[w].word_ & ageMask_) >> Line::ageShift] = w;
+        unsigned next = 0;
+        for (const unsigned w : by_age)
+            if (set[w].state() != Mesi::Invalid)
+                rank[w] = next++;
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (set[w].state() == Mesi::Invalid)
+                continue;
+            s.u32(static_cast<std::uint32_t>(base + w));
+            s.u64(set[w].word_ & ~Addr(lineMask_));
+            s.u8(static_cast<std::uint8_t>(set[w].state()));
+            s.u32(rank[w]);
+        }
     }
-    s.u64(lruClock_);
     statGroup_.save(s);
 }
 
@@ -182,33 +221,70 @@ Cache::restore(snap::Deserializer &d)
         d.fail("cache geometry mismatch");
         return;
     }
-    const std::uint32_t resident = d.count(21);
-    // Invalid ways never influence behaviour (lookup/allocate check
-    // state first), so resetting them keeps restored state canonical.
-    for (auto &line : lines_)
-        line = Line{};
+    const std::uint32_t resident = d.count(17);
+    clearWays();
+    // Saved lines come in tag-store order, one set at a time. Each
+    // set's valid ways take ages 0.. in saved rank order and its
+    // invalid ways the older ages in way order, so restored ages are
+    // canonical.
+    const unsigned assoc = params_.assoc;
+    constexpr unsigned none = ~0u;
+    std::vector<unsigned> by_rank(assoc, none); ///< way holding each rank
+    std::size_t base = 0; ///< first way of the set being gathered
+    const auto rank_set = [&] {
+        Line *set = &lines_[base];
+        std::uint64_t age = 0;
+        for (unsigned &w : by_rank) {
+            if (w != none)
+                set[w].word_ |= age++ << Line::ageShift;
+            w = none;
+        }
+        for (unsigned w = 0; w < assoc; ++w)
+            if (set[w].state() == Mesi::Invalid)
+                set[w].word_ = age++ << Line::ageShift;
+    };
+    std::size_t next = 0; ///< lowest index the next line may have
     for (std::uint32_t i = 0; i < resident && d.ok(); ++i) {
         const std::uint32_t idx = d.u32();
         if (idx >= lines_.size()) {
             d.fail("cache line index out of range");
             return;
         }
-        Line &line = lines_[idx];
+        if (idx < next) {
+            d.fail("cache line indexes not ascending");
+            return;
+        }
+        next = idx + 1;
         const Addr tag = d.u64();
         if (tag & lineMask_) {
             d.fail("cache tag not line-aligned");
             return;
         }
-        line.lineNum_ = tag >> lineShift_;
         const std::uint8_t state = d.u8();
-        if (state > static_cast<std::uint8_t>(Mesi::Modified)) {
+        if (state == static_cast<std::uint8_t>(Mesi::Invalid) ||
+            state > static_cast<std::uint8_t>(Mesi::Modified)) {
             d.fail("bad MESI state");
             return;
         }
-        line.setState(static_cast<Mesi>(state));
-        line.lruStamp_ = d.u64();
+        const std::uint32_t rank = d.u32();
+        if (rank >= assoc) {
+            d.fail("cache recency rank out of range");
+            return;
+        }
+        if (idx >= base + assoc) {
+            rank_set();
+            base = idx - idx % assoc;
+        }
+        if (by_rank[rank] != none) {
+            d.fail("duplicate cache recency rank in a set");
+            return;
+        }
+        by_rank[rank] = static_cast<unsigned>(idx - base);
+        lines_[idx].word_ = tag | state;
     }
-    lruClock_ = d.u64();
+    if (!d.ok())
+        return;
+    rank_set();
     statGroup_.restore(d);
 }
 

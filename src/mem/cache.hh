@@ -35,6 +35,10 @@ struct CacheParams
     std::string name = "cache";
     std::size_t sizeBytes = 8 * 1024;
     unsigned assoc = 2;
+    /** A power of two with 2 + bit_width(assoc - 1) <= log2(lineBytes):
+     *  a tag line keeps the MESI state and the way's recency age in
+     *  the low bits a line-aligned address frees (64-byte lines allow
+     *  up to 16 ways). */
     unsigned lineBytes = 64;
     /** Access latency in core cycles (hit time). */
     Cycle latency = 2;
@@ -45,24 +49,29 @@ class Cache
 {
   public:
     /**
-     * One cache line's bookkeeping, packed into 16 bytes: the line
-     * number (addr >> log2(lineBytes)) and the MESI state share one
-     * 64-bit word, the state in the two low bits that line alignment
-     * frees (so line numbers take 62 bits for any lineBytes >= 4).
+     * One cache line's bookkeeping in one 64-bit word: the line
+     * address (addr & ~(lineBytes - 1)) | recency age << 2 | MESI
+     * state. The age is the way's rank in its set, 0 for the most
+     * recently used; the ages of a set's ways are always a
+     * permutation of 0..assoc-1, invalid ways included.
      */
     class Line
     {
       public:
-        Mesi state() const { return static_cast<Mesi>(state_); }
-        void setState(Mesi s) { state_ = static_cast<std::uint8_t>(s); }
+        Mesi state() const { return static_cast<Mesi>(word_ & stateMask); }
+        void
+        setState(Mesi s)
+        {
+            word_ = (word_ & ~stateMask) | static_cast<std::uint64_t>(s);
+        }
 
       private:
         friend class Cache;
-        std::uint64_t state_ : 2 = 0;
-        std::uint64_t lineNum_ : 62 = 0;
-        std::uint64_t lruStamp_ = 0;
+        static constexpr std::uint64_t stateMask = 3;
+        static constexpr unsigned ageShift = 2;
+        std::uint64_t word_ = 0;
     };
-    static_assert(sizeof(Line) == 16, "a tag line is 16 bytes");
+    static_assert(sizeof(Line) == 8, "a tag line is 8 bytes");
 
     explicit Cache(const CacheParams &params);
 
@@ -76,7 +85,7 @@ class Cache
     /**
      * Find the line holding @p addr.
      * @return pointer into the tag store, or nullptr on miss.
-     *         Updates LRU on hit.
+     *         Makes the line the most recent on hit.
      */
     Line *lookup(Addr addr);
 
@@ -84,10 +93,10 @@ class Cache
     const Line *probe(Addr addr) const;
 
     /**
-     * Replicate @p n consecutive pure hits on @p addr: advance the
-     * LRU clock and the line's stamp as n lookup() calls would and
-     * credit n hits. The line must be resident — callers use this to
-     * bulk-account re-probes of a line a prior access just hit.
+     * Replicate @p n consecutive pure hits on @p addr: make the line
+     * the most recent, as n lookup() calls would, and credit n hits.
+     * The line must be resident — callers use this to bulk-account
+     * re-probes of a line a prior access just hit.
      */
     void accountRepeatedHits(Addr addr, std::uint64_t n);
 
@@ -115,15 +124,19 @@ class Cache
     /** Stats group for reporting. */
     StatGroup &stats() { return statGroup_; }
 
-    /** Serialize valid lines (sparse), the LRU clock and the stats.
-     *  Canonical: invalid lines are not written, so two caches with
-     *  identical resident contents serialize identically regardless
-     *  of stale bookkeeping left in invalid ways. */
+    /** Serialize valid lines (sparse) and the stats. Canonical: each
+     *  valid line carries its rank among the valid ways of its set,
+     *  and invalid lines are not written, so two caches with
+     *  identical resident contents and recency order serialize
+     *  identically regardless of stale bookkeeping left in invalid
+     *  ways. */
     void save(snap::Serializer &s) const;
-    /** Restore into a cache of identical geometry; invalid lines are
-     *  reset to the default-constructed state. A saved tag that is
-     *  not line-aligned fails the stream (its low bits would alias
-     *  the packed state). */
+    /** Restore into a cache of identical geometry. Each set's valid
+     *  ways take ages 0.. in saved rank order and its invalid ways
+     *  the older ages in way order. Lines out of tag-store order, a
+     *  saved tag that is not line-aligned (its low bits would alias
+     *  the packed age and state), an Invalid state, a rank >= assoc
+     *  or a rank repeated within a set fail the stream. */
     void restore(snap::Deserializer &d);
 
     /** @{ @name Access statistics, maintained by the MemSystem. */
@@ -141,20 +154,26 @@ class Cache
     StatCounter mruMisses;
 
   private:
-    /** First way of @p line_num's set in the set-major tag store. */
-    std::size_t setBase(std::uint64_t line_num) const
+    /** First way of @p addr's set in the set-major tag store. */
+    std::size_t
+    setBase(Addr addr) const
     {
-        return (line_num & setMask_) * params_.assoc;
+        return ((addr >> lineShift_) & setMask_) * params_.assoc;
     }
-    /** The resident way holding @p line_num, or nullptr. */
-    const Line *find(std::uint64_t line_num) const;
+    /** Make every way invalid, each set's ways aged in way order. */
+    void clearWays();
+    /** The way of @p set holding @p addr's line validly, or assoc. */
+    unsigned findWay(const Line *set, Addr addr) const;
+    /** Make @p way the most recent of @p set: every younger way ages
+     *  by one. */
+    void touch(Line *set, unsigned way);
 
     CacheParams params_;
     unsigned lineShift_;  ///< log2(lineBytes)
     Addr lineMask_;       ///< lineBytes - 1
     std::uint64_t setMask_; ///< number of sets - 1 (a power of two)
+    std::uint64_t ageMask_; ///< age field of a tag line, in place
     std::vector<Line> lines_;  ///< (setMask_ + 1) * assoc, set-major
-    std::uint64_t lruClock_ = 0;
     StatGroup statGroup_;
 };
 

@@ -183,6 +183,96 @@ TEST(Cache, RestoreRejectsMisalignedTag)
     EXPECT_STREQ(d.error(), "cache tag not line-aligned");
 }
 
+TEST(CacheDeathTest, TooManyWaysForLineSizeAsserts)
+{
+    // 32 ways need 5 age bits; 64-byte lines leave 4 beside the
+    // 2-bit MESI state.
+    EXPECT_DEATH(Cache(CacheParams{"t", 32 * 64, 32, 64, 1}),
+                 "assertion failed: .*: 32 ways need 5 age bits, more "
+                 "than 64-byte lines leave beside the MESI state");
+}
+
+TEST(Cache, SaveRestoreKeepsVictimOrder)
+{
+    // 8-way, 128 sets: every address below maps to set 0.
+    const CacheParams params{"t", 64 * 1024, 8, 64, 1};
+    const Addr stride = 128 * 64;
+    const Mesi states[] = {Mesi::Shared, Mesi::Exclusive, Mesi::Modified};
+    Cache a(params);
+    Addr victim;
+    Mesi vstate;
+    for (unsigned i = 0; i < 8; ++i)
+        a.allocate(i * stride, &victim, &vstate)->setState(states[i % 3]);
+    for (const unsigned i : {5u, 2u, 7u, 0u, 3u, 6u, 1u, 4u})
+        ASSERT_NE(a.lookup(i * stride), nullptr);
+    ASSERT_EQ(a.invalidate(6 * stride), Mesi::Shared);
+
+    snap::Serializer s;
+    a.save(s);
+    const auto blob = s.take();
+    Cache b(params);
+    snap::Deserializer d(blob);
+    b.restore(d);
+    ASSERT_TRUE(d.ok()) << d.error();
+
+    // The first fill takes the invalid way, then the valid lines go
+    // oldest first: 5, 2, 7, 0, 3, 1, 4.
+    for (unsigned i = 0; i < 8; ++i) {
+        Addr va, vb;
+        Mesi sa, sb;
+        a.allocate((8 + i) * stride, &va, &sa)->setState(Mesi::Exclusive);
+        b.allocate((8 + i) * stride, &vb, &sb)->setState(Mesi::Exclusive);
+        EXPECT_EQ(vb, va) << "fill " << i;
+        EXPECT_EQ(sb, sa) << "fill " << i;
+    }
+}
+
+TEST(Cache, RestoreRejectsCorruptLines)
+{
+    // Two lines of one set. The second saved entry is its way index
+    // (u32), tag (u64), state (u8) and recency rank (u32).
+    const CacheParams params{"t", 8 * 1024, 2, 64, 2};
+    const Addr tag = 0x5a5a5a5a5a40;
+    Cache a(params);
+    Addr victim;
+    Mesi vstate;
+    a.allocate(tag - 64 * 64, &victim, &vstate)->setState(Mesi::Shared);
+    a.allocate(tag, &victim, &vstate)->setState(Mesi::Shared);
+    snap::Serializer s;
+    a.save(s);
+    const auto blob = s.take();
+    snap::Serializer needle;
+    needle.u64(tag);
+    const auto at = std::search(blob.begin(), blob.end(),
+                                needle.buffer().begin(),
+                                needle.buffer().end());
+    ASSERT_NE(at, blob.end());
+    const std::ptrdiff_t tag_at = at - blob.begin();
+
+    struct Corruption
+    {
+        std::ptrdiff_t offset; ///< from the second entry's tag
+        std::uint32_t value;
+        unsigned bytes;
+        const char *error;
+    };
+    for (const Corruption &c : {
+             Corruption{-4, 0, 4, "cache line indexes not ascending"},
+             Corruption{8, 0, 1, "bad MESI state"},
+             Corruption{9, 2, 4, "cache recency rank out of range"},
+             Corruption{9, 1, 4, "duplicate cache recency rank in a set"},
+         }) {
+        auto bad = blob;
+        for (unsigned i = 0; i < c.bytes; ++i)
+            bad[tag_at + c.offset + i] = std::uint8_t(c.value >> (8 * i));
+        Cache b(params);
+        snap::Deserializer d(bad);
+        b.restore(d);
+        EXPECT_FALSE(d.ok()) << c.error;
+        EXPECT_STREQ(d.error(), c.error);
+    }
+}
+
 class MemSystemTest : public ::testing::Test
 {
   protected:
