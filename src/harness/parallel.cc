@@ -10,6 +10,8 @@
 #include <optional>
 #include <thread>
 
+#include <unistd.h>
+
 #include "harness/manifest.hh"
 #include "sim/env.hh"
 #include "sim/logging.hh"
@@ -176,6 +178,7 @@ JobPool::JobPool(unsigned workers)
     // Say once which worker count won and why — a single-core host
     // that set REMAP_JOBS=8 should be able to see the override took
     // (and a silently-serial run should be explainable from the log).
+    // Name every REMAP_* variable nothing reads in the same breath.
     static std::once_flag log_once;
     std::call_once(log_once, [this, workers] {
         const char *env = std::getenv("REMAP_JOBS");
@@ -186,6 +189,9 @@ JobPool::JobPool(unsigned workers)
             : env             ? "REMAP_JOBS override"
                               : "hardware default",
             std::thread::hardware_concurrency());
+        for (const std::string &name : env::unknownVariables(environ))
+            REMAP_WARN("%s is set but unknown; ignoring it",
+                       name.c_str());
     });
     impl_ = new Impl(numWorkers_);
     if (numWorkers_ > 1) {

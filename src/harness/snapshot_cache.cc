@@ -1,51 +1,22 @@
 #include "harness/snapshot_cache.hh"
 
-#include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <thread>
 
-#include "sim/env.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/profile.hh"
-#include "sim/snapshot.hh"
 
 namespace remap::harness
 {
 
-namespace fs = std::filesystem;
-
 SnapshotCache::SnapshotCache()
 {
-    capBytes_ = env::ckptMemBytes(std::size_t(256) * 1024 * 1024);
-    setDiskDir(env::ckptDir());
     // Surface the process-wide cache in every System's stats "sim"
     // subtree (the hook indirection keeps the core library free of
     // harness dependencies).
     prof::setMetaJsonHook("snapshot_cache", [](json::Writer &w) {
         SnapshotCache::instance().dumpStatsJson(w);
     });
-}
-
-void
-SnapshotCache::setDiskDir(const std::string &dir)
-{
-    std::string resolved;
-    if (!dir.empty()) {
-        std::error_code ec;
-        fs::create_directories(dir, ec);
-        if (ec) {
-            REMAP_WARN("snapshot cache: cannot create '%s' (%s); "
-                       "disk persistence disabled",
-                       dir.c_str(), ec.message().c_str());
-        } else {
-            resolved = dir;
-        }
-    }
-    std::lock_guard lock(mu_);
-    diskDir_ = resolved;
 }
 
 SnapshotCache &
@@ -75,13 +46,6 @@ SnapshotCache::setMemoryCapBytes(std::size_t cap)
     std::lock_guard lock(mu_);
     capBytes_ = cap;
     evictLocked();
-}
-
-std::size_t
-SnapshotCache::memoryCapBytes() const
-{
-    std::lock_guard lock(mu_);
-    return capBytes_;
 }
 
 void
@@ -117,104 +81,26 @@ SnapshotCache::makeKey(const std::string &workload,
     return buf;
 }
 
-std::string
-SnapshotCache::diskPath(const std::string &key) const
-{
-    if (diskDir_.empty()) {
-        return {};
-    }
-    snap::Hasher h;
-    h.str(key);
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.ckpt",
-                  static_cast<unsigned long long>(h.value()));
-    return (fs::path(diskDir_) / name).string();
-}
-
 SnapshotCache::Blob
 SnapshotCache::lookup(const std::string &key,
                       std::uint64_t config_hash, Cycle *boundary_out)
 {
-    std::string disk_path;
-    {
-        std::lock_guard lock(mu_);
-        if (!enabled_) {
-            return nullptr;
-        }
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            it->second.lastUse = ++useClock_;
-            ++stats_.hits;
-            if (boundary_out) {
-                *boundary_out = it->second.boundary;
-            }
-            return it->second.blob;
-        }
-        disk_path = diskPath(key);
-        if (disk_path.empty()) {
-            ++stats_.misses;
-            return nullptr;
-        }
-    }
-
-    // Disk probe outside the lock: file I/O must not serialize the
-    // parallel harness.
-    std::ifstream in(disk_path, std::ios::binary);
-    if (!in) {
-        std::lock_guard lock(mu_);
-        ++stats_.misses;
-        return nullptr;
-    }
-    std::vector<std::uint8_t> data(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    in.close();
-
-    snap::Deserializer d(data);
-    snap::Header hdr;
-    if (!snap::readHeader(d, &hdr) || hdr.configHash != config_hash) {
-        REMAP_WARN("snapshot cache: ignoring stale/corrupt '%s' (%s)",
-                   disk_path.c_str(),
-                   d.ok() ? "config-hash mismatch" : d.error());
-        std::lock_guard lock(mu_);
-        ++stats_.rejected;
-        ++stats_.misses;
-        return nullptr;
-    }
-
-    auto blob = std::make_shared<const std::vector<std::uint8_t>>(
-        std::move(data));
+    (void)config_hash; // checked against the blob header by the caller
     std::lock_guard lock(mu_);
-    // Another thread may have stored a (possibly larger-boundary)
-    // entry meanwhile; keep whichever boundary is larger.
-    auto &e = entries_[key];
-    if (e.blob && e.boundary >= hdr.boundaryCycle) {
-        ++stats_.hits;
-        ++stats_.diskLoads;
-        e.lastUse = ++useClock_;
-        if (boundary_out) {
-            *boundary_out = e.boundary;
-        }
-        return e.blob;
+    if (!enabled_) {
+        return nullptr;
     }
-    if (e.blob) {
-        bytes_ -= e.blob->size();
-    } else {
-        ++stats_.entries;
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        ++stats_.misses;
+        return nullptr;
     }
-    e.boundary = hdr.boundaryCycle;
-    e.blob = blob;
-    e.lastUse = ++useClock_;
-    bytes_ += blob->size();
-    stats_.bytes = bytes_;
-    stats_.entries = entries_.size();
+    it->second.lastUse = ++useClock_;
     ++stats_.hits;
-    ++stats_.diskLoads;
-    evictLocked();
     if (boundary_out) {
-        *boundary_out = hdr.boundaryCycle;
+        *boundary_out = it->second.boundary;
     }
-    return blob;
+    return it->second.blob;
 }
 
 void
@@ -224,65 +110,25 @@ SnapshotCache::store(const std::string &key, std::uint64_t config_hash,
     (void)config_hash; // embedded in the blob header by the saver
     auto shared = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(blob));
-    std::string disk_path;
-    {
-        std::lock_guard lock(mu_);
-        if (!enabled_) {
-            return;
-        }
-        auto &e = entries_[key];
-        if (e.blob && e.boundary >= boundary) {
-            // A concurrent run already stored at least as much warmup
-            // for this key; largest boundary wins.
-            return;
-        }
-        if (e.blob) {
-            bytes_ -= e.blob->size();
-        }
-        e.boundary = boundary;
-        e.blob = shared;
-        e.lastUse = ++useClock_;
-        bytes_ += shared->size();
-        ++stats_.stores;
-        stats_.bytes = bytes_;
-        stats_.entries = entries_.size();
-        evictLocked();
-        disk_path = diskPath(key);
-    }
-    if (disk_path.empty()) {
+    std::lock_guard lock(mu_);
+    if (!enabled_) {
         return;
     }
-
-    // Atomic publication: write to a private temp file, then rename.
-    // Readers either see the complete new file or the old one; a
-    // crash leaves at worst an orphaned .tmp. The temp name carries
-    // the thread id so concurrent writers never collide.
-    std::string tmp = disk_path + ".tmp" +
-                      std::to_string(static_cast<unsigned long long>(
-                          std::hash<std::thread::id>{}(
-                              std::this_thread::get_id())));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            REMAP_WARN("snapshot cache: cannot write '%s'",
-                       tmp.c_str());
-            return;
-        }
-        out.write(reinterpret_cast<const char *>(shared->data()),
-                  static_cast<std::streamsize>(shared->size()));
-        if (!out) {
-            REMAP_WARN("snapshot cache: short write to '%s'",
-                       tmp.c_str());
-            out.close();
-            std::remove(tmp.c_str());
-            return;
-        }
+    auto &e = entries_[key];
+    if (e.blob && e.boundary >= boundary) {
+        // A concurrent run already stored at least as much warmup
+        // for this key; largest boundary wins.
+        return;
     }
-    if (std::rename(tmp.c_str(), disk_path.c_str()) != 0) {
-        REMAP_WARN("snapshot cache: rename '%s' -> '%s' failed",
-                   tmp.c_str(), disk_path.c_str());
-        std::remove(tmp.c_str());
+    if (e.blob) {
+        bytes_ -= e.blob->size();
     }
+    e.boundary = boundary;
+    e.blob = std::move(shared);
+    e.lastUse = ++useClock_;
+    bytes_ += e.blob->size();
+    ++stats_.stores;
+    evictLocked();
 }
 
 void
@@ -332,7 +178,6 @@ SnapshotCache::dumpStatsJson(json::Writer &w) const
     w.kv("hits", st.hits);
     w.kv("misses", st.misses);
     w.kv("stores", st.stores);
-    w.kv("disk_loads", st.diskLoads);
     w.kv("rejected", st.rejected);
     w.kv("evictions", st.evictions);
     w.kv("bytes", static_cast<std::uint64_t>(st.bytes));
@@ -345,9 +190,6 @@ SnapshotCache::summary() const
 {
     Stats st = stats();
     std::string extra;
-    if (st.diskLoads) {
-        extra += ", " + std::to_string(st.diskLoads) + " from disk";
-    }
     if (st.rejected) {
         extra += ", " + std::to_string(st.rejected) + " rejected";
     }

@@ -1,40 +1,31 @@
 /**
  * @file
- * SnapshotCache — the content-addressed store behind region runs.
+ * SnapshotCache — the in-process, content-addressed store behind
+ * region runs.
  *
- * The same (workload, spec) simulation recurs across processes:
- * repeated `paper` invocations sharing REMAP_CKPT, and perfbench's
- * per-figure batches (Figs. 8-11 share one region set, Fig. 14
- * repeats Fig. 12's sweeps). Every entry is a blob behind a
- * snap::writeHeader() container header. runRegion() keeps one entry
- * per run, "<key>/result": the verified RegionResult of a run, which
- * serves a repeat without simulating.
+ * The same (workload, spec) simulation recurs within one process:
+ * perfbench's per-figure batches (Figs. 8-11 share one region set,
+ * Fig. 14 repeats Fig. 12's sweeps) and tests that run a region
+ * twice. Every entry is a blob behind a snap::writeHeader() container
+ * header. runRegion() keeps one entry per run, "<key>/result": the
+ * verified RegionResult of a run, which serves a repeat without
+ * simulating.
  * Nothing in the simulator writes any other entry; the "<key>"
  * warm-start snapshots perfbench's traced path stores at
  * firstBoundary(), 2x, 4x, ... cycles use the same lookup()/store().
  *
  * Keys are workload name + the full RunSpec + System::configHash()
  * (which covers every simulated parameter: core/mem/SPL
- * configuration, registered SPL functions and thread programs), and
- * every header carries snap::buildId(), a hash of the simulator
- * sources. So an entry is never applied to a
- * changed configuration or served to a build whose model differs
- * from the one that wrote it.
+ * configuration, registered SPL functions and thread programs), so
+ * an entry is never applied to a changed configuration. Entries live
+ * in memory only and die with the process, so they never meet
+ * another build of the simulator.
  *
- * Environment knobs:
- *  - REMAP_CKPT=<dir>     persist entries to disk (atomic rename;
- *                         corrupt/stale files and files from another
- *                         build are ignored with a warning, never
- *                         trusted), so separate processes share them;
- *                         the empty string is a fatal error
- *                         (env::ckptDir());
- *  - REMAP_CKPT_MEM=MB    in-memory cache cap (default 256 MB), parsed
- *                         strictly (env::ckptMemBytes()): a malformed
- *                         value is a fatal error.
+ * Resident bytes are capped at defaultMemoryCapBytes (LRU eviction).
  *
- * Thread-safe: lookups/stores take an internal mutex, concurrent
+ * Thread-safe: lookups/stores take an internal mutex, and concurrent
  * stores to one key keep the largest boundary (single-writer-per-key
- * effect), and disk writes go through a temp file + std::rename.
+ * effect).
  */
 
 #ifndef REMAP_HARNESS_SNAPSHOT_CACHE_HH
@@ -69,17 +60,21 @@ class SnapshotCache
     /** Hit/miss and size accounting (monotonic over the process). */
     struct Stats
     {
-        std::uint64_t hits = 0;      ///< lookups served (memory/disk)
+        std::uint64_t hits = 0;      ///< lookups served
         std::uint64_t misses = 0;    ///< lookups with nothing stored
         std::uint64_t stores = 0;    ///< entries stored
-        std::uint64_t diskLoads = 0; ///< hits satisfied from REMAP_CKPT
-        std::uint64_t rejected = 0;  ///< corrupt/stale blobs discarded
+        std::uint64_t rejected = 0;  ///< unusable blobs discarded
         std::uint64_t evictions = 0; ///< entries dropped by the cap
         std::size_t bytes = 0;       ///< resident in-memory bytes
         std::size_t entries = 0;     ///< resident in-memory entries
     };
 
-    /** The process-wide instance (reads the environment once). */
+    /** Default cap on resident in-memory bytes (256 MB; a result
+     *  entry is ~150 bytes). */
+    static constexpr std::size_t defaultMemoryCapBytes =
+        std::size_t(256) * 1024 * 1024;
+
+    /** The process-wide instance. */
     static SnapshotCache &instance();
 
     /** Globally enable/disable the cache (tests and cold baselines).
@@ -93,15 +88,8 @@ class SnapshotCache
 
     /** Cap on resident in-memory snapshot bytes (LRU eviction). */
     void setMemoryCapBytes(std::size_t cap);
-    /** The current byte cap (REMAP_CKPT_MEM unless overridden). */
-    std::size_t memoryCapBytes() const;
 
-    /** Point on-disk persistence at @p dir (created if absent;
-     *  empty string turns persistence off). Normally set once from
-     *  REMAP_CKPT; exposed for tests and embedding programs. */
-    void setDiskDir(const std::string &dir);
-
-    /** Drop every in-memory entry (disk files are untouched). */
+    /** Drop every entry. */
     void clear();
 
     /** Cache key for one region run. Embeds the config-hash, so any
@@ -111,12 +99,10 @@ class SnapshotCache
                                std::uint64_t config_hash);
 
     /**
-     * Fetch the largest-boundary blob stored for @p key, checking
-     * memory first, then REMAP_CKPT. Disk blobs are validated
-     * (magic, format version, build identity, @p config_hash) before
-     * being returned; failures count as misses. @p boundary_out
-     * receives the blob's boundary cycle on a hit. The caller parses
-     * the payload and reject()s a blob it cannot use.
+     * Fetch the largest-boundary blob stored for @p key, or null on
+     * a miss. @p boundary_out receives the blob's boundary cycle on
+     * a hit. The caller parses the payload (checking its header
+     * against @p config_hash) and reject()s a blob it cannot use.
      */
     Blob lookup(const std::string &key, std::uint64_t config_hash,
                 Cycle *boundary_out);
@@ -132,8 +118,8 @@ class SnapshotCache
                Cycle boundary, std::vector<std::uint8_t> blob);
 
     /** Mark a looked-up blob as unusable (restore failed): drops the
-     *  in-memory entry and counts a rejection, so a corrupt disk file
-     *  cannot be handed out twice. */
+     *  entry and counts a rejection, so it cannot be handed out
+     *  twice. */
     void reject(const std::string &key);
 
     /** Current accounting. */
@@ -161,16 +147,13 @@ class SnapshotCache
     /** Evict least-recently-used entries until under the cap.
      *  Caller holds mu_. */
     void evictLocked();
-    /** Disk path for @p key (empty when persistence is off). */
-    std::string diskPath(const std::string &key) const;
 
     mutable std::mutex mu_;
     std::unordered_map<std::string, Entry> entries_;
     std::size_t bytes_ = 0;
-    std::size_t capBytes_;
+    std::size_t capBytes_ = defaultMemoryCapBytes;
     std::uint64_t useClock_ = 0;
     bool enabled_ = true;
-    std::string diskDir_; ///< empty = no on-disk persistence
     Stats stats_;
 };
 

@@ -1,10 +1,13 @@
 #include "sim/env.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 
 #include "sim/logging.hh"
 
@@ -107,24 +110,6 @@ parseTracePeriod(const char *text, std::uint64_t *out,
     return parseCount("REMAP_TRACE_PERIOD", text, out, error);
 }
 
-bool
-parseMemoryMb(const char *text, std::size_t *bytes, std::string *error)
-{
-    constexpr std::uint64_t mb = 1024 * 1024;
-    std::uint64_t count = 0;
-    if (!parseCount("REMAP_CKPT_MEM", text, &count, error))
-        return false;
-    if (count > SIZE_MAX / mb) {
-        if (error) {
-            *error = "invalid REMAP_CKPT_MEM='" + std::string(text) +
-                     "' (megabyte count overflows the byte cap)";
-        }
-        return false;
-    }
-    *bytes = static_cast<std::size_t>(count * mb);
-    return true;
-}
-
 namespace
 {
 
@@ -148,18 +133,6 @@ std::uint64_t
 tracePeriod(std::uint64_t dflt)
 {
     return countVar("REMAP_TRACE_PERIOD", dflt);
-}
-
-std::size_t
-ckptMemBytes(std::size_t dflt_bytes)
-{
-    const char *env = std::getenv("REMAP_CKPT_MEM");
-    if (!env)
-        return dflt_bytes;
-    std::string err;
-    if (!parseMemoryMb(env, &dflt_bytes, &err))
-        REMAP_FATAL("%s", err.c_str());
-    return dflt_bytes;
 }
 
 std::uint64_t
@@ -207,15 +180,28 @@ manifestDir()
 }
 
 std::string
-ckptDir()
-{
-    return directoryVar("REMAP_CKPT");
-}
-
-std::string
 traceFile()
 {
     return directoryVar("REMAP_TRACE");
+}
+
+std::vector<std::string>
+unknownVariables(char **envp)
+{
+    // Every variable documented in env.hh.
+    static constexpr std::string_view known[] = {
+        "REMAP_NO_LEAP", "REMAP_PROFILE",  "REMAP_TRACE_PERIOD",
+        "REMAP_JOBS",    "REMAP_MANIFEST", "REMAP_TRACE"};
+    std::vector<std::string> unknown;
+    for (char **e = envp; *e; ++e) {
+        const std::string_view kv(*e);
+        const std::string_view name = kv.substr(0, kv.find('='));
+        if (name.starts_with("REMAP_") &&
+            std::find(std::begin(known), std::end(known), name) ==
+                std::end(known))
+            unknown.emplace_back(name);
+    }
+    return unknown;
 }
 
 } // namespace remap::env

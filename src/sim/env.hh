@@ -25,23 +25,24 @@
  *  - REMAP_TRACE_PERIOD=N   trace counter-sampling period (see
  *                           env::tracePeriod())
  *
- * Sizes (decimal digits only; anything else is a fatal error):
- *  - REMAP_CKPT_MEM=MB      snapshot-cache memory cap
- *                           (env::ckptMemBytes())
+ * Counts (decimal digits only; anything else is a fatal error):
  *  - REMAP_JOBS=N           job-pool workers (env::jobs())
  *
  * Directories (nonempty; the empty string is a fatal error):
  *  - REMAP_MANIFEST=DIR     run-manifest output (env::manifestDir())
- *  - REMAP_CKPT=DIR         snapshot-cache persistence (env::ckptDir())
  *  - REMAP_TRACE=PATH       trace output base path (env::traceFile())
+ *
+ * Any other REMAP_* name is unknown (env::unknownVariables()); the
+ * job pool warns about each one once, so a stale or misspelt
+ * variable is named instead of silently ignored.
  */
 
 #ifndef REMAP_SIM_ENV_HH
 #define REMAP_SIM_ENV_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace remap::env
 {
@@ -82,25 +83,12 @@ bool parseTracePeriod(const char *text, std::uint64_t *out,
                       std::string *error);
 
 /**
- * Strict REMAP_CKPT_MEM-value parser: parseCount() of a megabyte
- * count whose byte count must fit std::size_t, so "256MB" and an
- * overflowing count are rejected rather than becoming the default or
- * a wrapped cap. @p bytes receives the cap in bytes.
- */
-bool parseMemoryMb(const char *text, std::size_t *bytes,
-                   std::string *error);
-
-/**
  * The trace counter-sampling period from REMAP_TRACE_PERIOD, or
  * @p dflt when the variable is unset. Malformed values are a fatal
  * error (via parseTracePeriod()): "abc" must not silently disable
  * sampling and "10k" must not mean 10.
  */
 std::uint64_t tracePeriod(std::uint64_t dflt);
-
-/** REMAP_CKPT_MEM converted to bytes, or @p dflt_bytes when unset;
- *  malformed or overflowing values are fatal (parseMemoryMb()). */
-std::size_t ckptMemBytes(std::size_t dflt_bytes);
 
 /** REMAP_JOBS, or 0 when unset; malformed values are fatal
  *  (parseCount()). */
@@ -121,13 +109,17 @@ bool parseDirectory(const char *name, const char *text, std::string *dir,
  *  (parseDirectory()). */
 std::string manifestDir();
 
-/** REMAP_CKPT, or "" when unset; an empty value is fatal
- *  (parseDirectory()). */
-std::string ckptDir();
-
 /** REMAP_TRACE, or "" when unset; an empty value is fatal
  *  (parseDirectory()). */
 std::string traceFile();
+
+/**
+ * The names of the REMAP_* entries of @p envp (a null-terminated
+ * "NAME=value" array, such as environ) that are not in the list
+ * above, in @p envp order. A variable this build does not read is a
+ * stale or misspelt one, and its user should be told.
+ */
+std::vector<std::string> unknownVariables(char **envp);
 
 } // namespace remap::env
 

@@ -9,7 +9,6 @@ writeHeader(Serializer &s, std::uint64_t config_hash,
 {
     s.bytes(magic, sizeof(magic));
     s.u32(formatVersion);
-    s.u64(buildId());
     s.u64(config_hash);
     s.u64(boundary_cycle);
 }
@@ -26,11 +25,6 @@ readHeader(Deserializer &d, Header *out)
     out->version = d.u32();
     if (out->version != formatVersion) {
         d.fail("format version mismatch");
-        return false;
-    }
-    out->buildId = d.u64();
-    if (out->buildId != buildId()) {
-        d.fail("build identity mismatch");
         return false;
     }
     out->configHash = d.u64();

@@ -28,16 +28,15 @@
  *  - Deserializer never throws and never reads past the end: any
  *    error sets a sticky failure flag, subsequent reads return
  *    zeros, and the caller checks ok() once at the end. Corrupt
- *    input must never be trusted (snapshots may come from disk).
+ *    input must never be trusted: a blob is only ever produced by
+ *    this process, but restore paths are fed truncated and
+ *    bit-flipped blobs by the tests and must reject them cleanly.
  *
  * Versioning policy: formatVersion bumps on ANY layout change — there
  * are no per-section versions and no migration of old snapshots. A
- * snapshot is a pure cache of recomputable state, so stale versions
- * are simply discarded (SnapshotCache treats them as misses). The
- * container header also carries buildId(), a hash of the simulator
- * sources: a blob written by any other build — even one whose layout
- * and configuration hash are unchanged — describes another model's
- * behaviour and is discarded the same way.
+ * snapshot is a pure cache of recomputable state held in memory for
+ * one process, so a blob of another version is simply discarded
+ * (SnapshotCache treats it as a miss).
  */
 
 #ifndef REMAP_SIM_SNAPSHOT_HH
@@ -52,13 +51,7 @@ namespace remap::snap
 {
 
 /** Bump on any serialized-layout change (see versioning policy). */
-inline constexpr std::uint32_t formatVersion = 8;
-
-/** Identity of the simulator build: the first 64 bits of a SHA-256
- *  over every file under src/, generated at build time by
- *  src/sim/build_id.cmake. Any source edit changes it; every program
- *  built from one tree shares it. */
-std::uint64_t buildId();
+inline constexpr std::uint32_t formatVersion = 9;
 
 /** Leading magic of every snapshot blob/file. */
 inline constexpr std::uint8_t magic[8] = {'R', 'M', 'A', 'P',
@@ -356,8 +349,7 @@ class Deserializer
 
 /**
  * Prepend the snapshot container header to @p s:
- * magic, format version, build identity, config-hash, boundary
- * cycle. readHeader() is the load-side gate — corrupt or stale blobs
+ * magic, format version, config-hash, boundary cycle. readHeader() is the load-side gate — corrupt or stale blobs
  * are rejected there and never reach component restore code.
  */
 void writeHeader(Serializer &s, std::uint64_t config_hash,
@@ -367,13 +359,12 @@ void writeHeader(Serializer &s, std::uint64_t config_hash,
 struct Header
 {
     std::uint32_t version = 0;
-    std::uint64_t buildId = 0;
     std::uint64_t configHash = 0;
     std::uint64_t boundaryCycle = 0;
 };
 
 /**
- * Validate magic, version and build identity and parse the header.
+ * Validate magic and version and parse the header.
  * @return false (with @p d failed) on any mismatch; the caller
  * treats that as a cache miss, never as an error.
  */

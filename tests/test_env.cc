@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/env.hh"
 
@@ -53,57 +54,25 @@ TEST(EnvParse, MalformedTracePeriodsAreRejected)
 
 TEST(EnvParse, MalformedCountVariablesAreRejected)
 {
-    // REMAP_CKPT_MEM and REMAP_JOBS take the same digits-only
-    // counts: "256MB" must not silently become the default cap, and
-    // "4 " must not become 4 workers.
-    const char *names[] = {"REMAP_CKPT_MEM", "REMAP_JOBS"};
+    // REMAP_JOBS takes digits-only counts: "4 " must not become 4
+    // workers, and "256MB" must not become the hardware default.
+    const char *name = "REMAP_JOBS";
     const char *bad[] = {"", " ", "abc", "256MB", "-5", "+5", "1e4",
                          " 100", "100 ", "99999999999999999999"};
-    for (const char *name : names) {
-        for (const char *text : bad) {
-            SCOPED_TRACE(std::string(name) + "='" + text + "'");
-            std::uint64_t count = 7;
-            std::string err;
-            EXPECT_FALSE(env::parseCount(name, text, &count, &err));
-            EXPECT_EQ(count, 7u);
-            EXPECT_NE(err.find(name), std::string::npos);
-        }
+    for (const char *text : bad) {
+        SCOPED_TRACE(std::string(name) + "='" + text + "'");
         std::uint64_t count = 7;
         std::string err;
-        EXPECT_TRUE(env::parseCount(name, "0", &count, &err)) << err;
-        EXPECT_EQ(count, 0u);
-        EXPECT_TRUE(env::parseCount(name, "256", &count, &err)) << err;
-        EXPECT_EQ(count, 256u);
+        EXPECT_FALSE(env::parseCount(name, text, &count, &err));
+        EXPECT_EQ(count, 7u);
+        EXPECT_NE(err.find(name), std::string::npos);
     }
-
-    // REMAP_CKPT_MEM is in megabytes; a count whose byte total does
-    // not fit size_t is rejected, not wrapped.
-    const std::uint64_t max_mb = SIZE_MAX / (1024 * 1024);
-    const std::string too_big = std::to_string(max_mb + 1);
-    const char *bad_mem[] = {"256MB", "", too_big.c_str()};
-    for (const char *text : bad_mem) {
-        SCOPED_TRACE(text);
-        std::size_t bytes = 7;
-        std::string err;
-        EXPECT_FALSE(env::parseMemoryMb(text, &bytes, &err));
-        EXPECT_EQ(bytes, 7u);
-        EXPECT_NE(err.find("REMAP_CKPT_MEM"), std::string::npos);
-    }
-    std::size_t bytes = 0;
+    std::uint64_t count = 7;
     std::string err;
-    EXPECT_TRUE(env::parseMemoryMb("256", &bytes, &err)) << err;
-    EXPECT_EQ(bytes, std::size_t(256) * 1024 * 1024);
-    const std::string largest = std::to_string(max_mb);
-    EXPECT_TRUE(env::parseMemoryMb(largest.c_str(), &bytes, &err))
-        << err;
-    EXPECT_EQ(bytes, static_cast<std::size_t>(max_mb) * 1024 * 1024);
-
-    // Unset falls back to the caller's default.
-    ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
-    EXPECT_EQ(env::ckptMemBytes(123), 123u);
-    ASSERT_EQ(setenv("REMAP_CKPT_MEM", "2", 1), 0);
-    EXPECT_EQ(env::ckptMemBytes(123), 2u * 1024 * 1024);
-    ASSERT_EQ(unsetenv("REMAP_CKPT_MEM"), 0);
+    EXPECT_TRUE(env::parseCount(name, "0", &count, &err)) << err;
+    EXPECT_EQ(count, 0u);
+    EXPECT_TRUE(env::parseCount(name, "256", &count, &err)) << err;
+    EXPECT_EQ(count, 256u);
 }
 
 TEST(EnvParse, MalformedKillSwitchesAreRejected)
@@ -132,10 +101,9 @@ TEST(EnvParse, MalformedKillSwitchesAreRejected)
 
 TEST(EnvParse, EmptyDirectoryVariablesAreRejected)
 {
-    // An empty value must not silently leave manifests, snapshot
-    // persistence or tracing off (nor trace into hidden ".N" files).
-    const char *names[] = {"REMAP_MANIFEST", "REMAP_CKPT",
-                           "REMAP_TRACE"};
+    // An empty value must not silently leave manifests or tracing
+    // off (nor trace into hidden ".N" files).
+    const char *names[] = {"REMAP_MANIFEST", "REMAP_TRACE"};
     for (const char *name : names) {
         SCOPED_TRACE(name);
         std::string dir = "stale";
@@ -148,6 +116,24 @@ TEST(EnvParse, EmptyDirectoryVariablesAreRejected)
         EXPECT_TRUE(env::parseDirectory(name, ".", &dir, &err));
         EXPECT_EQ(dir, ".");
     }
+}
+
+TEST(EnvParse, UnknownVariablesAreNamed)
+{
+    // A variable an older build read (REMAP_CKPT) or a misspelt one
+    // (REMAP_JOB) is named, not silently ignored; documented names
+    // and other programs' variables are not.
+    char ckpt[] = "REMAP_CKPT=ckpt";
+    char jobs[] = "REMAP_JOBS=2";
+    char typo[] = "REMAP_JOB=2";
+    char leap[] = "REMAP_NO_LEAP=1";
+    char home[] = "HOME=/home/user";
+    char *envp[] = {ckpt, jobs, typo, leap, home, nullptr};
+    EXPECT_EQ(env::unknownVariables(envp),
+              (std::vector<std::string>{"REMAP_CKPT", "REMAP_JOB"}));
+
+    char *clean[] = {jobs, leap, home, nullptr};
+    EXPECT_TRUE(env::unknownVariables(clean).empty());
 }
 
 } // namespace

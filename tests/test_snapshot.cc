@@ -1,15 +1,11 @@
 /** @file Tests for the snapshot subsystem: serializer/deserializer
  *  format guarantees, per-component save/restore round trips
  *  (randomized via the deterministic Rng), corrupt/truncated/
- *  version/build-mismatch rejection, SnapshotCache semantics
- *  (boundary ordering, LRU cap, disk persistence validation) and
- *  runRegion's final-result entries. */
+ *  version-mismatch rejection, SnapshotCache semantics (boundary
+ *  ordering, LRU cap) and runRegion's final-result entries. */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "core/system.hh"
@@ -137,20 +133,6 @@ TEST(SnapshotHeader, VersionMismatchRejected)
     snap::Deserializer d(buf);
     snap::Header h;
     EXPECT_FALSE(snap::readHeader(d, &h));
-}
-
-TEST(SnapshotHeader, BuildIdentityMismatchRejected)
-{
-    // A blob from another simulator build may share the layout and
-    // the config hash, yet describe another model's behaviour.
-    snap::Serializer s;
-    snap::writeHeader(s, 1, 2);
-    auto buf = s.take();
-    buf[12] ^= 0x01; // build identity follows magic + version
-    snap::Deserializer d(buf);
-    snap::Header h;
-    EXPECT_FALSE(snap::readHeader(d, &h));
-    EXPECT_STREQ(d.error(), "build identity mismatch");
 }
 
 TEST(SnapshotHeader, TruncatedRejected)
@@ -407,7 +389,7 @@ TEST(SnapshotSystem, ConfigHashSeparatesConfigurations)
 }
 
 /** RAII guard: every cache test leaves the process-wide cache in its
- *  default state (enabled, empty, no disk dir). */
+ *  default state (enabled, empty, default cap). */
 struct CacheGuard
 {
     CacheGuard()
@@ -419,8 +401,7 @@ struct CacheGuard
     ~CacheGuard()
     {
         auto &c = SnapshotCache::instance();
-        c.setDiskDir("");
-        c.setMemoryCapBytes(std::size_t(256) * 1024 * 1024);
+        c.setMemoryCapBytes(SnapshotCache::defaultMemoryCapBytes);
         c.setEnabled(true);
         c.clear();
     }
@@ -504,45 +485,6 @@ TEST(SnapshotCacheTest, MemoryCapEvictsLeastRecentlyUsed)
     EXPECT_LE(c.stats().bytes, 3u * 1024u);
 }
 
-TEST(SnapshotCacheTest, DiskPersistenceValidatesHeader)
-{
-    CacheGuard guard;
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "remap_ckpt_test";
-    fs::remove_all(dir);
-
-    auto &c = SnapshotCache::instance();
-    c.setDiskDir(dir.string());
-    c.store("k", 42, 4096, headeredBlob(42, 4096));
-    ASSERT_FALSE(fs::is_empty(dir));
-
-    // A fresh in-memory cache must find it on disk...
-    c.clear();
-    Cycle boundary = 0;
-    auto blob = c.lookup("k", 42, &boundary);
-    ASSERT_TRUE(blob);
-    EXPECT_EQ(boundary, 4096u);
-    EXPECT_GE(c.stats().diskLoads, 1u);
-
-    // ...but never trust a config-hash mismatch (stale snapshot)...
-    c.clear();
-    EXPECT_FALSE(c.lookup("k", 43, &boundary));
-
-    // ...or a corrupted file.
-    c.clear();
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        std::fstream f(entry.path(), std::ios::in | std::ios::out |
-                                         std::ios::binary);
-        f.seekp(0);
-        f.put('X');
-    }
-    EXPECT_FALSE(c.lookup("k", 42, &boundary));
-    EXPECT_GE(c.stats().rejected, 1u);
-
-    fs::remove_all(dir);
-}
-
 /** The small region the result-entry tests run. */
 workloads::RunSpec
 resultEntrySpec()
@@ -579,67 +521,27 @@ TEST(RunRegionResultEntry, SecondRunIsServedAndBitIdentical)
     expectSameResult(served, cold);
 }
 
-/** A fresh REMAP_CKPT-style directory, removed on scope exit. */
-struct DiskDir
-{
-    std::filesystem::path path;
-    explicit DiskDir(const char *name)
-        : path(std::filesystem::temp_directory_path() / name)
-    {
-        std::filesystem::remove_all(path);
-        SnapshotCache::instance().setDiskDir(path.string());
-    }
-    ~DiskDir() { std::filesystem::remove_all(path); }
-
-    /** The single entry file the directory holds. */
-    std::filesystem::path
-    onlyFile() const
-    {
-        std::vector<std::filesystem::path> files;
-        for (const auto &e : std::filesystem::directory_iterator(path))
-            files.push_back(e.path());
-        EXPECT_EQ(files.size(), 1u);
-        return files.empty() ? std::filesystem::path() : files[0];
-    }
-};
-
-TEST(RunRegionResultEntry, RoundTripsThroughDiskDir)
+TEST(RunRegionResultEntry, TruncatedEntryIsRejectedAndResimulated)
 {
     CacheGuard guard;
     auto &c = SnapshotCache::instance();
     power::EnergyModel model;
     const auto &info = workloads::byName("ll2");
     const auto spec = resultEntrySpec();
-    DiskDir dir("remap_result_entry_disk");
     const auto cold = harness::runRegion(info, spec, model);
-    ASSERT_FALSE(cold.warmStarted);
-    ASSERT_FALSE(dir.onlyFile().empty());
-
-    // A fresh in-memory cache (another process) is served from disk.
-    c.clear();
-    const std::uint64_t loads = c.stats().diskLoads;
-    const auto served = harness::runRegion(info, spec, model);
-    EXPECT_TRUE(served.warmStarted);
-    EXPECT_EQ(c.stats().diskLoads, loads + 1);
-    expectSameResult(served, cold);
-}
-
-TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
-{
-    CacheGuard guard;
-    auto &c = SnapshotCache::instance();
-    power::EnergyModel model;
-    const auto &info = workloads::byName("ll2");
-    const auto spec = resultEntrySpec();
-    DiskDir dir("remap_result_entry_truncated");
-    c.clear();
-    const auto cold = harness::runRegion(info, spec, model);
-    const std::filesystem::path file = dir.onlyFile();
+    const std::string key =
+        SnapshotCache::makeKey(info.name, spec, cold.configHash) +
+        "/result";
+    Cycle boundary = 0;
+    const auto good = c.lookup(key, cold.configHash, &boundary);
+    ASSERT_TRUE(good);
     // Cut into the last field: the header still validates, the
     // payload does not parse.
-    std::filesystem::resize_file(file,
-                                 std::filesystem::file_size(file) - 4);
+    std::vector<std::uint8_t> truncated(*good);
+    truncated.resize(truncated.size() - 4);
     c.clear();
+    c.store(key, cold.configHash, boundary, std::move(truncated));
+
     const std::uint64_t rejected = c.stats().rejected;
     testing::internal::CaptureStderr();
     const auto rerun = harness::runRegion(info, spec, model);
@@ -651,43 +553,10 @@ TEST(RunRegionResultEntry, TruncatedFileIsRejectedAndResimulated)
     EXPECT_FALSE(rerun.warmStarted);
     expectSameResult(rerun, cold);
 
-    // The re-simulated run replaced the file with a good entry.
-    c.clear();
+    // The re-simulated run replaced the bad entry with a good one.
     const auto served = harness::runRegion(info, spec, model);
     EXPECT_TRUE(served.warmStarted);
     expectSameResult(served, cold);
-}
-
-TEST(RunRegionResultEntry, OtherBuildIdentityIsRejected)
-{
-    CacheGuard guard;
-    DiskDir dir("remap_result_entry_build");
-    auto &c = SnapshotCache::instance();
-    power::EnergyModel model;
-    const auto &info = workloads::byName("ll2");
-    const auto spec = resultEntrySpec();
-
-    const auto cold = harness::runRegion(info, spec, model);
-    {
-        // Rewrite the header's build identity (after the 8-byte
-        // magic and 4-byte version), as another build would have.
-        std::fstream f(dir.onlyFile(), std::ios::in | std::ios::out |
-                                           std::ios::binary);
-        f.seekg(12);
-        const int byte = f.get();
-        f.seekp(12);
-        f.put(static_cast<char>(byte ^ 0x01));
-    }
-    c.clear();
-    const std::uint64_t rejected = c.stats().rejected;
-    testing::internal::CaptureStderr();
-    const auto rerun = harness::runRegion(info, spec, model);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("build identity mismatch"), std::string::npos)
-        << err;
-    EXPECT_EQ(c.stats().rejected, rejected + 1);
-    EXPECT_FALSE(rerun.warmStarted);
-    expectSameResult(rerun, cold);
 }
 
 } // namespace

@@ -1,15 +1,13 @@
 /** @file Concurrency tests for the SnapshotCache: many JobPool
  *  workers hammering lookup/store/reject on shared and disjoint
- *  keys, concurrent disk publication, and parallel region batches
- *  stored and served from final-result entries matching serial
- *  results bit for bit. Run under ThreadSanitizer by the CI
+ *  keys, and parallel region batches stored and served from
+ *  final-result entries matching serial results bit for bit. Run under ThreadSanitizer by the CI
  *  thread-sanitizer job (the pool is forced to multiple workers, so
  *  the races exist even on a single-core host). */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <functional>
 
 #include "harness/parallel.hh"
@@ -35,7 +33,6 @@ struct CacheGuard
     ~CacheGuard()
     {
         auto &c = SnapshotCache::instance();
-        c.setDiskDir("");
         c.setEnabled(true);
         c.clear();
     }
@@ -110,44 +107,6 @@ TEST(SnapshotCacheParallel, DisjointKeysDontInterfere)
             EXPECT_EQ(*blob, headeredBlob(k, 4096));
         }
     }
-}
-
-TEST(SnapshotCacheParallel, ConcurrentDiskStoresPublishAtomically)
-{
-    CacheGuard guard;
-    namespace fs = std::filesystem;
-    const fs::path dir =
-        fs::temp_directory_path() / "remap_ckpt_par_test";
-    fs::remove_all(dir);
-
-    auto &cache = SnapshotCache::instance();
-    cache.setDiskDir(dir.string());
-    const auto rejected_before = cache.stats().rejected;
-    JobPool pool(8);
-
-    std::vector<std::function<void()>> jobs;
-    for (unsigned i = 0; i < 64; ++i)
-        jobs.push_back([&cache, i] {
-            const Cycle boundary = 1024 * (1 + i % 8);
-            cache.store("diskkey", 5, boundary,
-                        headeredBlob(5, boundary));
-        });
-    pool.run(std::move(jobs));
-
-    // Whatever file won the renames must parse and carry a boundary
-    // one of the writers produced; a torn write would fail the
-    // header check.
-    cache.clear();
-    Cycle boundary = 0;
-    auto blob = cache.lookup("diskkey", 5, &boundary);
-    ASSERT_TRUE(blob);
-    EXPECT_GE(boundary, 1024u);
-    EXPECT_LE(boundary, 8u * 1024u);
-    // Stats are cumulative across the process; a torn or stale file
-    // would have bumped the rejection counter during this test.
-    EXPECT_EQ(cache.stats().rejected, rejected_before);
-
-    fs::remove_all(dir);
 }
 
 TEST(SnapshotCacheParallel, ServedParallelBatchMatchesSerial)
