@@ -16,7 +16,6 @@
 #include "isa/builder.hh"
 #include "spl/function.hh"
 #include "harness/manifest.hh"
-#include "harness/snapshot_cache.hh"
 #include "sim/logging.hh"
 
 using namespace remap;
@@ -115,6 +114,5 @@ main(int argc, char **)
     std::cout << "\nSmall functions: partitioning removes sharing "
                  "conflicts. Functions\nlarger than a partition pay "
                  "virtualized initiation intervals.\n";
-    remap::harness::printSnapshotCacheSummary();
     return 0;
 }

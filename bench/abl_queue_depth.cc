@@ -17,7 +17,6 @@
 #include "isa/builder.hh"
 #include "spl/function.hh"
 #include "harness/manifest.hh"
-#include "harness/snapshot_cache.hh"
 #include "sim/logging.hh"
 
 using namespace remap;
@@ -139,6 +138,5 @@ main(int argc, char **)
               << "  output queue words " << word_counts.front() << ".."
               << word_counts.back() << ": "
               << 100.0 * largestChange(cycles, np, nw, nw, 1) << "%\n";
-    remap::harness::printSnapshotCacheSummary();
     return 0;
 }

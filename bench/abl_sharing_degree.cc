@@ -14,7 +14,6 @@
 #include "harness/parallel.hh"
 #include "harness/table.hh"
 #include "harness/manifest.hh"
-#include "harness/snapshot_cache.hh"
 #include "sim/logging.hh"
 
 int
@@ -75,6 +74,5 @@ main(int argc, char **)
     std::cout << "\nTotal throughput rises with sharing while "
                  "per-thread latency degrades\nonly mildly — the "
                  "premise of the shared-fabric cluster.\n";
-    remap::harness::printSnapshotCacheSummary();
     return 0;
 }

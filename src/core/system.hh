@@ -191,11 +191,6 @@ class System
 
     /** True when @p core uses the OOO2 parameter set. */
     bool isOoo2(CoreId core) const;
-    /** Fabric serving @p core, or nullptr. */
-    spl::SplFabric *fabricOf(CoreId core)
-    {
-        return coreFabric_.at(core);
-    }
 
     /** Current simulated cycle. */
     Cycle now() const { return cycle_; }

@@ -831,26 +831,12 @@ OooCore::commit(Cycle now)
             ++committedStores;
             break;
           case isa::OpClass::SplLoad:
-            if (!spl_->canLoad(splSlot_)) {
-                ++splCommitStalls;
-                stallMask_ |= kStallSplCommit;
-                if (tracer_ && splCommitStallStart_ == 0)
-                    splCommitStallStart_ = now;
-                return;
-            }
             spl_->load(splSlot_,
                        static_cast<unsigned>(d.si->imm),
                        static_cast<std::int32_t>(d.splLoadValue));
             ++committedSplOps;
             break;
           case isa::OpClass::SplLoadMem:
-            if (!spl_->canLoad(splSlot_)) {
-                ++splCommitStalls;
-                stallMask_ |= kStallSplCommit;
-                if (tracer_ && splCommitStallStart_ == 0)
-                    splCommitStallStart_ = now;
-                return;
-            }
             spl_->load(splSlot_,
                        static_cast<unsigned>(d.si->imm2),
                        static_cast<std::int32_t>(d.splLoadValue));
@@ -870,13 +856,6 @@ OooCore::commit(Cycle now)
           }
           case isa::OpClass::SplInit:
             if (d.si->op == isa::Opcode::SPL_BAR) {
-                if (!spl_->canBar(splSlot_)) {
-                    ++splCommitStalls;
-                    stallMask_ |= kStallSplCommit;
-                    if (tracer_ && splCommitStallStart_ == 0)
-                        splCommitStallStart_ = now;
-                    return;
-                }
                 spl_->bar(splSlot_,
                           static_cast<ConfigId>(d.si->imm),
                           static_cast<std::uint32_t>(d.si->imm2),

@@ -115,10 +115,6 @@ class OooCore
 
     /** Detach the thread (must be drained); the core goes idle. */
     void unbindThread();
-    /** Local SPL slot of this core (valid when a fabric is attached). */
-    unsigned splSlot() const { return splSlot_; }
-    /** Fabric this core is attached to, or nullptr. */
-    spl::SplFabric *splFabric() { return spl_; }
 
     /** Advance one core cycle. */
     void tick(Cycle now);

@@ -142,8 +142,6 @@ class EnergyModel
     Energy idleCoreLeakage(Cycle cycles, bool is_ooo2) const;
 
     /** @{ @name Parameter access. */
-    const CoreEnergyParams &ooo1Params() const { return ooo1_; }
-    const CoreEnergyParams &ooo2Params() const { return ooo2_; }
     const MemEnergyParams &memParams() const { return mem_; }
     const SplEnergyParams &splParams() const { return spl_; }
     const AreaParams &areaParams() const { return area_; }

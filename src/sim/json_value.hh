@@ -43,7 +43,6 @@ struct Value
     std::map<std::string, Value> obj;
 
     bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
     bool isNumber() const { return kind == Kind::Number; }
     bool isString() const { return kind == Kind::String; }
     bool isArray() const { return kind == Kind::Array; }

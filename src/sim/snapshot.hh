@@ -311,7 +311,6 @@ class Deserializer
         if (!failed_) {
             failed_ = true;
             error_ = why;
-            errorPos_ = pos_;
         }
     }
 
@@ -319,8 +318,6 @@ class Deserializer
     bool ok() const { return !failed_; }
     /** The first recorded failure reason (empty when ok). */
     const char *error() const { return failed_ ? error_ : ""; }
-    /** Byte offset of the first failure. */
-    std::size_t errorPos() const { return errorPos_; }
     /** True when every byte has been consumed. */
     bool atEnd() const { return pos_ == size_; }
     /** Bytes not yet consumed. */
@@ -344,7 +341,6 @@ class Deserializer
     std::size_t pos_ = 0;
     bool failed_ = false;
     const char *error_ = "";
-    std::size_t errorPos_ = 0;
 };
 
 /**

@@ -237,11 +237,8 @@ BarrierUnit::funcArrive(std::uint32_t id, ClusterId cluster,
         std::vector<std::vector<std::int32_t>> inputs_vec;
         for (const Arrival *a : locals)
             inputs_vec.push_back(a->inputs);
-        std::vector<std::int32_t> result =
-            fn.isReduce() && inputs_vec.size() > 1
-                ? fn.evaluateReduce(inputs_vec)
-                : (fn.isReduce() ? inputs_vec.front()
-                                 : fn.evaluate(inputs_vec.front()));
+        const std::vector<std::int32_t> result =
+            fn.evaluateBarrier(inputs_vec);
         for (const Arrival *a : locals)
             fabrics_[cl]->funcDeliver(a->localCore, result);
     }
@@ -361,13 +358,6 @@ SplFabric::partitionOf(unsigned core)
     REMAP_PANIC("core %u not in any partition", core);
 }
 
-bool
-SplFabric::canLoad(unsigned core) const
-{
-    REMAP_ASSERT(core < ports_.size(), "core out of range");
-    return true; // backpressure applies at initiation, not staging
-}
-
 void
 SplFabric::load(unsigned core, unsigned word_idx, std::int32_t value)
 {
@@ -429,13 +419,6 @@ SplFabric::init(unsigned core, ConfigId cfg, std::int64_t dest_thread,
     threadTable_.addInFlight(dest_core);
     if (tracer_)
         traceQueueDepth(core, now);
-}
-
-bool
-SplFabric::canBar(unsigned core) const
-{
-    REMAP_ASSERT(core < ports_.size(), "core out of range");
-    return barriers_ != nullptr;
 }
 
 void
@@ -629,11 +612,8 @@ SplFabric::deliver(const InFlightOp &op, Cycle when)
 {
     const SplFunction &fn = configs_->get(op.cfg);
     if (op.isBarrier) {
-        std::vector<std::int32_t> result =
-            fn.isReduce() && op.inputs.size() > 1
-                ? fn.evaluateReduce(op.inputs)
-                : (fn.isReduce() ? op.inputs.front()
-                                 : fn.evaluate(op.inputs.front()));
+        const std::vector<std::int32_t> result =
+            fn.evaluateBarrier(op.inputs);
         for (unsigned c : op.destCores)
             deliverOutput(c, result, when);
     } else {
@@ -822,11 +802,8 @@ SplFabric::acceptPending(Partition &part, Cycle now)
         Partition &home = partitionOf(bop.srcCore);
         if (&home == &part && bop.completeCycle <= now) {
             const SplFunction &fn = configs_->get(bop.cfg);
-            unsigned rows = fn.isReduce()
-                ? fn.reduceRows(static_cast<unsigned>(
-                      bop.inputs.size()))
-                : fn.rows();
-            rows = std::max(rows, 1u);
+            const unsigned rows = fn.barrierRows(
+                static_cast<unsigned>(bop.inputs.size()));
             Cycle start =
                 now + configSwitchCost(part, bop.cfg, fn.rows());
             unsigned ii = (rows + part.rows - 1) / part.rows;

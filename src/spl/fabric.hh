@@ -254,10 +254,13 @@ class BarrierUnit
  * shared, partitionable timing model.
  *
  * The owning System calls tick() once per core cycle; internal action
- * happens on SPL cycle boundaries. Core models call the canX()/X()
- * pairs at instruction commit; a false canX() means "stall and retry
- * next cycle", which is exactly the queue-full/empty and
- * destination-absent behaviour of the paper.
+ * happens on SPL cycle boundaries. Core models drive it at instruction
+ * commit and issue, and two checks stall the core and retry next
+ * cycle, which is exactly the paper's queue-full/empty and
+ * destination-absent behaviour: canInit() refuses an initiation while
+ * the core's pending queue is full or the destination thread is
+ * absent, and outputReady() holds a pop until a result word has
+ * arrived. Staging (load()) and barrier arrival (bar()) never stall.
  */
 class SplFabric
 {
@@ -280,9 +283,8 @@ class SplFabric
 
     // ---- core-side interface (local core index 0..cores-1) ----
 
-    /** True when @p core may stage another input word. */
-    bool canLoad(unsigned core) const;
-    /** Stage @p value as input word @p word_idx. */
+    /** Stage @p value as input word @p word_idx (never stalls:
+     *  backpressure applies at initiation, not staging). */
     void load(unsigned core, unsigned word_idx, std::int32_t value);
 
     /**
@@ -295,9 +297,8 @@ class SplFabric
     void init(unsigned core, ConfigId cfg, std::int64_t dest_thread,
               Cycle now);
 
-    /** True when @p core may issue a barrier arrival. */
-    bool canBar(unsigned core) const;
-    /** Seal staged inputs and arrive at barrier @p barrier_id. */
+    /** Seal staged inputs and arrive at barrier @p barrier_id (never
+     *  stalls: the BarrierUnit buffers every arrival). */
     void bar(unsigned core, ConfigId cfg, std::uint32_t barrier_id,
              Cycle now);
 

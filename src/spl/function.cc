@@ -1,7 +1,7 @@
 #include "spl/function.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 
 #include "sim/logging.hh"
 
@@ -11,16 +11,31 @@ namespace remap::spl
 namespace
 {
 
+/** The register bank a row program runs over. */
+using Bank = std::array<std::int32_t, SplFunction::maxRegs>;
+
+/** A 32-bit result as the signed word the registers hold. Adders,
+ *  shifters and the multiplier compute in unsigned arithmetic, so
+ *  they wrap at 32 bits as the cells' carry chain does. */
+std::int32_t
+wrap(std::uint32_t v)
+{
+    return static_cast<std::int32_t>(v);
+}
+
 std::int32_t
 applyOp(const WordOp &w, const std::int32_t *regs,
         const std::vector<std::int32_t> &lut)
 {
     const std::int32_t a = regs[w.a];
     const std::int32_t b = regs[w.b];
+    const std::uint32_t ua = static_cast<std::uint32_t>(a);
+    const std::uint32_t ub = static_cast<std::uint32_t>(b);
     switch (w.op) {
-      case WOp::Add:    return a + b;
-      case WOp::Sub:    return a - b;
-      case WOp::AddImm: return a + w.imm;
+      case WOp::Add:    return wrap(ua + ub);
+      case WOp::Sub:    return wrap(ua - ub);
+      case WOp::AddImm:
+        return wrap(ua + static_cast<std::uint32_t>(w.imm));
       case WOp::Min:    return std::min(a, b);
       case WOp::Max:    return std::max(a, b);
       case WOp::MinImm: return std::min(a, w.imm);
@@ -29,40 +44,28 @@ applyOp(const WordOp &w, const std::int32_t *regs,
       case WOp::AndImm: return a & w.imm;
       case WOp::Or:     return a | b;
       case WOp::Xor:    return a ^ b;
-      case WOp::ShlImm:
-        return static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a) << (w.imm & 31));
-      case WOp::ShrImm:
-        return static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a) >> (w.imm & 31));
+      case WOp::ShlImm: return wrap(ua << (w.imm & 31));
+      case WOp::ShrImm: return wrap(ua >> (w.imm & 31));
       case WOp::SraImm: return a >> (w.imm & 31);
-      case WOp::ShlVar:
-        return static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a) << (b & 31));
-      case WOp::ShrVar:
-        return static_cast<std::int32_t>(
-            static_cast<std::uint32_t>(a) >> (b & 31));
+      case WOp::ShlVar: return wrap(ua << (b & 31));
+      case WOp::ShrVar: return wrap(ua >> (b & 31));
       case WOp::Mov:    return a;
       case WOp::MovImm: return w.imm;
       case WOp::CmpGe:  return (a >= b) ? ~0 : 0;
       case WOp::CmpEq:  return (a == b) ? ~0 : 0;
       case WOp::CmpGeImm: return (a >= w.imm) ? ~0 : 0;
       case WOp::CmpEqImm: return (a == w.imm) ? ~0 : 0;
-      case WOp::Sel:    return regs[w.b] ? a : w.imm;
+      case WOp::Sel:    return b ? a : w.imm;
       case WOp::Lut8:
         REMAP_ASSERT(!lut.empty(), "Lut8 op without a table");
-        return lut[static_cast<std::uint32_t>(a) & 0xff];
-      case WOp::Abs:    return a < 0 ? -a : a;
-      case WOp::Mul:
-        return static_cast<std::int32_t>(
-            static_cast<std::int64_t>(a) * b);
+        return lut[ua & 0xff];
+      case WOp::Abs:    return a < 0 ? wrap(0u - ua) : a;
+      case WOp::Mul:    return wrap(ua * ub);
       case WOp::SadB4: {
         std::int32_t s = 0;
         for (int i = 0; i < 4; ++i) {
-            int av = (static_cast<std::uint32_t>(a) >> (8 * i)) &
-                     0xff;
-            int bv = (static_cast<std::uint32_t>(b) >> (8 * i)) &
-                     0xff;
+            int av = (ua >> (8 * i)) & 0xff;
+            int bv = (ub >> (8 * i)) & 0xff;
             s += av > bv ? av - bv : bv - av;
         }
         return s;
@@ -71,109 +74,46 @@ applyOp(const WordOp &w, const std::int32_t *regs,
     return 0;
 }
 
+/**
+ * Run @p rows over @p regs, whose inputs are preloaded and every other
+ * register zero. Rows execute in order; within a row, every op reads
+ * the values the previous row latched (a row's cells operate in
+ * parallel), and the row's results are latched together after it.
+ */
+void
+runRows(const std::vector<Row> &rows,
+        const std::vector<std::int32_t> &lut, Bank &regs)
+{
+    std::array<std::int32_t, Row::maxWordOpsPerRow> latched;
+    for (const Row &r : rows) {
+        for (std::size_t i = 0; i < r.ops.size(); ++i)
+            latched[i] = applyOp(r.ops[i], regs.data(), lut);
+        for (std::size_t i = 0; i < r.ops.size(); ++i)
+            regs[r.ops[i].dst] = latched[i];
+    }
+}
+
+std::vector<std::int32_t>
+gather(const std::vector<std::uint8_t> &output_regs, const Bank &regs)
+{
+    std::vector<std::int32_t> out;
+    out.reserve(output_regs.size());
+    for (std::uint8_t r : output_regs)
+        out.push_back(regs[r]);
+    return out;
+}
+
 } // namespace
-
-unsigned
-SplFunction::reduceRows(unsigned participants) const
-{
-    REMAP_ASSERT(reduce_, "reduceRows on non-reduce function");
-    if (participants <= 1)
-        return rows();
-    unsigned stages = 0;
-    unsigned n = participants;
-    while (n > 1) {
-        n = (n + 1) / 2;
-        ++stages;
-    }
-    return rows() * stages;
-}
-
-void
-SplFunction::compile()
-{
-    flatOps_.clear();
-    rowEnd_.clear();
-    rowInPlace_.clear();
-    flatOps_.reserve([this] {
-        std::size_t n = 0;
-        for (const Row &r : rows_)
-            n += r.ops.size();
-        return n;
-    }());
-    rowEnd_.reserve(rows_.size());
-    rowInPlace_.reserve(rows_.size());
-
-    // Registers the program can read or write: inputs land in
-    // [0, numInputWords), plus every op operand and output register.
-    unsigned live = numInputWords_;
-    for (std::uint8_t r : outputRegs_)
-        live = std::max(live, unsigned(r) + 1u);
-
-    for (const Row &row : rows_) {
-        bool in_place = true;
-        for (std::size_t i = 0; i < row.ops.size(); ++i) {
-            const WordOp &w = row.ops[i];
-            live = std::max({live, unsigned(w.dst) + 1u,
-                             unsigned(w.a) + 1u, unsigned(w.b) + 1u});
-            // A row's cells all read pre-row values in parallel;
-            // sequential single-bank execution is only equivalent
-            // when no op writes a register a later op of the row
-            // reads. (Two writes to the same register are fine: last
-            // one wins either way.)
-            for (std::size_t j = i + 1; j < row.ops.size(); ++j)
-                if (w.dst == row.ops[j].a || w.dst == row.ops[j].b)
-                    in_place = false;
-            flatOps_.push_back(w);
-        }
-        rowEnd_.push_back(static_cast<std::uint32_t>(flatOps_.size()));
-        rowInPlace_.push_back(in_place ? 1 : 0);
-    }
-    regCount_ = live;
-}
-
-void
-SplFunction::evaluateInto(const std::int32_t *inputs, std::size_t n,
-                          std::int32_t *out) const
-{
-    // Two reusable register banks: safe rows run in place on the
-    // current bank, unsafe rows copy into the other bank and swap.
-    // No allocation on this path.
-    thread_local std::int32_t bank_a[maxRegs];
-    thread_local std::int32_t bank_b[maxRegs];
-    std::int32_t *regs = bank_a;
-    std::int32_t *next = bank_b;
-
-    const std::size_t live = regCount_;
-    const std::size_t filled = std::min(n, live);
-    std::copy_n(inputs, filled, regs);
-    std::fill(regs + filled, regs + live, 0);
-
-    const WordOp *ops = flatOps_.data();
-    std::uint32_t begin = 0;
-    for (std::size_t r = 0; r < rowEnd_.size(); ++r) {
-        const std::uint32_t end = rowEnd_[r];
-        if (rowInPlace_[r]) {
-            for (std::uint32_t i = begin; i < end; ++i)
-                regs[ops[i].dst] = applyOp(ops[i], regs, lut_);
-        } else {
-            std::copy_n(regs, live, next);
-            for (std::uint32_t i = begin; i < end; ++i)
-                next[ops[i].dst] = applyOp(ops[i], regs, lut_);
-            std::swap(regs, next);
-        }
-        begin = end;
-    }
-
-    for (std::size_t i = 0; i < outputRegs_.size(); ++i)
-        out[i] = regs[outputRegs_[i]];
-}
 
 std::vector<std::int32_t>
 SplFunction::evaluate(const std::vector<std::int32_t> &inputs) const
 {
-    std::vector<std::int32_t> out(outputRegs_.size());
-    evaluateInto(inputs.data(), inputs.size(), out.data());
-    return out;
+    Bank regs{};
+    std::copy_n(inputs.begin(),
+                std::min<std::size_t>(inputs.size(), maxRegs),
+                regs.begin());
+    runRows(rows_, lut_, regs);
+    return gather(outputRegs_, regs);
 }
 
 std::vector<std::int32_t>
@@ -190,94 +130,52 @@ SplFunction::evaluateReduce(
     REMAP_ASSERT(outputRegs_.size() >= words,
                  "reduce combiner emits fewer words than it consumes");
 
-    // One flat scratch holds the current tree level, `words` live
-    // words per participant: pair (2k, 2k+1) is contiguous, so each
-    // combine reads its 2*words inputs directly from the scratch.
-    // evaluateInto copies its inputs into a register bank before
-    // writing, so the result can be stored back into slot k (which
-    // overlaps slot 2k) without aliasing issues.
-    thread_local std::vector<std::int32_t> scratch;
-    thread_local std::vector<std::int32_t> combined;
-    scratch.resize(participant_inputs.size() * words);
-    combined.resize(std::max<std::size_t>(outputRegs_.size(), words));
+    // The current tree level, `words` words per participant: pair
+    // (2k, 2k+1) is contiguous, and its combine is stored back into
+    // slot k, which no later pair of the level reads.
+    std::vector<std::int32_t> level(participant_inputs.size() * words);
     for (std::size_t i = 0; i < participant_inputs.size(); ++i) {
         REMAP_ASSERT(participant_inputs[i].size() >= words,
                      "reduce participant input too short");
-        std::copy_n(participant_inputs[i].data(), words,
-                    scratch.data() + i * words);
+        std::copy_n(participant_inputs[i].begin(), words,
+                    level.begin() + i * words);
     }
 
-    std::size_t count = participant_inputs.size();
-    while (count > 2) {
-        const std::size_t pairs = count / 2;
-        for (std::size_t k = 0; k < pairs; ++k) {
-            evaluateInto(scratch.data() + 2 * k * words, 2 * words,
-                         combined.data());
-            std::copy_n(combined.data(), words,
-                        scratch.data() + k * words);
+    for (std::size_t count = participant_inputs.size();;
+         count = count / 2 + count % 2) {
+        for (std::size_t k = 0; k < count / 2; ++k) {
+            Bank regs{};
+            std::copy_n(level.begin() + 2 * k * words, 2 * words,
+                        regs.begin());
+            runRows(rows_, lut_, regs);
+            // The final combine's full output is the reduction result.
+            if (count == 2)
+                return gather(outputRegs_, regs);
+            for (unsigned w = 0; w < words; ++w)
+                level[k * words + w] = regs[outputRegs_[w]];
         }
         if (count % 2) // odd participant carries to the next level
-            std::copy_n(scratch.data() + (count - 1) * words, words,
-                        scratch.data() + pairs * words);
-        count = pairs + count % 2;
+            std::copy_n(level.begin() + (count - 1) * words, words,
+                        level.begin() + count / 2 * words);
     }
-    // The final combine's full output is the reduction result.
-    std::vector<std::int32_t> out(outputRegs_.size());
-    evaluateInto(scratch.data(), 2 * words, out.data());
-    return out;
 }
 
 std::vector<std::int32_t>
-SplFunction::evaluateNaive(const std::vector<std::int32_t> &inputs)
-    const
+SplFunction::evaluateBarrier(
+    const std::vector<std::vector<std::int32_t>> &participants) const
 {
-    std::vector<std::int32_t> regs(maxRegs, 0);
-    const std::size_t n = std::min<std::size_t>(inputs.size(), maxRegs);
-    std::copy_n(inputs.begin(), n, regs.begin());
-
-    // Rows execute in order; within a row, all ops read pre-row
-    // register values (a row's cells operate in parallel).
-    for (const Row &r : rows_) {
-        std::vector<std::int32_t> next = regs;
-        for (const WordOp &w : r.ops)
-            next[w.dst] = applyOp(w, regs.data(), lut_);
-        regs = std::move(next);
-    }
-
-    std::vector<std::int32_t> out;
-    out.reserve(outputRegs_.size());
-    for (std::uint8_t r : outputRegs_)
-        out.push_back(regs[r]);
-    return out;
+    return reduce_ ? evaluateReduce(participants)
+                   : evaluate(participants.front());
 }
 
-std::vector<std::int32_t>
-SplFunction::evaluateReduceNaive(
-    const std::vector<std::vector<std::int32_t>> &participant_inputs)
-    const
+unsigned
+SplFunction::barrierRows(unsigned participants) const
 {
-    REMAP_ASSERT(reduce_, "evaluateReduce on non-reduce function");
-    REMAP_ASSERT(!participant_inputs.empty(),
-                 "reduce needs at least one participant");
-    const unsigned words = numInputWords_ / 2;
-
-    std::vector<std::vector<std::int32_t>> level = participant_inputs;
-    while (level.size() > 1) {
-        std::vector<std::vector<std::int32_t>> next;
-        for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-            std::vector<std::int32_t> in;
-            in.reserve(2 * words);
-            for (unsigned w = 0; w < words; ++w)
-                in.push_back(level[i][w]);
-            for (unsigned w = 0; w < words; ++w)
-                in.push_back(level[i + 1][w]);
-            next.push_back(evaluateNaive(in));
-        }
-        if (level.size() % 2)
-            next.push_back(level.back());
-        level = std::move(next);
-    }
-    return level.front();
+    unsigned stages = 0;
+    if (reduce_)
+        for (unsigned n = participants; n > 1; n = (n + 1) / 2)
+            ++stages;
+    return std::max(rows() * std::max(stages, 1u), 1u);
 }
 
 FunctionBuilder::FunctionBuilder(std::string name,
@@ -347,7 +245,6 @@ FunctionBuilder::build()
         REMAP_ASSERT(fn_.numInputWords_ % 2 == 0,
                      "reduce combiner needs an even input word count");
     }
-    fn_.compile();
     return std::move(fn_);
 }
 

@@ -12,6 +12,10 @@
  * The row count of the program is the pipeline depth used by the
  * fabric timing model (one row per 500 MHz SPL cycle), and the program
  * is *evaluated functionally* so kernels receive real computed values.
+ * There is one evaluator, the paper's row rule: every op of a row
+ * reads the register values the previous row latched. A barrier's
+ * regional result and pipeline depth come from evaluateBarrier() and
+ * barrierRows(), so every fabric path applies the same rule.
  *
  * Functions are built with FunctionBuilder, which enforces the packing
  * constraint, or generated (e.g. reduction trees for barrier-integrated
@@ -124,58 +128,46 @@ class SplFunction
     /** The Lut8 table (empty when the program has no LUT ops). */
     const std::vector<std::int32_t> &lutTable() const { return lut_; }
 
-    /** Rows needed to combine @p participants inputs (reduce mode). */
-    unsigned reduceRows(unsigned participants) const;
-
     /**
      * Evaluate one pass: @p inputs supplies numInputWords words
-     * (reduce mode: 2 * wordsPerInput words).
+     * (reduce mode: 2 * wordsPerInput words). Missing words read as
+     * zero; words past maxRegs are ignored.
      * @return output words, one per outputRegs entry.
      */
     std::vector<std::int32_t>
     evaluate(const std::vector<std::int32_t> &inputs) const;
 
     /**
-     * Allocation-free core of evaluate(): run the compiled (flattened)
-     * program over two reusable register banks, reading @p n input
-     * words from @p inputs and writing outputRegs().size() words to
-     * @p out. @p out must not alias @p inputs. This is the fabric's
-     * hot path; evaluate() is a thin wrapper that materialises the
-     * output vector.
-     */
-    void evaluateInto(const std::int32_t *inputs, std::size_t n,
-                      std::int32_t *out) const;
-
-    /**
      * Fold @p participant_inputs (each wordsPerInput words) through
-     * the combiner as a binary tree. Valid only for reduce functions.
-     * Requires outputRegs().size() >= wordsPerInput so intermediate
-     * combine results supply the next tree level's inputs.
+     * the combiner as a binary tree; an odd participant carries to
+     * the next level, and a single participant's words are returned
+     * unchanged. Valid only for reduce functions. Requires
+     * outputRegs().size() >= wordsPerInput so intermediate combine
+     * results supply the next tree level's inputs.
      */
     std::vector<std::int32_t>
     evaluateReduce(
         const std::vector<std::vector<std::int32_t>> &participant_inputs)
         const;
 
-    /** @{ @name Reference interpreter
-     * The original row-by-row implementations, kept verbatim as the
-     * differential-testing oracle for the compiled program above
-     * (tests/test_spl_function.cc fuzzes generated programs through
-     * both). Not used on any simulation path. */
+    /**
+     * The regional result of a released barrier whose participants
+     * staged @p participants: the reduction tree for a reduce
+     * function, otherwise one pass over the first participant's words.
+     */
     std::vector<std::int32_t>
-    evaluateNaive(const std::vector<std::int32_t> &inputs) const;
-    std::vector<std::int32_t>
-    evaluateReduceNaive(
-        const std::vector<std::vector<std::int32_t>> &participant_inputs)
-        const;
-    /** @} */
+    evaluateBarrier(
+        const std::vector<std::vector<std::int32_t>> &participants) const;
+
+    /**
+     * Rows a barrier over @p participants occupies (at least one): a
+     * reduce function takes rows() per tree stage, ceil(log2 n)
+     * stages; any other function takes rows().
+     */
+    unsigned barrierRows(unsigned participants) const;
 
   private:
     friend class FunctionBuilder;
-
-    /** Flatten rows_ into the contiguous op array and classify each
-     *  row for single-bank execution; called once by the builder. */
-    void compile();
 
     std::string name_;
     std::vector<Row> rows_;
@@ -183,17 +175,6 @@ class SplFunction
     std::vector<std::uint8_t> outputRegs_;
     bool reduce_ = false;
     std::vector<std::int32_t> lut_; ///< optional 256-entry Lut8 table
-
-    /** @{ @name Compiled program (built by compile())
-     * rows_ flattened into one contiguous array; rowEnd_[r] is the
-     * end index of row r's ops in flatOps_, rowInPlace_[r] is set
-     * when no op in the row writes a register a later op of the same
-     * row reads (such rows run in a single bank with no copy). */
-    std::vector<WordOp> flatOps_;
-    std::vector<std::uint32_t> rowEnd_;
-    std::vector<std::uint8_t> rowInPlace_;
-    unsigned regCount_ = 0; ///< registers the program can touch
-    /** @} */
 };
 
 /**

@@ -54,7 +54,7 @@ makeWc(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "wc",
-               /*comm_words=*/2, [] { return wcClassify4(); },
+               [] { return wcClassify4(); },
                [] { return spl::functions::passthrough(2); });
 
     // Sequential classification + counting (branch form).
@@ -242,7 +242,7 @@ makeUnepic(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "unepic",
-               /*comm_words=*/1, [] { return unepicHuff4(); },
+               [] { return unepicHuff4(); },
                [] { return spl::functions::passthrough(1); });
 
     unsigned lbl = 0;
@@ -442,7 +442,7 @@ makeCjpeg(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "cjpeg",
-               /*comm_words=*/3, [] { return cjpegYcc4(); },
+               [] { return cjpegYcc4(); },
                [] { return spl::functions::passthrough(4); });
 
     // Scalar y computation from the pixel at byte offset x5 -> x20.
@@ -647,7 +647,7 @@ makeAdpcm(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "adpcm",
-               /*comm_words=*/2, [] { return adpcmDelta(); },
+               [] { return adpcmDelta(); },
                [] { return spl::functions::passthrough(2); });
 
     // Producer-side index chain: token in x6 -> step in x7; keeps

@@ -78,7 +78,7 @@ makeTwolf(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "twolf",
-               /*comm_words=*/8, [] { return twolfMinMax8(); },
+               [] { return twolfMinMax8(); },
                [] { return spl::functions::passthrough(8); });
 
     // Gather coords for pins [p0, p0+4) of net x1 from table x7
@@ -382,7 +382,7 @@ makeHmmer(const RunSpec &spec)
     d.golden(gmc, gdc, gic);
 
     Channel ch(r, spec.variant, alloc, "hmmer",
-               /*comm_words=*/1, [] {
+               [] {
                    return spl::functions::hmmerMc(hmmerNeg);
                },
                [] { return spl::functions::passthrough(1); });
@@ -759,7 +759,7 @@ makeAstar(const RunSpec &spec)
     }
 
     Channel ch(r, spec.variant, alloc, "astar",
-               /*comm_words=*/10, [] { return astarRelax8(); },
+               [] { return astarRelax8(); },
                [] { return spl::functions::passthrough(10); });
 
     const int offs[8] = {-1,          1,           -int(W),

@@ -29,12 +29,11 @@ class Channel
      * @param v variant being built
      * @param alloc address allocator (for software-queue storage)
      * @param prefix label prefix for queue spin loops
-     * @param comm_words words per message in the Comm variants
      * @param comp_fn factory for the integrated-computation config
      * @param pass_fn factory for the communication-only config
      */
     Channel(PreparedRun &r, Variant v, AddrAllocator &alloc,
-            std::string prefix, unsigned comm_words,
+            std::string prefix,
             const std::function<spl::SplFunction()> &comp_fn,
             const std::function<spl::SplFunction()> &pass_fn)
         : variant_(v)
@@ -47,7 +46,6 @@ class Channel
           case Variant::Comm:
           case Variant::Ooo2Comm:
             passCfg_ = r.system->registerFunction(pass_fn());
-            (void)comm_words;
             break;
           case Variant::SwQueue: {
             layout_ = detail::SwQueueLayout::make(alloc);

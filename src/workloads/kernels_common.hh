@@ -168,7 +168,7 @@ struct SwBarrierLayout
  *
  * Fixed registers: x50 local sense, x51 constant 1, x52 count addr,
  * x53 sense addr, x54 total-1, x55/x56 scratch.
- * Callers must emit swBarrierInit() once before the first use.
+ * Callers must emit emitSwBarrierInit() once before the first use.
  */
 void emitSwBarrierInit(isa::ProgramBuilder &b,
                        const SwBarrierLayout &l, unsigned total);

@@ -135,21 +135,6 @@ g721Fmult()
 }
 
 SplFunction
-mpeg2Interp2()
-{
-    FunctionBuilder b("mpeg2_interp2", 4); // cur0 prev0 cur1 prev1
-    b.row().op(WOp::ShlImm, 4, 0, 0, 1).op(WOp::ShlImm, 5, 2, 0, 1);
-    b.row().op(WOp::Add, 4, 4, 0).op(WOp::Add, 5, 5, 2);
-    b.row().op(WOp::Add, 4, 4, 1).op(WOp::Add, 5, 5, 3);
-    b.row().op(WOp::AddImm, 4, 4, 0, 2).op(WOp::AddImm, 5, 5, 0, 2);
-    b.row().op(WOp::SraImm, 4, 4, 0, 2).op(WOp::SraImm, 5, 5, 0, 2);
-    b.row().op(WOp::MaxImm, 4, 4, 0, 0).op(WOp::MaxImm, 5, 5, 0, 0);
-    b.row().op(WOp::MinImm, 4, 4, 0, 255)
-           .op(WOp::MinImm, 5, 5, 0, 255);
-    return b.outputs({4, 5}).build();
-}
-
-SplFunction
 mpeg2Interp4()
 {
     // inputs: 0 = four packed cur bytes, 1 = four packed prev bytes
@@ -238,32 +223,6 @@ gsmMac8()
     b.row().op(WOp::Add, 30, 28, 29);
     b.row().op(WOp::SraImm, 30, 30, 0, 15);
     return b.outputs({30}).build();
-}
-
-SplFunction
-unepicHuff2()
-{
-    FunctionBuilder b("unepic_huff2", 2); // two tokens
-    b.row().op(WOp::AndImm, 2, 0, 0, 15)
-        .op(WOp::AndImm, 3, 1, 0, 15);
-    b.row().op(WOp::Lut8, 4, 2).op(WOp::Lut8, 5, 3);
-    b.row().op(WOp::SraImm, 4, 4, 0, 8)
-        .op(WOp::SraImm, 5, 5, 0, 8);
-    b.row().op(WOp::AddImm, 4, 4, 0, -1)
-        .op(WOp::AddImm, 5, 5, 0, -1);
-    return b.lut(huffLut()).outputs({4, 5}).build();
-}
-
-SplFunction
-gsmMac4()
-{
-    FunctionBuilder b("gsm_mac4", 8); // w0..w3 d0..d3
-    b.row().op(WOp::Mul, 8, 0, 4).op(WOp::Mul, 9, 1, 5);
-    b.row().op(WOp::Mul, 10, 2, 6).op(WOp::Mul, 11, 3, 7);
-    b.row().op(WOp::Add, 12, 8, 9).op(WOp::Add, 13, 10, 11);
-    b.row().op(WOp::Add, 14, 12, 13);
-    b.row().op(WOp::SraImm, 14, 14, 0, 15);
-    return b.outputs({14}).build();
 }
 
 SplFunction
@@ -387,46 +346,6 @@ twolfMinMax8()
 }
 
 SplFunction
-wcClassify()
-{
-    FunctionBuilder b("wc_classify", 2); // 0=ch, 1=prevch
-    b.row().op(WOp::Lut8, 2, 0).op(WOp::Lut8, 3, 1);
-    b.row().op(WOp::CmpEqImm, 4, 0, 0, '\n')
-           .op(WOp::MovImm, 5, 0, 0, 1);
-    b.row().op(WOp::Sub, 6, 5, 3);     // 1 - prev_is_word
-    b.row().op(WOp::And, 7, 2, 6)      // word start
-           .op(WOp::And, 8, 4, 5);     // newline bit
-    return b.lut(charClassLut()).outputs({7, 8}).build();
-}
-
-SplFunction
-unepicHuff()
-{
-    FunctionBuilder b("unepic_huff", 1); // 0 = code window
-    b.row().op(WOp::MovImm, 1, 0, 0, 15);
-    b.row().op(WOp::And, 2, 0, 1);
-    b.row().op(WOp::Lut8, 3, 2);
-    return b.lut(huffLut()).outputs({3}).build();
-}
-
-SplFunction
-cjpegYcc()
-{
-    FunctionBuilder b("cjpeg_ycc", 3); // 0=r 1=g 2=b
-    b.row().op(WOp::MovImm, 3, 0, 0, 19595)
-           .op(WOp::MovImm, 4, 0, 0, 38470);
-    b.row().op(WOp::MovImm, 5, 0, 0, 7471)
-           .op(WOp::Mul, 6, 0, 3);
-    b.row().op(WOp::Mul, 7, 1, 4);
-    b.row().op(WOp::Mul, 8, 2, 5);
-    b.row().op(WOp::Add, 9, 6, 7);
-    b.row().op(WOp::Add, 9, 9, 8);
-    b.row().op(WOp::AddImm, 9, 9, 0, 32768);
-    b.row().op(WOp::SraImm, 9, 9, 0, 16);
-    return b.outputs({9}).build();
-}
-
-SplFunction
 cjpegYcc4()
 {
     // inputs: words 0..2 hold 12 interleaved r,g,b bytes for four
@@ -525,19 +444,6 @@ twolfMinMax4()
            .op(WOp::Max, 6, 0, 1).op(WOp::Max, 7, 2, 3);
     b.row().op(WOp::Min, 8, 4, 5).op(WOp::Max, 9, 6, 7);
     return b.outputs({8, 9}).build();
-}
-
-SplFunction
-astarRelax()
-{
-    FunctionBuilder b("astar_relax", 2); // 0=nv 1=cur
-    b.row().op(WOp::AddImm, 2, 1, 0, 1)
-           .op(WOp::AddImm, 3, 1, 0, 2)
-           .op(WOp::MovImm, 4, 0, 0, 1);
-    b.row().op(WOp::CmpGe, 5, 0, 3)     // nv >= cur+2  <=> nv > cur+1
-           .op(WOp::Min, 6, 0, 2);      // new value
-    b.row().op(WOp::And, 7, 5, 4);      // flag in {0,1}
-    return b.outputs({6, 7}).build();
 }
 
 SplFunction

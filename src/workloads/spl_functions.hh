@@ -36,10 +36,6 @@ const std::vector<std::int32_t> &huffLut();
 /** g721 fmult-like: abs/mask/lut-exp/shift/mul/shift/sign, 10 rows. */
 spl::SplFunction g721Fmult();
 
-/** mpeg2dec chroma upconversion: two pixels of
- *  clamp((3*cur+prev+2)>>2), 7 rows. */
-spl::SplFunction mpeg2Interp2();
-
 /** Byte-packed upconversion: four pixels per initiation, unpacked
  *  into 16-bit lanes inside the fabric (the natural use of the 8-bit
  *  cell array), 14 rows. */
@@ -52,17 +48,9 @@ spl::SplFunction dist1Sad4();
  *  SadB4 rows, 3 rows. */
 spl::SplFunction dist1Sad16();
 
-/** gsm LTP cross-correlation: 4-wide MAC (sum of 4 products), 5
- *  rows (two 16x16 multipliers per row). */
-spl::SplFunction gsmMac4();
-
 /** gsm LTP cross-correlation: 8-wide MAC with the paper-style
  *  per-group >>15 normalization, 8 rows. */
 spl::SplFunction gsmMac8();
-
-/** unepic fast-path decode of two tokens per initiation: outputs the
- *  symbols directly (or -1 for the escape path), 4 rows. */
-spl::SplFunction unepicHuff2();
 
 /** gsm short-term synthesis: 4 unrolled lattice stages, 24 rows
  *  (exercises whole-fabric occupancy / virtualization). */
@@ -77,9 +65,6 @@ spl::SplFunction quantumGate(std::int32_t control_mask,
 spl::SplFunction quantumGate4(std::int32_t control_mask,
                               std::int32_t target_mask);
 
-/** wc: char-class + word-start + newline detection, 4 rows. */
-spl::SplFunction wcClassify();
-
 /** Byte-packed wc: classifies four packed characters (plus the
  *  preceding character) per initiation, returning (word-starts,
  *  newlines) counts, 9 rows. */
@@ -92,12 +77,6 @@ spl::SplFunction unepicHuff4();
 /** twolf: min/max of 8 coordinates in one pass, 4 rows. */
 spl::SplFunction twolfMinMax8();
 
-/** unepic: 4-bit huffman fast-path lookup, 3 rows. */
-spl::SplFunction unepicHuff();
-
-/** cjpeg RGB->Y conversion (3 multipliers + rounding), 6 rows. */
-spl::SplFunction cjpegYcc();
-
 /** cjpeg RGB->Y over four byte-packed interleaved pixels (three
  *  packed words in, four luma words out), 17 rows. */
 spl::SplFunction cjpegYcc4();
@@ -108,9 +87,6 @@ spl::SplFunction adpcmDelta();
 
 /** twolf: min/max of 4 coordinates (bounding-box update), 2 rows. */
 spl::SplFunction twolfMinMax4();
-
-/** astar: relax candidate (min + update flag), 3 rows. */
-spl::SplFunction astarRelax();
 
 /** LL3 inner product: 4-wide integer MAC, 5 rows. */
 spl::SplFunction ll3Mac4();

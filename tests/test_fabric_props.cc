@@ -642,7 +642,7 @@ TEST(FabricInvariants, ReduceRowsMonotonic)
     auto fn = functions::globalMin();
     unsigned prev = 0;
     for (unsigned n = 2; n <= 16; ++n) {
-        unsigned rows = fn.reduceRows(n);
+        unsigned rows = fn.barrierRows(n);
         EXPECT_GE(rows, prev);
         prev = rows;
     }

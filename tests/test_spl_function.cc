@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <limits>
 #include <random>
 
+#include "sim/snapshot.hh"
 #include "spl/function.hh"
 #include "workloads/spl_functions.hh"
 
@@ -119,9 +121,9 @@ TEST(Reduce, GlobalSumAndRows)
     SplFunction f = functions::globalSum();
     auto out = f.evaluateReduce({{1}, {2}, {3}, {4}});
     EXPECT_EQ(out[0], 10);
-    EXPECT_EQ(f.reduceRows(2), 1u);
-    EXPECT_EQ(f.reduceRows(4), 2u);
-    EXPECT_EQ(f.reduceRows(16), 4u);
+    EXPECT_EQ(f.barrierRows(2), 1u);
+    EXPECT_EQ(f.barrierRows(4), 2u);
+    EXPECT_EQ(f.barrierRows(16), 4u);
 }
 
 TEST(Functions, PassthroughIdentity)
@@ -196,13 +198,78 @@ TEST(Functions, QuantumGateFlipsOnlyWhenControlled)
     EXPECT_EQ(f.evaluate({0x53})[0], 0x13);
 }
 
+TEST(SplFunction, AddSubAbsWrapAt32Bits)
+{
+    constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+    constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+    FunctionBuilder b("t", 2);
+    b.row()
+        .op(WOp::Add, 10, 0, 1)
+        .op(WOp::Sub, 11, 1, 0)
+        .op(WOp::AddImm, 12, 0, 0, kMax)
+        .op(WOp::Abs, 13, 1);
+    SplFunction f = b.outputs({10, 11, 12, 13}).build();
+    auto out = f.evaluate({1, kMin});
+    EXPECT_EQ(out[0], kMin + 1);
+    EXPECT_EQ(out[1], kMax);        // INT_MIN - 1
+    EXPECT_EQ(out[2], kMin);        // 1 + INT_MAX
+    EXPECT_EQ(out[3], kMin);        // |INT_MIN| has no 32-bit value
+    out = f.evaluate({kMax, 1});
+    EXPECT_EQ(out[0], kMin);        // INT_MAX + 1
+    EXPECT_EQ(out[1], kMin + 2);    // 1 - INT_MAX
+    EXPECT_EQ(out[2], -2);          // INT_MAX + INT_MAX
+    EXPECT_EQ(out[3], 1);
+}
+
+TEST(SplFunction, BarrierResultRule)
+{
+    const SplFunction mn = functions::globalMin();
+    const SplFunction hm = functions::hmmerMc(-1000);
+
+    // One reduce participant: its staged words come back unchanged,
+    // even when it staged more words than the combiner outputs.
+    EXPECT_EQ(mn.evaluateBarrier({{9, 8, 7}}),
+              (std::vector<std::int32_t>{9, 8, 7}));
+    // More participants: the reduction tree.
+    const std::vector<std::vector<std::int32_t>> five = {
+        {5}, {-3}, {9}, {4}, {-1}};
+    EXPECT_EQ(mn.evaluateBarrier(five), mn.evaluateReduce(five));
+    EXPECT_EQ(mn.evaluateBarrier(five)[0], -3);
+    // Any other function evaluates the first participant's words only.
+    const std::vector<std::int32_t> first = {10, 20, 5, 1, 50,
+                                             -10, 7, 2, 100};
+    EXPECT_EQ(hm.evaluateBarrier({first, {1, 2, 3}}),
+              hm.evaluate(first));
+
+    // Rows: one pass for n <= 1, one pass per tree stage for a
+    // reduce, and never zero.
+    const SplFunction sum2 = workloads::sumOf(2); // 1 row, not reduce
+    for (unsigned n : {0u, 1u}) {
+        EXPECT_EQ(mn.barrierRows(n), mn.rows());
+        EXPECT_EQ(hm.barrierRows(n), hm.rows());
+    }
+    EXPECT_EQ(mn.barrierRows(2), 1u);
+    EXPECT_EQ(mn.barrierRows(3), 2u);
+    EXPECT_EQ(mn.barrierRows(16), 4u);
+    EXPECT_EQ(mn.barrierRows(17), 5u);
+    EXPECT_EQ(hm.barrierRows(16), hm.rows());
+    EXPECT_EQ(sum2.barrierRows(8), 1u);
+    const SplFunction empty =
+        FunctionBuilder("no_rows", 1).outputs({0}).build();
+    EXPECT_EQ(empty.rows(), 0u);
+    EXPECT_EQ(empty.barrierRows(4), 1u);
+}
+
 // ---------------------------------------------------------------- //
-// Randomized differential tests: the compiled (flattened, two-bank)
-// interpreter against the row-by-row reference implementation that
-// is kept verbatim as evaluateNaive/evaluateReduceNaive.
+// Golden digests over randomized corpora. Each test folds the outputs
+// of a few hundred generated programs (every WOp, random registers,
+// immediates and Lut8 tables; short, exact and long inputs; 1 to 16
+// reduce participants) into one FNV-1a digest. The digests were taken
+// while a second, flattened evaluator was cross-checked against this
+// row-by-row one on the same corpora, so they pin the row semantics.
 // ---------------------------------------------------------------- //
 
-/** All word ops the fuzzer draws from (every WOp value). */
+/** All word ops the generator draws from (every WOp value). */
 const WOp kAllOps[] = {
     WOp::Add,    WOp::Sub,    WOp::AddImm,   WOp::Min,
     WOp::Max,    WOp::MinImm, WOp::MaxImm,   WOp::And,
@@ -254,9 +321,19 @@ randomFunction(std::mt19937 &rng, unsigned reduce_words = 0)
     return b.outputs(std::move(outs)).build();
 }
 
-TEST(FlattenedInterpreterFuzz, EvaluateMatchesNaive)
+/** Fold one output vector (its length, then each word) into @p h. */
+void
+mix(snap::Hasher &h, const std::vector<std::int32_t> &out)
+{
+    h.u64(out.size());
+    for (std::int32_t v : out)
+        h.i64(v);
+}
+
+TEST(SplGolden, RandomProgramsEvaluate)
 {
     std::mt19937 rng(0xC0FFEE);
+    snap::Hasher h;
     for (int iter = 0; iter < 500; ++iter) {
         SplFunction fn = randomFunction(rng);
         // Input lengths sweep short (zero-filled tail), exact and
@@ -264,14 +341,15 @@ TEST(FlattenedInterpreterFuzz, EvaluateMatchesNaive)
         std::vector<std::int32_t> in(rng() % 13);
         for (auto &v : in)
             v = static_cast<std::int32_t>(rng());
-        ASSERT_EQ(fn.evaluate(in), fn.evaluateNaive(in))
-            << "iteration " << iter;
+        mix(h, fn.evaluate(in));
     }
+    EXPECT_EQ(h.value(), 0x944d17841f13c598ULL);
 }
 
-TEST(FlattenedInterpreterFuzz, ReduceMatchesNaive)
+TEST(SplGolden, RandomReduceTrees)
 {
     std::mt19937 rng(0xBADF00D);
+    snap::Hasher h;
     for (int iter = 0; iter < 300; ++iter) {
         const unsigned words = 1 + rng() % 4;
         SplFunction fn = randomFunction(rng, words);
@@ -284,25 +362,22 @@ TEST(FlattenedInterpreterFuzz, ReduceMatchesNaive)
             for (auto &v : p)
                 v = static_cast<std::int32_t>(rng());
         }
-        ASSERT_EQ(fn.evaluateReduce(inputs),
-                  fn.evaluateReduceNaive(inputs))
-            << "iteration " << iter << ", " << participants
-            << " participants x " << words << " words";
+        mix(h, fn.evaluateReduce(inputs));
     }
+    EXPECT_EQ(h.value(), 0x902886650fc8e2c7ULL);
 }
 
-TEST(FlattenedInterpreterFuzz, CanonicalFunctionsMatchNaive)
+TEST(SplGolden, CanonicalFunctions)
 {
     std::mt19937 rng(0x5EED);
-    std::vector<SplFunction> fns;
-    fns.push_back(functions::passthrough(4));
-    fns.push_back(functions::hmmerMc(-987654321));
-    for (const SplFunction &fn : fns) {
+    snap::Hasher h;
+    for (const SplFunction &fn :
+         {functions::passthrough(4), functions::hmmerMc(-987654321)}) {
         for (int iter = 0; iter < 50; ++iter) {
             std::vector<std::int32_t> in(fn.numInputWords());
             for (auto &v : in)
                 v = static_cast<std::int32_t>(rng());
-            ASSERT_EQ(fn.evaluate(in), fn.evaluateNaive(in));
+            mix(h, fn.evaluate(in));
         }
     }
     for (const SplFunction &fn :
@@ -314,10 +389,10 @@ TEST(FlattenedInterpreterFuzz, CanonicalFunctionsMatchNaive)
                 participants);
             for (auto &p : inputs)
                 p = {static_cast<std::int32_t>(rng())};
-            ASSERT_EQ(fn.evaluateReduce(inputs),
-                      fn.evaluateReduceNaive(inputs));
+            mix(h, fn.evaluateReduce(inputs));
         }
     }
+    EXPECT_EQ(h.value(), 0x47ad43703b8a3224ULL);
 }
 
 } // namespace
